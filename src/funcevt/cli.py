@@ -140,6 +140,8 @@ def _cmd_limit(args) -> int:
     t_grid = make_grid(m=args.tgrid)
     x_grid = functional_x_grid(args.xmax, args.xgrid)
     field = simulate_limit_field(oracle, t_grid, x_grid, args.draws, args.seed)
+    # on stderr, not in the JSON, so the output file stays reproducible bytes
+    print(f"clipped eigenvalues: {field.clipped}", file=sys.stderr)
     params = LimitParams.constant(t_grid.m, 1.0, 0.0, rho)
     fn = limit_functionals(field, params)
     names = ("moment1", "moment2", "index", "location", "scale")

@@ -6,8 +6,12 @@ and the covariance of the limiting Gaussian field is
 E W(C_{t,x}) W(C_{s,y}) = nu(C_{t,x} n C_{s,y}).  The oracles here
 evaluate those intersection masses:
 
-* moving-max family: nu(C_{t,x} n C_{s,y}) = 1/x + 1/y - integral of
-  max(f(t+u)/x, f(s+u)/y) du, by segmented adaptive quadrature.
+* moving-max family: nu(C_{t,x} n C_{s,y}) = integral of
+  min(f(t+u)/x, f(s+u)/y) du.  For the double-exponential kernel the
+  integrand is a single exponential on each of four pieces of the line,
+  so the mass is exact in closed form (see `_double_exp_mass`).  The
+  student-t kernel goes through `sup_integral`, segmented adaptive
+  quadrature of the envelope max(f(t+u)/x, f(s+u)/y).
 * pareto-gbm family: nu(C_{t,x} n C_{s,y}) = E[min(B(t)/x, B(s)/y)].
   Writing B(t) = B(s) R with R = exp(W(t)-W(s) - (t-s)/2) independent
   of B(s), the factor B(s) slips out of the min with unit expectation,
@@ -15,8 +19,9 @@ evaluate those intersection masses:
   default evaluation is exact in terms of the normal CDF.  A seeded
   Monte Carlo fallback is kept as an independent route.
 
-Every oracle is homogeneous, nu(r A) = nu(A)/r, and drives both the
-canonical metric of the limit field and its covariance matrices.
+`MeasureOracle.intersection_mass` broadcasts over its two levels.  Every
+oracle is homogeneous, nu(r A) = nu(A)/r, and drives both the canonical
+metric of the limit field and its covariance matrices.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from funcevt.path_model import MOVING_MAX, PARETO_GBM, DataError
+from funcevt.process_sim import DOUBLE_EXP, KernelSpec
 
 
 class InconsistentMeasureError(RuntimeError):
@@ -40,7 +46,7 @@ def _tail_radius(kernel, mass):
     """Radius R with kernel tail mass beyond R at most `mass`."""
     if mass >= 0.5:
         return 0.0
-    if kernel.shape == "double-exp":
+    if kernel.shape == DOUBLE_EXP:
         return math.log(0.5 / mass) / kernel.rate
     from scipy.stats import t as student
 
@@ -107,6 +113,36 @@ def sup_integral(kernel, times, levels, tol=1e-10):
     return total
 
 
+def _double_exp_mass(rate, h, x, y):
+    """nu(C_{t,x} n C_{t+h,y}) for f(u) = (rate/2) exp(-rate|u|), h > 0.
+
+    With a = 1/x, b = 1/y and e = exp(-rate h), the integrand
+    min(a f(v), b f(v+h)) is a single exponential on each of v < -h,
+    (-h, c), (c, 0) and v > 0, where c is the crossing point
+    (log(x/y) - rate h)/(2 rate) clipped to [-h, 0].  The sum is capped
+    at min(a, b), which it equals exactly once one cell contains the
+    other, so rounding cannot push it past a marginal mass.  Broadcasts
+    over x and y.
+    """
+    a, b = 1.0 / x, 1.0 / y
+    e = math.exp(-rate * h)
+    c = np.clip((np.log(x / y) - rate * h) / (2.0 * rate), -h, 0.0)
+    mass = 0.5 * (
+        np.minimum(a, b * e)
+        + np.minimum(a * e, b)
+        + a * (np.exp(rate * c) - e)
+        + b * (np.exp(-rate * (c + h)) - e)
+    )
+    return np.minimum(mass, np.minimum(a, b))
+
+
+def _gbm_mass(h, x, y):
+    """nu(C_{t,x} n C_{t+h,y}) for pareto-gbm via the normal CDF, h > 0."""
+    r = math.sqrt(h)
+    zstar = (np.log(x / y) + 0.5 * h) / r
+    return ndtr(zstar - r) / x + ndtr(-zstar) / y
+
+
 @dataclass(frozen=True)
 class MeasureOracle:
     """Evaluates exceedance-set masses of the exponent measure.
@@ -125,8 +161,6 @@ class MeasureOracle:
     @classmethod
     def moving_max(cls, kernel=None, quad_tol=1e-11):
         if kernel is None:
-            from funcevt.process_sim import KernelSpec
-
             kernel = KernelSpec()
         return cls(MOVING_MAX, kernel=kernel, quad_tol=quad_tol)
 
@@ -139,7 +173,7 @@ class MeasureOracle:
     def _check_point(self, t, x):
         if not 0.0 <= t <= 1.0:
             raise DataError("time must be in [0, 1]")
-        if not x > 0.0:
+        if not np.all(np.asarray(x) > 0.0):
             raise DataError("level must be positive")
 
     def rect_mass(self, t, x) -> float:
@@ -147,31 +181,42 @@ class MeasureOracle:
         self._check_point(t, x)
         return 1.0 / x
 
-    def intersection_mass(self, t, x, s, y) -> float:
-        """nu(C_{t,x} n C_{s,y})."""
+    def intersection_mass(self, t, x, s, y):
+        """nu(C_{t,x} n C_{s,y}), broadcast over the levels x and y.
+
+        Returns a float for scalar levels and an array otherwise.
+        """
         self._check_point(t, x)
         self._check_point(s, y)
-        if t == s:
-            return min(1.0 / x, 1.0 / y)
+        if s < t:
+            t, x, s, y = s, y, t, x
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        h = s - t
+        if h == 0.0:
+            out = np.minimum(1.0 / x, 1.0 / y)
+        elif self.family == MOVING_MAX and self.kernel.shape == DOUBLE_EXP:
+            out = _double_exp_mass(self.kernel.rate, h, x, y)
+        elif self.family == PARETO_GBM and self.method == "analytic":
+            out = _gbm_mass(h, x, y)
+        else:
+            out = np.array(
+                [self._scalar_mass(t, xi, s, yi) for xi, yi in zip(x.flat, y.flat)]
+            ).reshape(x.shape)
+        return float(out) if out.ndim == 0 else out
+
+    def _scalar_mass(self, t, x, s, y) -> float:
+        """One mass by quadrature (student-t kernel) or Monte Carlo, t < s."""
         if self.family == MOVING_MAX:
             union = sup_integral(
                 self.kernel, np.array([t, s]), np.array([x, y]), tol=self.quad_tol
             )
             return 1.0 / x + 1.0 / y - union
-        if self.method == "analytic":
-            h = abs(t - s)
-            r = math.sqrt(h)
-            zstar = (math.log(x / y) + 0.5 * h) / r
-            return float(ndtr(zstar - r)) / x + float(ndtr(-zstar)) / y
-        # seeded Monte Carlo fallback
-        lo_t, hi_t = (t, s) if t < s else (s, t)
-        lo_x, hi_x = (x, y) if t < s else (y, x)
         rng = np.random.default_rng(self.mc_seed)
         z1 = rng.standard_normal(self.mc_draws)
         z2 = rng.standard_normal(self.mc_draws)
-        b_lo = np.exp(math.sqrt(lo_t) * z1 - 0.5 * lo_t)
-        b_hi = b_lo * np.exp(math.sqrt(hi_t - lo_t) * z2 - 0.5 * (hi_t - lo_t))
-        return float(np.mean(np.minimum(b_hi / hi_x, b_lo / lo_x)))
+        b_t = np.exp(math.sqrt(t) * z1 - 0.5 * t)
+        b_s = b_t * np.exp(math.sqrt(s - t) * z2 - 0.5 * (s - t))
+        return float(np.mean(np.minimum(b_s / y, b_t / x)))
 
 
 def canonical_metric(oracle, beta, p, q) -> float:
@@ -221,29 +266,26 @@ def covariance_matrix(oracle, t_grid, x_grid) -> np.ndarray:
     """Covariance of the limit field over cells (t_i, x_j), row-major in (i, j).
 
     Exploits homogeneity: for a fixed time pair, nu depends on levels
-    only through their ratio, so evaluations are cached per ratio.
+    only through their ratio, so each time pair takes one oracle call
+    over the distinct level ratios (keyed by the log-ratio rounded to
+    12 digits), scattered back as nu(t, x, s, y) = (1/x) nu(t, 1, s, y/x).
     """
     ts = np.asarray(t_grid.points if hasattr(t_grid, "points") else t_grid, float)
     xs = np.asarray(x_grid, dtype=float)
     if np.any(xs <= 0.0):
         raise DataError("levels must be positive")
     mt, mx = ts.size, xs.size
-    n = mt * mx
-    cov = np.empty((n, n))
-    cache = {}
-    for a in range(n):
-        ia, ja = divmod(a, mx)
-        for b in range(a, n):
-            ib, jb = divmod(b, mx)
-            if ia == ib:
-                val = min(1.0 / xs[ja], 1.0 / xs[jb])
-            else:
-                key = (ia, ib, round(math.log(xs[jb] / xs[ja]), 12))
-                if key not in cache:
-                    # nu(t, x, s, y) = (1/x) nu(t, 1, s, y/x) by homogeneity
-                    cache[key] = oracle.intersection_mass(
-                        ts[ia], 1.0, ts[ib], xs[jb] / xs[ja]
-                    )
-                val = cache[key] / xs[ja]
-            cov[a, b] = cov[b, a] = val
-    return cov
+    ratio = xs[None, :] / xs[:, None]  # [j, l] = x_l / x_j
+    keys = np.round(np.log(ratio), 12).ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = ratio.ravel()[first]
+    cov = np.empty((mt, mx, mt, mx))
+    for i in range(mt):
+        cov[i, :, i, :] = 1.0 / np.maximum.outer(xs, xs)
+        for l in range(i + 1, mt):
+            mass = oracle.intersection_mass(ts[i], 1.0, ts[l], distinct)
+            mass = np.broadcast_to(mass, distinct.shape)[which].reshape(mx, mx)
+            block = mass / xs[:, None]
+            cov[i, :, l, :] = block
+            cov[l, :, i, :] = block.T
+    return cov.reshape(mt * mx, mt * mx)

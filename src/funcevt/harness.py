@@ -39,7 +39,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from funcevt.estimators import estimate_curves
 from funcevt.exponent_measure import MeasureOracle
@@ -296,12 +295,24 @@ def _truth_data(cfg, grid):
     return {"u": u, "a": u.copy()}  # a = gamma_plus * U with gamma_plus = 1
 
 
-def worker_count(workers=None) -> int:
-    """Explicit argument, else FUNCEVT_WORKERS, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("FUNCEVT_WORKERS", "")
-    return max(1, int(env)) if env.strip() else 1
+def worker_count(workers=None, reps=None) -> int:
+    """Explicit argument, else FUNCEVT_WORKERS, else 1.
+
+    Given the replication count, the result is the pool size: also
+    capped at reps and at os.cpu_count(), beyond which workers idle.
+    """
+    if workers is None:
+        env = os.environ.get("FUNCEVT_WORKERS", "").strip()
+        try:
+            workers = int(env) if env else 1
+        except ValueError:
+            raise DataError(f"FUNCEVT_WORKERS must be an integer, got {env!r}") from None
+    workers = int(workers)
+    if workers < 1:
+        raise DataError(f"worker count must be at least 1, got {workers}")
+    if reps is None:
+        return workers
+    return min(workers, int(reps), os.cpu_count() or 1)
 
 
 def run_replications(cfg, workers=None) -> ReplicationSet:
@@ -309,7 +320,7 @@ def run_replications(cfg, workers=None) -> ReplicationSet:
     grid = grid_for(cfg)
     truth_data = _truth_data(cfg, grid)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
-    nw = worker_count(workers)
+    nw = worker_count(workers, cfg.reps)
     if nw == 1:
         results = [
             _replicate(cfg, grid, truth_data, r, children[r])
@@ -403,6 +414,8 @@ class StatsReport:
 
 def ks_critical(count, alpha=0.01) -> float:
     """Asymptotic two-sided Kolmogorov-Smirnov critical value."""
+    from scipy import stats  # here, not at module level: it is slow to import
+
     return float(stats.kstwobign.isf(alpha)) / math.sqrt(count)
 
 
@@ -412,6 +425,8 @@ def summarize(t, errors, var_limit, cfg, statistic, used, flagged, extra=None):
     The ks column holds the KS statistic itself; compare against
     ks_critical(used) at the chosen level.
     """
+    from scipy import stats
+
     t = np.asarray(t, dtype=float)
     errors = np.asarray(errors, dtype=float)
     mean = errors.mean(axis=0)

@@ -149,9 +149,8 @@ class TestNu:
         rc, out = run(capsys, ["nu", "--family", "moving-max", "--t", "0.25",
                                "--x", "1", "--s", "0.75", "--y", "1"])
         assert rc == 0
-        # the oracle integrates rather than using the closed form, so allow
-        # the last printed digit to wobble
-        assert float(out) == pytest.approx(math.exp(-0.25), rel=1e-9)
+        # the double-exp oracle is exact; allow for the 12 printed digits
+        assert float(out) == pytest.approx(math.exp(-0.25), rel=1e-11)
 
     def test_gbm_intersection(self, capsys):
         rc, out = run(capsys, ["nu", "--family", "pareto-gbm", "--t", "0",
@@ -182,6 +181,19 @@ class TestLimit:
             assert arr.shape == (64, 2)
         assert len(doc["covariance_moments"]) == 2
         assert all(v > 0.0 for v in doc["variance"]["moment1"])
+
+    def test_clipped_count_on_stderr_only(self, tmp_path, capsys):
+        # the cell grid of a 3-time, 128-level moving-max run: its
+        # covariance needs no eigenvalue clipping
+        out_path = tmp_path / "limit.json"
+        rc = main(["limit", "--family", "moving-max", "--tgrid", "3",
+                   "--xgrid", "128", "--xmax", "1e4", "--draws", "4",
+                   "--seed", "1", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.err == "clipped eigenvalues: 0\n"
+        assert "eigenvalues" not in captured.out
+        assert "eigenvalues" not in out_path.read_text()
 
 
 class TestExperiment:
@@ -229,6 +241,14 @@ class TestExperiment:
                                "--workers", "1", "--check"])
         assert rc == 2
         assert "FAIL" in out
+
+    def test_bad_worker_env_exits_one(self, tmp_path, capsys, monkeypatch):
+        cfg_path = str(tmp_path / "cfg.json")
+        save_config(self._oscillation_cfg(1e-3), cfg_path)
+        monkeypatch.setenv("FUNCEVT_WORKERS", "abc")
+        rc = main(["experiment", "--config", cfg_path])
+        assert rc == 1
+        assert "FUNCEVT_WORKERS" in capsys.readouterr().err
 
     def test_no_check_returns_zero_either_way(self, tmp_path, capsys):
         cfg = self._oscillation_cfg(1e-3)

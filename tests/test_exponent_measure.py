@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from funcevt import exponent_measure
 from funcevt.exponent_measure import (
     InconsistentMeasureError,
     MeasureOracle,
@@ -103,6 +104,94 @@ class TestMovingMaxOracle:
             homogeneity_check(oracle, 0.0, pairs)
 
 
+def random_cells(seed, count):
+    """Seeded (t, x, s, y) with t != s and levels in [e**-2, e**2]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        t, s = rng.uniform(0.0, 1.0, 2)
+        x, y = np.exp(rng.uniform(-2.0, 2.0, 2))
+        yield float(t), float(x), float(s), float(y)
+
+
+class TestDoubleExpClosedForm:
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 3.0])
+    def test_matches_quadrature(self, rate):
+        k = KernelSpec("double-exp", rate=rate)
+        oracle = MeasureOracle.moving_max(k)
+        for t, x, s, y in random_cells(int(10 * rate), 40):
+            union = sup_integral(k, np.array([t, s]), np.array([x, y]), tol=1e-11)
+            want = 1.0 / x + 1.0 / y - union
+            assert oracle.intersection_mass(t, x, s, y) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 3.0])
+    def test_homogeneity_and_symmetry(self, rate):
+        oracle = MeasureOracle.moving_max(KernelSpec("double-exp", rate=rate))
+        cells = list(random_cells(7, 50))
+        pairs = [((t, x), (s, y)) for t, x, s, y in cells]
+        for r in (0.3, 2.0, 17.0):
+            assert homogeneity_check(oracle, r, pairs) < 1e-12
+        for t, x, s, y in cells:
+            assert oracle.intersection_mass(t, x, s, y) == oracle.intersection_mass(
+                s, y, t, x
+            )
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 3.0])
+    def test_bounded_by_marginals_and_containment(self, rate):
+        oracle = MeasureOracle.moving_max(KernelSpec("double-exp", rate=rate))
+        for t, x, s, y in random_cells(11, 50):
+            got = oracle.intersection_mass(t, x, s, y)
+            assert 0.0 < got <= min(1.0 / x, 1.0 / y)
+            # at level ratio >= e**(rate h) the higher cell contains the lower
+            lift = math.exp(rate * abs(t - s))
+            for hi, lo in ((x * lift, x), (x * lift * 1.5, x)):
+                assert oracle.intersection_mass(t, hi, s, lo) == pytest.approx(
+                    1.0 / hi, rel=1e-14
+                )
+                assert oracle.intersection_mass(t, lo, s, hi) == pytest.approx(
+                    1.0 / hi, rel=1e-14
+                )
+
+    def test_student_kernel_goes_through_quadrature(self, monkeypatch):
+        calls = []
+        real = exponent_measure.sup_integral
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(exponent_measure, "sup_integral", counting)
+        MeasureOracle.moving_max().intersection_mass(0.2, 1.0, 0.7, 2.0)
+        assert calls == []
+        student = MeasureOracle.moving_max(KernelSpec("student-t", rate=1.0, df=3.0))
+        student.intersection_mass(0.2, 1.0, 0.7, np.array([2.0, 3.0]))
+        assert len(calls) == 2
+
+
+class TestBroadcasting:
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            MeasureOracle.moving_max(),
+            MeasureOracle.moving_max(KernelSpec("student-t", rate=2.0, df=4.0)),
+            MeasureOracle.pareto_gbm(),
+            MeasureOracle.pareto_gbm(method="mc", mc_draws=2000, mc_seed=1),
+        ],
+        ids=["double-exp", "student-t", "gbm", "gbm-mc"],
+    )
+    def test_array_levels_match_scalar_calls(self, oracle):
+        ys = np.array([0.5, 1.0, 4.0])
+        for t, s in ((0.1, 0.6), (0.9, 0.3), (0.4, 0.4)):
+            got = oracle.intersection_mass(t, 2.0, s, ys)
+            assert got.shape == ys.shape
+            want = [oracle.intersection_mass(t, 2.0, s, float(y)) for y in ys]
+            np.testing.assert_array_equal(got, want)
+            assert isinstance(oracle.intersection_mass(t, 2.0, s, 1.0), float)
+
+    def test_nonpositive_level_in_array_rejected(self):
+        with pytest.raises(DataError):
+            MeasureOracle.moving_max().intersection_mass(0.0, 1.0, 1.0, np.array([1.0, 0.0]))
+
+
 class TestGbmOracle:
     def test_analytic_value_unit_gap(self):
         oracle = MeasureOracle.pareto_gbm()
@@ -181,7 +270,51 @@ class TestCanonicalMetric:
             canonical_metric(NegativeOracle(), 0.25, (0.0, 1.0), (1.0, 2.0))
 
 
+def reference_covariance(oracle, times, levels):
+    """The covariance matrix one entry at a time, with scalar oracle calls."""
+    cells = [(t, x) for t in times for x in levels]
+    n = len(cells)
+    cov = np.empty((n, n))
+    for a, (t, x) in enumerate(cells):
+        for b in range(a, n):
+            s, y = cells[b]
+            if t == s:
+                val = min(1.0 / x, 1.0 / y)
+            else:
+                val = oracle.intersection_mass(t, 1.0, s, y / x) / x
+            cov[a, b] = cov[b, a] = val
+    return cov
+
+
+class ConstantOracle:
+    """Duck-typed oracle answering one scalar whatever its arguments."""
+
+    def intersection_mass(self, t, x, s, y):
+        return 0.125
+
+
 class TestCovarianceMatrix:
+    @pytest.mark.parametrize(
+        "oracle,times,levels",
+        [
+            (MeasureOracle.moving_max(), [0.0, 0.3, 0.5, 1.0], np.geomspace(1.0, 1e3, 9)),
+            (
+                MeasureOracle.moving_max(KernelSpec("student-t", rate=1.0, df=3.0)),
+                [0.0, 0.5],
+                np.array([1.0, 2.5]),
+            ),
+            (MeasureOracle.pareto_gbm(), [0.0, 0.3, 0.5, 1.0], np.geomspace(1.0, 1e3, 9)),
+            (ConstantOracle(), [0.0, 0.5, 1.0], np.array([1.0, 2.0, 8.0])),
+        ],
+        ids=["double-exp", "student-t", "gbm", "constant"],
+    )
+    def test_matches_scalar_reference(self, oracle, times, levels):
+        cov = covariance_matrix(oracle, make_grid(points=times), levels)
+        want = reference_covariance(oracle, times, levels)
+        np.testing.assert_allclose(cov, want, rtol=1e-10, atol=1e-15)
+        np.testing.assert_array_equal(cov, cov.T)
+
+
     def test_structure_and_values(self):
         oracle = MeasureOracle.pareto_gbm()
         t_grid = make_grid(points=[0.0, 0.5, 1.0])

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -125,6 +126,27 @@ class TestWorkers:
     def test_default_is_one(self, monkeypatch):
         monkeypatch.delenv("FUNCEVT_WORKERS", raising=False)
         assert worker_count() == 1
+
+    @pytest.mark.parametrize("env", ["abc", "2.5", "0", "-3"])
+    def test_bad_env_is_a_data_error(self, monkeypatch, env):
+        monkeypatch.setenv("FUNCEVT_WORKERS", env)
+        with pytest.raises(DataError):
+            worker_count()
+
+    def test_nonpositive_argument_is_a_data_error(self):
+        with pytest.raises(DataError):
+            worker_count(0)
+
+    def test_pool_capped_at_reps_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert worker_count(64, reps=1000) == 4
+        assert worker_count(64, reps=3) == 3
+        assert worker_count(2, reps=1000) == 2
+        monkeypatch.setenv("FUNCEVT_WORKERS", "500")
+        assert worker_count(reps=1000) == 4
+        assert worker_count() == 500
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count(8, reps=10) == 1
 
 
 class TestReplications:

@@ -19,6 +19,7 @@ from funcevt.harness import (
     check_report,
     export_report,
     load_config,
+    report_csv,
     run_experiment,
 )
 from funcevt.limit_theory import (
@@ -176,20 +177,7 @@ def _cmd_experiment(args) -> int:
     if cfg.out:
         export_report(report, cfg.out, cfg.fmt)
         print(f"wrote report to {cfg.out}")
-    print("t,mean,var,var_limit,ks")
-    for j in range(report.t.size):
-        print(
-            ",".join(
-                "%.17g" % v
-                for v in (
-                    report.t[j],
-                    report.mean[j],
-                    report.var[j],
-                    report.var_limit[j],
-                    report.ks[j],
-                )
-            )
-        )
+    print(report_csv(report), end="")
     if args.check:
         ok, msgs = check_report(report)
         for msg in msgs:

@@ -16,8 +16,7 @@ evaluate those intersection masses:
   Writing B(t) = B(s) R with R = exp(W(t)-W(s) - (t-s)/2) independent
   of B(s), the factor B(s) slips out of the min with unit expectation,
   leaving a single lognormal expectation with an explicit kink, so the
-  default evaluation is exact in terms of the normal CDF.  A seeded
-  Monte Carlo fallback is kept as an independent route.
+  evaluation is exact in terms of the normal CDF.
 
 `MeasureOracle.intersection_mass` broadcasts over its two levels.  Every
 oracle is homogeneous, nu(r A) = nu(A)/r, and drives both the canonical
@@ -36,6 +35,10 @@ from scipy.special import ndtr
 
 from funcevt.path_model import MOVING_MAX, PARETO_GBM, DataError
 from funcevt.process_sim import DOUBLE_EXP, KernelSpec
+
+
+# absolute tolerance of the student-t kernel's union quadrature
+_QUAD_TOL = 1e-11
 
 
 class InconsistentMeasureError(RuntimeError):
@@ -148,27 +151,21 @@ class MeasureOracle:
     """Evaluates exceedance-set masses of the exponent measure.
 
     Build with `MeasureOracle.moving_max(kernel)` or
-    `MeasureOracle.pareto_gbm(method=...)`.
+    `MeasureOracle.pareto_gbm()`.
     """
 
     family: str
     kernel: object = None
-    quad_tol: float = 1e-11
-    method: str = "analytic"
-    mc_draws: int = 200_000
-    mc_seed: int = 0
 
     @classmethod
-    def moving_max(cls, kernel=None, quad_tol=1e-11):
+    def moving_max(cls, kernel=None):
         if kernel is None:
             kernel = KernelSpec()
-        return cls(MOVING_MAX, kernel=kernel, quad_tol=quad_tol)
+        return cls(MOVING_MAX, kernel=kernel)
 
     @classmethod
-    def pareto_gbm(cls, method="analytic", mc_draws=200_000, mc_seed=0):
-        if method not in ("analytic", "mc"):
-            raise DataError("pareto-gbm oracle method must be 'analytic' or 'mc'")
-        return cls(PARETO_GBM, method=method, mc_draws=int(mc_draws), mc_seed=int(mc_seed))
+    def pareto_gbm(cls):
+        return cls(PARETO_GBM)
 
     def _check_point(self, t, x):
         if not 0.0 <= t <= 1.0:
@@ -196,7 +193,7 @@ class MeasureOracle:
             out = np.minimum(1.0 / x, 1.0 / y)
         elif self.family == MOVING_MAX and self.kernel.shape == DOUBLE_EXP:
             out = _double_exp_mass(self.kernel.rate, h, x, y)
-        elif self.family == PARETO_GBM and self.method == "analytic":
+        elif self.family == PARETO_GBM:
             out = _gbm_mass(h, x, y)
         else:
             out = np.array(
@@ -205,18 +202,11 @@ class MeasureOracle:
         return float(out) if out.ndim == 0 else out
 
     def _scalar_mass(self, t, x, s, y) -> float:
-        """One mass by quadrature (student-t kernel) or Monte Carlo, t < s."""
-        if self.family == MOVING_MAX:
-            union = sup_integral(
-                self.kernel, np.array([t, s]), np.array([x, y]), tol=self.quad_tol
-            )
-            return 1.0 / x + 1.0 / y - union
-        rng = np.random.default_rng(self.mc_seed)
-        z1 = rng.standard_normal(self.mc_draws)
-        z2 = rng.standard_normal(self.mc_draws)
-        b_t = np.exp(math.sqrt(t) * z1 - 0.5 * t)
-        b_s = b_t * np.exp(math.sqrt(s - t) * z2 - 0.5 * (s - t))
-        return float(np.mean(np.minimum(b_s / y, b_t / x)))
+        """One mass by quadrature of the union (student-t kernel), t < s."""
+        union = sup_integral(
+            self.kernel, np.array([t, s]), np.array([x, y]), tol=_QUAD_TOL
+        )
+        return 1.0 / x + 1.0 / y - union
 
 
 def canonical_metric(oracle, beta, p, q) -> float:

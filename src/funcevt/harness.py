@@ -8,7 +8,8 @@ workers.  Reports serialize to CSV (fixed per-row schema
 t, mean, var, var_limit, ks) or JSON (full config echo plus the same
 rows and kind-specific extras).
 
-Experiment kinds are a closed set:
+Experiment kinds are a closed set, one `KindSpec` entry each in
+`KIND_SPECS`:
 
   normality    distribution of one sqrt(k)-standardized estimator error
                at every grid time, against its limit variance.  CSV
@@ -33,10 +34,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -44,8 +48,8 @@ from funcevt.estimators import estimate_curves
 from funcevt.exponent_measure import MeasureOracle
 from funcevt.limit_theory import limit_variances_gm0, true_functions
 from funcevt.path_model import (
+    FAMILIES,
     MOVING_MAX,
-    PARETO_GBM,
     DataError,
     make_grid,
     marginal_model_for,
@@ -64,13 +68,22 @@ from funcevt.tail_process import (
     tail_quantile_stat,
 )
 
-KINDS = ("normality", "consistency", "tailcov", "quantile", "oscillation")
 STATISTICS = ("hill", "index", "location", "scale")
+
+# type of each scalar config field by its annotation; bool, an int
+# subclass, is rejected separately
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete, hashable description of one experiment."""
+    """Complete, hashable description of one experiment.
+
+    Field values are checked, never coerced: int fields take integers,
+    float fields integers or floats (neither takes a bool), times is a
+    list of numbers and pairs/schedule are lists of number pairs
+    (integer pairs for schedule).  The kind's own rules come last.
+    """
 
     kind: str
     family: str
@@ -101,43 +114,29 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DataError(f"unknown experiment kind {self.kind!r}")
-        if self.family not in (MOVING_MAX, PARETO_GBM):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in _FIELD_TYPES and (
+                isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type])
+            ):
+                raise DataError(f"{f.name} must be of type {f.type}, got {value!r}")
+        spec = _spec(self.kind)
+        if self.family not in FAMILIES:
             raise DataError(f"unknown family {self.family!r}")
         if self.statistic not in STATISTICS:
             raise DataError(f"unknown statistic {self.statistic!r}")
         if self.fmt not in ("csv", "json"):
             raise DataError("fmt must be 'csv' or 'json'")
-        if int(self.reps) < 1:
+        if self.reps < 1:
             raise DataError("reps must be >= 1")
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
+        object.__setattr__(self, "times", _numbers(self.times, "times"))
         object.__setattr__(
-            self, "schedule", tuple((int(n), int(k)) for n, k in self.schedule)
+            self, "schedule", _pairs(self.schedule, "schedule", integer=True)
         )
-        object.__setattr__(
-            self, "pairs", tuple((float(t), float(s)) for t, s in self.pairs)
-        )
-        if self.kind == "consistency":
-            if not self.schedule:
-                raise DataError("consistency kind needs a (n, k) schedule")
-            ns = [n for n, _ in self.schedule]
-            ks = [k for _, k in self.schedule]
-            for n, k in self.schedule:
-                if not 1 <= k < n:
-                    raise DataError("schedule entries need 1 <= k < n")
-            if any(b <= a for a, b in zip(ns, ns[1:])):
-                raise DataError("schedule n must be strictly increasing")
-            if any(b < a for a, b in zip(ks, ks[1:])):
-                raise DataError("schedule k must be nondecreasing")
-            ratios = [k / n for n, k in self.schedule]
-            if any(b >= a for a, b in zip(ratios, ratios[1:])):
-                raise DataError("schedule k/n must be decreasing")
-        else:
-            if not 1 <= int(self.k) < int(self.n):
-                raise DataError("need 1 <= k < n")
-        if self.kind == "tailcov" and not self.pairs:
-            raise DataError("tailcov kind needs (t, s) pairs")
+        object.__setattr__(self, "pairs", _pairs(self.pairs, "pairs"))
+        spec.validate(self)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -148,14 +147,36 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d) -> "ExperimentConfig":
-        d = dict(d)
-        for key in ("times", "schedule", "pairs"):
-            if key in d:
-                rows = d[key]
-                d[key] = tuple(
-                    tuple(r) if isinstance(r, (list, tuple)) else r for r in rows
-                )
+        if not isinstance(d, dict):
+            raise DataError("config must be a JSON object")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise DataError(f"unknown config keys: {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise DataError(f"config needs keys: {', '.join(missing)}")
         return cls(**d)
+
+
+def _numbers(values, what, integer=False):
+    """values as a tuple of floats (ints if integer); DataError unless a
+    list or tuple of numbers."""
+    want = numbers.Integral if integer else numbers.Real
+    if not isinstance(values, (list, tuple)) or not all(
+        isinstance(v, want) and not isinstance(v, bool) for v in values
+    ):
+        noun = "integers" if integer else "numbers"
+        raise DataError(f"{what} must be a list of {noun}")
+    return tuple(int(v) if integer else float(v) for v in values)
+
+
+def _pairs(rows, what, integer=False):
+    if not isinstance(rows, (list, tuple)):
+        raise DataError(f"{what} must be a list of pairs")
+    out = tuple(_numbers(row, f"{what} rows", integer) for row in rows)
+    if any(len(row) != 2 for row in out):
+        raise DataError(f"{what} rows must be pairs")
+    return out
 
 
 def config_hash(cfg) -> str:
@@ -172,103 +193,26 @@ def save_config(cfg, path):
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"config {path} is not valid JSON: {exc}") from None
+    return ExperimentConfig.from_dict(doc)
+
+
+def _spec(kind) -> "KindSpec":
+    try:
+        return KIND_SPECS[kind]
+    except KeyError:
+        raise DataError(f"unknown experiment kind {kind!r}") from None
 
 
 def grid_for(cfg):
-    if cfg.kind == "tailcov":
-        pts = sorted({t for pair in cfg.pairs for t in pair})
-        return make_grid(points=pts)
-    if cfg.times:
-        return make_grid(points=cfg.times)
-    return make_grid(m=cfg.m)
+    return _spec(cfg.kind).grid(cfg)
 
 
 def kernel_for(cfg) -> KernelSpec:
     return KernelSpec(cfg.kernel_shape, cfg.kernel_rate, cfg.kernel_df)
-
-
-def _floor_for(cfg, n, k):
-    """Moving-max speed floor: upper-tail statistics only read values
-    well above n/k, so points below a quarter of that never matter."""
-    if cfg.value_floor > 0.0:
-        return cfg.value_floor
-    if cfg.kind == "oscillation":
-        return max(1.0, cfg.v / 8.0)
-    return max(1.0, (n / k) / 4.0)
-
-
-def _simulate(cfg, grid, n, k, seed):
-    if cfg.family == MOVING_MAX:
-        sim = SimConfig(
-            n=n,
-            seed=seed,
-            trunc_tol=cfg.trunc_tol,
-            value_floor=_floor_for(cfg, n, max(k, 1)),
-        )
-        return simulate_moving_max(kernel_for(cfg), grid, sim)
-    return simulate_pareto_gbm(grid, SimConfig(n=n, seed=seed))
-
-
-def _curve_stat(curves, name):
-    if name == "hill":
-        return curves.gamma_plus
-    if name == "index":
-        return curves.gamma
-    if name == "location":
-        return curves.u_hat
-    return curves.a_hat
-
-
-def _replicate(cfg, grid, truth_data, rep, child):
-    """One replication; a pure function of its arguments."""
-    if cfg.kind == "normality":
-        sample = _simulate(cfg, grid, cfg.n, cfg.k, child)
-        curves = estimate_curves(sample, cfg.k)
-        payload = {
-            "hill": curves.gamma_plus,
-            "index": curves.gamma,
-            "location": curves.u_hat,
-            "scale": curves.a_hat,
-        }
-        flagged = bool(curves.flag.any())
-        return rep, payload, flagged
-
-    if cfg.kind == "consistency":
-        sub = child.spawn(len(cfg.schedule))
-        sups = np.empty((len(cfg.schedule), 4))
-        flagged = False
-        for i, (n, k) in enumerate(cfg.schedule):
-            sample = _simulate(cfg, grid, n, k, sub[i])
-            curves = estimate_curves(sample, k)
-            flagged = flagged or bool(curves.flag.any())
-            u, a = truth_data["u"][i], truth_data["a"][i]
-            sups[i, 0] = np.abs(curves.gamma_plus - 1.0).max()
-            sups[i, 1] = np.abs(curves.gamma - 1.0).max()
-            sups[i, 2] = np.abs((curves.u_hat - u) / a).max()
-            sups[i, 3] = np.abs(curves.a_hat / a - 1.0).max()
-        return rep, {"sup_errors": sups}, flagged
-
-    sample = _simulate(cfg, grid, cfg.n, cfg.k, child)
-    model = marginal_model_for(sample, bound_exponent=cfg.bound_exponent)
-    zeta = pareto_transform(sample, model)
-
-    if cfg.kind == "tailcov":
-        w = np.array(
-            [
-                tail_empirical_process(zeta, j, 1.0, cfg.k)
-                for j in range(grid.m)
-            ]
-        )
-        return rep, {"w_at_one": w}, False
-    if cfg.kind == "quantile":
-        q = tail_quantile_stat(zeta, cfg.k, cfg.alpha)
-        return rep, {"quantile_stat": q}, not np.all(np.isfinite(q))
-    # oscillation
-    osc = OscillationConfig(cfg.s, cfg.delta, cfg.v, cfg.K, cfg.beta, cfg.variant)
-    report = oscillation_diagnostic(zeta, osc)
-    counts = np.array([report.n_conditioning, report.n_exceed], dtype=np.int64)
-    return rep, {"counts": counts}, False
 
 
 @dataclass(frozen=True)
@@ -278,21 +222,10 @@ class ReplicationSet:
     config: ExperimentConfig
     arrays: dict
     flagged: np.ndarray
-    rep_ids: tuple
 
     @property
     def reps(self) -> int:
         return self.flagged.size
-
-
-def _truth_data(cfg, grid):
-    if cfg.kind != "consistency":
-        return {}
-    truth = true_functions(cfg.family, bound_exponent=cfg.bound_exponent)
-    u = np.empty((len(cfg.schedule), grid.m))
-    for i, (n, k) in enumerate(cfg.schedule):
-        u[i] = [truth.location(t, n / k) for t in grid.points]
-    return {"u": u, "a": u.copy()}  # a = gamma_plus * U with gamma_plus = 1
 
 
 def worker_count(workers=None, reps=None) -> int:
@@ -317,30 +250,26 @@ def worker_count(workers=None, reps=None) -> int:
 
 def run_replications(cfg, workers=None) -> ReplicationSet:
     """Run all replications; identical output for any worker count."""
-    grid = grid_for(cfg)
-    truth_data = _truth_data(cfg, grid)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
+    spec = _spec(cfg.kind)
+    grid = spec.grid(cfg)
+    args = (
+        repeat(cfg),
+        repeat(grid),
+        repeat(spec.context(cfg, grid)),
+        np.random.SeedSequence(cfg.seed).spawn(cfg.reps),
+    )
     nw = worker_count(workers, cfg.reps)
     if nw == 1:
-        results = [
-            _replicate(cfg, grid, truth_data, r, children[r])
-            for r in range(cfg.reps)
-        ]
+        results = list(map(spec.replicate, *args))
     else:
         with ProcessPoolExecutor(max_workers=nw) as pool:
-            futures = [
-                pool.submit(_replicate, cfg, grid, truth_data, r, children[r])
-                for r in range(cfg.reps)
-            ]
-            results = [f.result() for f in futures]
-    results.sort(key=lambda item: item[0])
-    keys = results[0][1].keys()
+            results = list(pool.map(spec.replicate, *args))
     arrays = {
-        key: np.stack([payload[key] for _, payload, _ in results])
-        for key in keys
+        key: np.stack([payload[key] for payload, _ in results])
+        for key in results[0][0]
     }
-    flagged = np.array([flag for _, _, flag in results], dtype=bool)
-    return ReplicationSet(cfg, arrays, flagged, tuple(range(cfg.reps)))
+    flagged = np.array([flag for _, flag in results], dtype=bool)
+    return ReplicationSet(cfg, arrays, flagged)
 
 
 @dataclass(frozen=True)
@@ -357,11 +286,6 @@ class StandardizedErrors:
     used: int
     flagged: int
 
-    def by_name(self, name) -> np.ndarray:
-        if name not in STATISTICS:
-            raise DataError(f"unknown statistic {name!r}")
-        return getattr(self, name)
-
 
 def standardize(repset, truth) -> StandardizedErrors:
     """Turn raw estimator curves into sqrt(k)-standardized errors.
@@ -370,9 +294,9 @@ def standardize(repset, truth) -> StandardizedErrors:
     family; replications with any flagged grid point are dropped (their
     count is reported).
     """
-    cfg = repset.config
-    if cfg.kind != "normality":
+    if "hill" not in repset.arrays:
         raise DataError("standardize applies to normality replication sets")
+    cfg = repset.config
     grid = grid_for(cfg)
     keep = ~repset.flagged
     v = cfg.n / cfg.k
@@ -412,6 +336,17 @@ class StatsReport:
     schema: int = 1
 
 
+def _report(cfg, statistic, t, mean, var, var_limit, used, flagged, ks=None, extra=None):
+    """The StatsReport of a run of cfg; the ks column is NaN unless given."""
+    t = np.asarray(t, dtype=float)
+    cols = [np.asarray(c, dtype=float) for c in (mean, var, var_limit)]
+    ks = np.full(t.size, np.nan) if ks is None else ks
+    return StatsReport(
+        cfg.kind, statistic, t, *cols, ks, cfg.reps, used, flagged,
+        cfg.to_dict(), config_hash(cfg), extra or {},
+    )
+
+
 def ks_critical(count, alpha=0.01) -> float:
     """Asymptotic two-sided Kolmogorov-Smirnov critical value."""
     from scipy import stats  # here, not at module level: it is slow to import
@@ -422,11 +357,9 @@ def ks_critical(count, alpha=0.01) -> float:
 def summarize(t, errors, var_limit, cfg, statistic, used, flagged, extra=None):
     """Per-column mean/variance and KS distance to N(0, var_limit).
 
-    The ks column holds the KS statistic itself; compare against
-    ks_critical(used) at the chosen level.
+    The ks column holds the KS statistic itself (NaN where var_limit is
+    not positive); compare against ks_critical(used) at the chosen level.
     """
-    from scipy import stats
-
     t = np.asarray(t, dtype=float)
     errors = np.asarray(errors, dtype=float)
     mean = errors.mean(axis=0)
@@ -435,179 +368,42 @@ def summarize(t, errors, var_limit, cfg, statistic, used, flagged, extra=None):
     ks = np.full(t.size, np.nan)
     for j in range(t.size):
         if vl[j] > 0.0 and errors.shape[0] > 1:
+            from scipy import stats
+
             sigma = math.sqrt(vl[j])
             ks[j] = stats.kstest(errors[:, j], "norm", args=(0.0, sigma)).statistic
-    return StatsReport(
-        cfg.kind,
-        statistic,
-        t,
-        mean,
-        var,
-        vl.copy(),
-        ks,
-        cfg.reps,
-        used,
-        flagged,
-        cfg.to_dict(),
-        config_hash(cfg),
-        extra or {},
-    )
-
-
-def _oracle_for(cfg) -> MeasureOracle:
-    if cfg.family == MOVING_MAX:
-        return MeasureOracle.moving_max(kernel_for(cfg))
-    return MeasureOracle.pareto_gbm()
-
-
-_VAR_LIMIT_BY_STAT = {
-    "hill": lambda lim: lim.var_hill,
-    "index": lambda lim: lim.var_index,
-    "location": lambda lim: lim.var_location,
-    "scale": lambda lim: lim.var_scale,
-}
+    return _report(cfg, statistic, t, mean, var, vl.copy(), used, flagged, ks, extra)
 
 
 def run_experiment(cfg, workers=None) -> StatsReport:
     """Run one experiment end to end and summarize it."""
     repset = run_replications(cfg, workers)
-    grid = grid_for(cfg)
+    return _spec(cfg.kind).summarize(cfg, grid_for(cfg), repset)
 
-    if cfg.kind == "normality":
-        truth = true_functions(cfg.family, bound_exponent=cfg.bound_exponent)
-        limits = limit_variances_gm0(truth.gamma())
-        std = standardize(repset, truth)
-        errors = std.by_name(cfg.statistic)
-        var_limit = _VAR_LIMIT_BY_STAT[cfg.statistic](limits)
-        return summarize(
-            std.t, errors, var_limit, cfg, cfg.statistic, std.used, std.flagged
-        )
 
-    if cfg.kind == "consistency":
-        idx = STATISTICS.index(cfg.statistic)
-        keep = ~repset.flagged
-        sups = repset.arrays["sup_errors"][keep][:, :, idx]
-        ns = np.array([n for n, _ in cfg.schedule], dtype=float)
-        medians = np.median(sups, axis=0)
-        return StatsReport(
-            cfg.kind,
-            cfg.statistic,
-            ns,
-            sups.mean(axis=0),
-            sups.var(axis=0, ddof=1) if keep.sum() > 1 else np.full(ns.size, np.nan),
-            np.full(ns.size, np.nan),
-            np.full(ns.size, np.nan),
-            cfg.reps,
-            int(keep.sum()),
-            int(repset.flagged.sum()),
-            cfg.to_dict(),
-            config_hash(cfg),
-            {
-                "n": [int(n) for n, _ in cfg.schedule],
-                "k": [int(k) for _, k in cfg.schedule],
-                "median_sup": medians.tolist(),
-            },
-        )
-
-    if cfg.kind == "tailcov":
-        oracle = _oracle_for(cfg)
-        w = repset.arrays["w_at_one"]
-        gaps, emp, se2, nu = [], [], [], []
-        for t, s in cfg.pairs:
-            it, js = grid.index_of(t), grid.index_of(s)
-            a, b = w[:, it], w[:, js]
-            cov = float(np.cov(a, b, ddof=1)[0, 1])
-            prod = (a - a.mean()) * (b - b.mean())
-            gaps.append(abs(t - s))
-            emp.append(cov)
-            se2.append(float(prod.var(ddof=1)) / w.shape[0])
-            nu.append(oracle.intersection_mass(t, 1.0, s, 1.0))
-        return StatsReport(
-            cfg.kind,
-            cfg.statistic,
-            np.array(gaps),
-            np.array(emp),
-            np.array(se2),
-            np.array(nu),
-            np.full(len(gaps), np.nan),
-            cfg.reps,
-            cfg.reps,
-            0,
-            cfg.to_dict(),
-            config_hash(cfg),
-            {"pairs": [list(p) for p in cfg.pairs]},
-        )
-
-    if cfg.kind == "quantile":
-        keep = ~repset.flagged
-        q = repset.arrays["quantile_stat"][keep]
-        var_limit = cfg.alpha ** 2  # alpha**2 Var W(C_{t,1}) with Var = 1
-        return summarize(
-            grid.points,
-            q,
-            var_limit,
-            cfg,
-            cfg.statistic,
-            int(keep.sum()),
-            int(repset.flagged.sum()),
-        )
-
-    # oscillation: pool counts over replications
-    counts = repset.arrays["counts"].sum(axis=0)
-    n_cond, n_exc = int(counts[0]), int(counts[1])
-    estimate = n_exc / n_cond if n_cond else math.nan
-    se2 = (
-        max(estimate * (1.0 - estimate), 1.0 / n_cond) / n_cond
-        if n_cond
-        else math.nan
-    )
-    bound = 0.0 if cfg.family == MOVING_MAX else 5.0 * math.sqrt(cfg.delta)
-    osc = OscillationConfig(cfg.s, cfg.delta, cfg.v, cfg.K, cfg.beta, cfg.variant)
-    return StatsReport(
-        cfg.kind,
-        cfg.statistic,
-        np.array([cfg.s]),
-        np.array([estimate]),
-        np.array([se2]),
-        np.array([bound]),
-        np.array([np.nan]),
-        cfg.reps,
-        cfg.reps,
-        0,
-        cfg.to_dict(),
-        config_hash(cfg),
-        {
-            "n_conditioning": n_cond,
-            "n_exceed": n_exc,
-            "threshold": osc.threshold,
-            "reference_bound": osc.reference_bound,
-        },
-    )
+def check_report(report):
+    """Pass/fail rules per kind; returns (ok, list of messages)."""
+    msgs = _spec(report.kind).check(report)
+    return (False, msgs) if msgs else (True, ["all checks passed"])
 
 
 CSV_HEADER = "t,mean,var,var_limit,ks"
+_COLUMNS = CSV_HEADER.split(",")  # the per-row StatsReport fields, in order
+
+
+def report_csv(report) -> str:
+    """The report as CSV text: header plus one row per t, 17 significant digits."""
+    cols = [getattr(report, name) for name in _COLUMNS]
+    lines = [CSV_HEADER] + [",".join("%.17g" % v for v in row) for row in zip(*cols)]
+    return "\n".join(lines) + "\n"
 
 
 def export_report(report, path, fmt=None):
     """Write a report as CSV (fixed 5-column schema) or JSON."""
     fmt = fmt or ("json" if str(path).endswith(".json") else "csv")
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for j in range(report.t.size):
-            lines.append(
-                ",".join(
-                    "%.17g" % v
-                    for v in (
-                        report.t[j],
-                        report.mean[j],
-                        report.var[j],
-                        report.var_limit[j],
-                        report.ks[j],
-                    )
-                )
-            )
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(report_csv(report))
         return
     if fmt != "json":
         raise DataError("format must be 'csv' or 'json'")
@@ -621,13 +417,7 @@ def export_report(report, path, fmt=None):
         "config": report.config,
         "config_hash": report.config_hash,
         "seed_derivation": "numpy SeedSequence(master).spawn(reps), child r for replication r",
-        "rows": {
-            "t": report.t.tolist(),
-            "mean": report.mean.tolist(),
-            "var": report.var.tolist(),
-            "var_limit": report.var_limit.tolist(),
-            "ks": report.ks.tolist(),
-        },
+        "rows": {name: getattr(report, name).tolist() for name in _COLUMNS},
         "extra": report.extra,
     }
     with open(path, "w") as fh:
@@ -645,21 +435,13 @@ def load_report(path, fmt=None) -> StatsReport:
             data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         if data.size == 0:
             data = data.reshape(0, 5)
-        return StatsReport(
-            "", "", data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4],
-            0, 0, 0, {}, "",
-        )
+        return StatsReport("", "", *data.T, 0, 0, 0, {}, "")
     with open(path) as fh:
         doc = json.load(fh)
-    rows = doc["rows"]
     return StatsReport(
         doc["kind"],
         doc["statistic"],
-        np.array(rows["t"], dtype=float),
-        np.array(rows["mean"], dtype=float),
-        np.array(rows["var"], dtype=float),
-        np.array(rows["var_limit"], dtype=float),
-        np.array(rows["ks"], dtype=float),
+        *(np.array(doc["rows"][name], dtype=float) for name in _COLUMNS),
         doc["reps"],
         doc["used"],
         doc["flagged"],
@@ -668,6 +450,54 @@ def load_report(path, fmt=None) -> StatsReport:
         doc.get("extra", {}),
         doc.get("schema", 1),
     )
+
+
+def _need_k_below_n(cfg):
+    if not 1 <= cfg.k < cfg.n:
+        raise DataError("need 1 <= k < n")
+
+
+def _listed_grid(cfg):
+    if cfg.times:
+        return make_grid(points=cfg.times)
+    return make_grid(m=cfg.m)
+
+
+def _no_context(cfg, grid):
+    return None
+
+
+def _tail_floor(n, k):
+    """Moving-max speed floor: upper-tail statistics only read values
+    well above n/k, so points below a quarter of that never matter."""
+    return max(1.0, (n / k) / 4.0)
+
+
+def _simulate(cfg, grid, n, seed, floor):
+    """n paths of cfg's family; floor is the kind's moving-max value
+    floor, replaced by cfg.value_floor when that is positive."""
+    if cfg.family == MOVING_MAX:
+        sim = SimConfig(
+            n=n,
+            seed=seed,
+            trunc_tol=cfg.trunc_tol,
+            value_floor=cfg.value_floor if cfg.value_floor > 0.0 else floor,
+        )
+        return simulate_moving_max(kernel_for(cfg), grid, sim)
+    return simulate_pareto_gbm(grid, SimConfig(n=n, seed=seed))
+
+
+def _pareto_sample(cfg, grid, seed, floor):
+    sample = _simulate(cfg, grid, cfg.n, seed, floor)
+    model = marginal_model_for(sample, bound_exponent=cfg.bound_exponent)
+    return pareto_transform(sample, model)
+
+
+def _preregistered(size):
+    # 3 grid points to control KS multiplicity: ends and middle
+    if size <= 3:
+        return list(range(size))
+    return [0, size // 2, size - 1]
 
 
 # Acceptance windows for the empirical variance of each standardized
@@ -680,62 +510,240 @@ VARIANCE_WINDOWS = {
 }
 
 
-def _preregistered(size):
-    # 3 grid points to control KS multiplicity: ends and middle
-    if size <= 3:
-        return list(range(size))
-    return [0, size // 2, size - 1]
+def _normality_replicate(cfg, grid, context, seed):
+    sample = _simulate(cfg, grid, cfg.n, seed, _tail_floor(cfg.n, cfg.k))
+    curves = estimate_curves(sample, cfg.k)
+    payload = {
+        "hill": curves.gamma_plus,
+        "index": curves.gamma,
+        "location": curves.u_hat,
+        "scale": curves.a_hat,
+    }
+    return payload, bool(curves.flag.any())
 
 
-def check_report(report):
-    """Pass/fail rules per kind; returns (ok, list of messages)."""
+def _normality_summary(cfg, grid, repset):
+    truth = true_functions(cfg.family, bound_exponent=cfg.bound_exponent)
+    limits = limit_variances_gm0(truth.gamma())
+    std = standardize(repset, truth)
+    errors = getattr(std, cfg.statistic)
+    var_limit = getattr(limits, "var_" + cfg.statistic)
+    return summarize(std.t, errors, var_limit, cfg, cfg.statistic, std.used, std.flagged)
+
+
+def _normality_check(report):
+    # variance windows for every statistic; the KS gate only for the
+    # unbiased hill statistic (the others carry a finite-sample center
+    # shift of order sqrt(k)/k that KS would flag long before the
+    # variance drifts)
+    lo, hi = VARIANCE_WINDOWS[report.statistic]
+    crit = ks_critical(report.used)
     msgs = []
-    ok = True
-    if report.kind == "normality":
-        # variance windows for every statistic; the KS gate only for the
-        # unbiased hill statistic (the others carry a finite-sample
-        # center shift of order sqrt(k)/k that KS would flag long before
-        # the variance drifts)
-        lo, hi = VARIANCE_WINDOWS[report.statistic]
-        crit = ks_critical(report.used)
-        for j in _preregistered(report.t.size):
-            if not lo <= report.var[j] <= hi:
-                ok = False
-                msgs.append(
-                    f"t={report.t[j]:g}: var {report.var[j]:.4f} outside [{lo}, {hi}]"
-                )
-            if report.statistic == "hill" and report.ks[j] >= crit:
-                ok = False
-                msgs.append(
-                    f"t={report.t[j]:g}: KS {report.ks[j]:.4f} >= {crit:.4f}"
-                )
-    elif report.kind == "consistency":
-        med = report.extra["median_sup"]
-        if any(b >= a for a, b in zip(med, med[1:])):
-            ok = False
-            msgs.append(f"median sup errors not strictly decreasing: {med}")
-    elif report.kind == "tailcov":
-        for j in range(report.t.size):
-            err = abs(report.mean[j] - report.var_limit[j])
-            if err > 0.1:
-                ok = False
-                msgs.append(
-                    f"gap={report.t[j]:g}: |cov - nu| = {err:.4f} > 0.1"
-                )
-    elif report.kind == "quantile":
-        for j in _preregistered(report.t.size):
-            ratio = report.var[j] / report.var_limit[j]
-            if not 0.75 <= ratio <= 1.25:
-                ok = False
-                msgs.append(
-                    f"t={report.t[j]:g}: var ratio {ratio:.4f} outside [0.75, 1.25]"
-                )
-    else:  # oscillation
-        if not report.mean[0] <= report.var_limit[0] + 1e-12:
-            ok = False
-            msgs.append(
-                f"estimate {report.mean[0]:.5f} above bound {report.var_limit[0]:.5f}"
-            )
-    if ok:
-        msgs.append("all checks passed")
-    return ok, msgs
+    for j in _preregistered(report.t.size):
+        if not lo <= report.var[j] <= hi:
+            msgs.append(f"t={report.t[j]:g}: var {report.var[j]:.4f} outside [{lo}, {hi}]")
+        if report.statistic == "hill" and report.ks[j] >= crit:
+            msgs.append(f"t={report.t[j]:g}: KS {report.ks[j]:.4f} >= {crit:.4f}")
+    return msgs
+
+
+def _consistency_validate(cfg):
+    if not cfg.schedule:
+        raise DataError("consistency kind needs a (n, k) schedule")
+    ns = [n for n, _ in cfg.schedule]
+    ks = [k for _, k in cfg.schedule]
+    for n, k in cfg.schedule:
+        if not 1 <= k < n:
+            raise DataError("schedule entries need 1 <= k < n")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise DataError("schedule n must be strictly increasing")
+    if any(b < a for a, b in zip(ks, ks[1:])):
+        raise DataError("schedule k must be nondecreasing")
+    ratios = [k / n for n, k in cfg.schedule]
+    if any(b >= a for a, b in zip(ratios, ratios[1:])):
+        raise DataError("schedule k/n must be decreasing")
+
+
+def _consistency_context(cfg, grid):
+    """True locations U_t(n/k), one row per schedule entry."""
+    truth = true_functions(cfg.family, bound_exponent=cfg.bound_exponent)
+    u = np.empty((len(cfg.schedule), grid.m))
+    for i, (n, k) in enumerate(cfg.schedule):
+        u[i] = [truth.location(t, n / k) for t in grid.points]
+    return u
+
+
+def _consistency_replicate(cfg, grid, u, seed):
+    sub = seed.spawn(len(cfg.schedule))
+    sups = np.empty((len(cfg.schedule), len(STATISTICS)))
+    flagged = False
+    for i, (n, k) in enumerate(cfg.schedule):
+        sample = _simulate(cfg, grid, n, sub[i], _tail_floor(n, k))
+        curves = estimate_curves(sample, k)
+        flagged = flagged or bool(curves.flag.any())
+        a = u[i]  # true scale gamma_plus * U equals U, as gamma_plus = 1
+        sups[i, 0] = np.abs(curves.gamma_plus - 1.0).max()
+        sups[i, 1] = np.abs(curves.gamma - 1.0).max()
+        sups[i, 2] = np.abs((curves.u_hat - u[i]) / a).max()
+        sups[i, 3] = np.abs(curves.a_hat / a - 1.0).max()
+    return {"sup_errors": sups}, flagged
+
+
+def _consistency_summary(cfg, grid, repset):
+    keep = ~repset.flagged
+    sups = repset.arrays["sup_errors"][keep][:, :, STATISTICS.index(cfg.statistic)]
+    ns = [n for n, _ in cfg.schedule]
+    extra = {
+        "n": ns,
+        "k": [k for _, k in cfg.schedule],
+        "median_sup": np.median(sups, axis=0).tolist(),
+    }
+    return summarize(
+        ns, sups, math.nan, cfg, cfg.statistic,
+        int(keep.sum()), int(repset.flagged.sum()), extra,
+    )
+
+
+def _consistency_check(report):
+    med = report.extra["median_sup"]
+    if any(b >= a for a, b in zip(med, med[1:])):
+        return [f"median sup errors not strictly decreasing: {med}"]
+    return []
+
+
+def _tailcov_validate(cfg):
+    _need_k_below_n(cfg)
+    if not cfg.pairs:
+        raise DataError("tailcov kind needs (t, s) pairs")
+
+
+def _pair_grid(cfg):
+    return make_grid(points=sorted({t for pair in cfg.pairs for t in pair}))
+
+
+def _tailcov_replicate(cfg, grid, context, seed):
+    zeta = _pareto_sample(cfg, grid, seed, _tail_floor(cfg.n, cfg.k))
+    w = np.array([tail_empirical_process(zeta, j, 1.0, cfg.k) for j in range(grid.m)])
+    return {"w_at_one": w}, False
+
+
+def _tailcov_summary(cfg, grid, repset):
+    if cfg.family == MOVING_MAX:
+        oracle = MeasureOracle.moving_max(kernel_for(cfg))
+    else:
+        oracle = MeasureOracle.pareto_gbm()
+    w = repset.arrays["w_at_one"]
+    gaps, emp, se2, nu = [], [], [], []
+    for t, s in cfg.pairs:
+        a, b = w[:, grid.index_of(t)], w[:, grid.index_of(s)]
+        prod = (a - a.mean()) * (b - b.mean())
+        gaps.append(abs(t - s))
+        emp.append(float(np.cov(a, b, ddof=1)[0, 1]))
+        se2.append(float(prod.var(ddof=1)) / w.shape[0])
+        nu.append(oracle.intersection_mass(t, 1.0, s, 1.0))
+    return _report(
+        cfg, cfg.statistic, gaps, emp, se2, nu, cfg.reps, 0,
+        extra={"pairs": [list(p) for p in cfg.pairs]},
+    )
+
+
+def _tailcov_check(report):
+    msgs = []
+    for j in range(report.t.size):
+        err = abs(report.mean[j] - report.var_limit[j])
+        if err > 0.1:
+            msgs.append(f"gap={report.t[j]:g}: |cov - nu| = {err:.4f} > 0.1")
+    return msgs
+
+
+def _quantile_replicate(cfg, grid, context, seed):
+    zeta = _pareto_sample(cfg, grid, seed, _tail_floor(cfg.n, cfg.k))
+    q = tail_quantile_stat(zeta, cfg.k, cfg.alpha)
+    return {"quantile_stat": q}, not np.all(np.isfinite(q))
+
+
+def _quantile_summary(cfg, grid, repset):
+    keep = ~repset.flagged
+    q = repset.arrays["quantile_stat"][keep]
+    var_limit = cfg.alpha ** 2  # alpha**2 Var W(C_{t,1}) with Var = 1
+    used, flagged = int(keep.sum()), int(repset.flagged.sum())
+    return summarize(grid.points, q, var_limit, cfg, cfg.statistic, used, flagged)
+
+
+def _quantile_check(report):
+    msgs = []
+    for j in _preregistered(report.t.size):
+        ratio = report.var[j] / report.var_limit[j]
+        if not 0.75 <= ratio <= 1.25:
+            msgs.append(f"t={report.t[j]:g}: var ratio {ratio:.4f} outside [0.75, 1.25]")
+    return msgs
+
+
+def _oscillation_config(cfg):
+    return OscillationConfig(cfg.s, cfg.delta, cfg.v, cfg.K, cfg.beta, cfg.variant)
+
+
+def _oscillation_replicate(cfg, grid, context, seed):
+    zeta = _pareto_sample(cfg, grid, seed, max(1.0, cfg.v / 8.0))
+    report = oscillation_diagnostic(zeta, _oscillation_config(cfg))
+    counts = np.array([report.n_conditioning, report.n_exceed], dtype=np.int64)
+    return {"counts": counts}, False
+
+
+def _oscillation_summary(cfg, grid, repset):
+    # pool counts over replications
+    counts = repset.arrays["counts"].sum(axis=0)
+    n_cond, n_exc = int(counts[0]), int(counts[1])
+    estimate = n_exc / n_cond if n_cond else math.nan
+    se2 = max(estimate * (1.0 - estimate), 1.0 / n_cond) / n_cond if n_cond else math.nan
+    bound = 0.0 if cfg.family == MOVING_MAX else 5.0 * math.sqrt(cfg.delta)
+    osc = _oscillation_config(cfg)
+    extra = {"n_conditioning": n_cond, "n_exceed": n_exc,
+             "threshold": osc.threshold, "reference_bound": osc.reference_bound}
+    return _report(
+        cfg, cfg.statistic, [cfg.s], [estimate], [se2], [bound], cfg.reps, 0, extra=extra
+    )
+
+
+def _oscillation_check(report):
+    if not report.mean[0] <= report.var_limit[0] + 1e-12:
+        return [f"estimate {report.mean[0]:.5f} above bound {report.var_limit[0]:.5f}"]
+    return []
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """What one experiment kind does at each stage of a run.
+
+    Every entry is a module-level function, so the process pool pickles
+    `replicate` by name.
+    """
+
+    validate: Callable  # (cfg) -> None; raises DataError
+    replicate: Callable  # (cfg, grid, context, seed) -> (payload arrays, flagged)
+    summarize: Callable  # (cfg, grid, repset) -> StatsReport
+    check: Callable  # (report) -> failure messages, empty when it passes
+    grid: Callable = _listed_grid  # (cfg) -> TimeGrid
+    context: Callable = _no_context  # (cfg, grid) -> shared input, built once
+
+
+KIND_SPECS = {
+    "normality": KindSpec(
+        _need_k_below_n, _normality_replicate, _normality_summary, _normality_check
+    ),
+    "consistency": KindSpec(
+        _consistency_validate, _consistency_replicate, _consistency_summary,
+        _consistency_check, context=_consistency_context,
+    ),
+    "tailcov": KindSpec(
+        _tailcov_validate, _tailcov_replicate, _tailcov_summary, _tailcov_check,
+        grid=_pair_grid,
+    ),
+    "quantile": KindSpec(
+        _need_k_below_n, _quantile_replicate, _quantile_summary, _quantile_check
+    ),
+    "oscillation": KindSpec(
+        _need_k_below_n, _oscillation_replicate, _oscillation_summary,
+        _oscillation_check,
+    ),
+}

@@ -43,6 +43,10 @@ from funcevt.path_model import (
 from funcevt.exponent_measure import covariance_matrix
 
 
+# relative size of the negative covariance eigenvalues taken as rounding
+_CLIP_TOL = 1e-8
+
+
 class DegenerateCovarianceError(RuntimeError):
     """Covariance matrix fails positive semi-definiteness beyond tolerance."""
 
@@ -251,14 +255,12 @@ class LimitField:
         return self.values.shape[0]
 
 
-def simulate_limit_field(
-    oracle, t_grid, x_grid, draws, seed=0, clip_tol=1e-8
-) -> LimitField:
+def simulate_limit_field(oracle, t_grid, x_grid, draws, seed=0) -> LimitField:
     """Draw the limit field on a cell grid from its oracle covariance.
 
     The covariance is factored by symmetric eigendecomposition;
-    eigenvalues in [-clip_tol * max_eig, 0) are clipped to 0, anything
-    lower raises DegenerateCovarianceError.
+    eigenvalues in [-_CLIP_TOL * max_eig, 0) are clipped to 0 (their count
+    is `LimitField.clipped`), anything lower raises DegenerateCovarianceError.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     cov = covariance_matrix(oracle, t_grid, x_grid)
@@ -266,10 +268,10 @@ def simulate_limit_field(
     top = float(evals.max())
     if top <= 0.0:
         raise DegenerateCovarianceError("covariance has no positive eigenvalue")
-    if float(evals.min()) < -clip_tol * top:
+    if float(evals.min()) < -_CLIP_TOL * top:
         raise DegenerateCovarianceError(
             f"most negative eigenvalue {evals.min():.3e} is beyond "
-            f"clip tolerance {clip_tol:g} * {top:.3e}"
+            f"clip tolerance {_CLIP_TOL:g} * {top:.3e}"
         )
     clipped = int(np.count_nonzero(evals < 0.0))
     factor = evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
@@ -420,7 +422,7 @@ class SecondOrderReport:
     max_deviation: np.ndarray  # per v: max over t, x of |remainder/A - target|
     bracket_ok: object  # pareto-gbm: bool, v >= U >= v - v**-M everywhere
     log_bound_ok: object  # pareto-gbm: bool, the 2 v**-(M+1) deviation bound
-    schedule: tuple  # rows (n, k, sqrt(k) sup_t A(n/k), sqrt(k) sup_t |a/U - gamma_plus|)
+    schedule: tuple  # rows (n, k, sqrt(k) sup_t A(n/k))
 
     @property
     def amplitude_decays(self) -> bool:
@@ -441,8 +443,9 @@ def second_order_check(
     |log U_t(vx) - log U_t(v) - log x| <= 2 v**-(M+1) + 2 (vx)**-(M+1).
 
     schedule rows are (n, k) pairs; the report tabulates
-    sqrt(k) sup_t A_t(n/k) and sqrt(k) sup_t |a_t/U_t - gamma_plus|
-    (identically 0 here since a_t is defined as gamma_plus U_t).
+    (n, k, sqrt(k) sup_t A_t(n/k)).  The scale term
+    sqrt(k) sup_t |a_t/U_t - gamma_plus| is not tabulated: it is
+    identically 0 since a_t is defined as gamma_plus U_t.
     """
     v_grid = np.asarray(v_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
@@ -477,7 +480,7 @@ def second_order_check(
     for n, k in schedule:
         vk = n / k
         amp = max(abs(float(truth.bias_amplitude(t, vk))) for t in times)
-        rows.append((int(n), int(k), math.sqrt(k) * amp, 0.0))
+        rows.append((int(n), int(k), math.sqrt(k) * amp))
     return SecondOrderReport(
         truth.family, v_grid, x_grid, times, max_dev, bracket_ok, bound_ok, tuple(rows)
     )

@@ -202,11 +202,8 @@ class MarginalModel:
     Parameters
     ----------
     family : str
-        "moving-max" or "pareto-gbm".
-    rate : float
-        Kernel rate parameter of the moving-max family (unused by the
-        marginal itself, which is standard Frechet for any unit-mass
-        kernel; kept for bookkeeping).
+        "moving-max" (standard Frechet for any unit-mass kernel) or
+        "pareto-gbm".
     bound_exponent : float
         Exponent M > 1 in the documented tail bracket of the
         pareto-gbm family: for large u,
@@ -214,7 +211,6 @@ class MarginalModel:
     """
 
     family: str
-    rate: float = 1.0
     bound_exponent: float = 1.5
 
     def __post_init__(self):

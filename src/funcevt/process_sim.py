@@ -33,8 +33,12 @@ DOUBLE_EXP = "double-exp"
 STUDENT_T = "student-t"
 
 
+# draws of the seeded Monte Carlo limit in `empirical_max_check`
+_LIMIT_DRAWS = 400_000
+
+
 class SimulationError(ValueError):
-    """Invalid simulation configuration (window too small, bad kernel, ...)."""
+    """Invalid simulation configuration (bad trunc_tol, kernel, floor, ...)."""
 
 
 @dataclass(frozen=True)
@@ -128,10 +132,9 @@ class KernelSpec:
 class SimConfig:
     """Simulation size, seed, and truncation controls.
 
-    window_halfwidth : half-width L of the Poisson window for the
-        moving-max family; defaults to the kernel's minimum for
-        trunc_tol and must not be below it.
-    trunc_tol : probability budget for any truncation effect.
+    trunc_tol : probability budget for any truncation effect; it sets
+        the half-width of the moving-max Poisson window
+        (`KernelSpec.half_width`).
     value_floor : values at or below this floor may be reported as the
         floor itself; defaults to a level that every path exceeds
         everywhere with probability >= 1 - trunc_tol.  Raising it above
@@ -141,7 +144,6 @@ class SimConfig:
 
     n: int
     seed: object = 0
-    window_halfwidth: float | None = None
     trunc_tol: float = 1e-6
     value_floor: float | None = None
 
@@ -187,13 +189,7 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     """
     n = int(cfg.n)
     m = grid.m
-    L_min = kernel.half_width(cfg.trunc_tol)
-    L = L_min if cfg.window_halfwidth is None else float(cfg.window_halfwidth)
-    if L < L_min * (1.0 - 1e-12):
-        raise SimulationError(
-            f"window half-width {L:.4g} is below the minimum {L_min:.4g} "
-            f"required by trunc_tol={cfg.trunc_tol:g}"
-        )
+    L = kernel.half_width(cfg.trunc_tol)
     floor = cfg.value_floor if cfg.value_floor is not None else _default_floor(
         n, m, cfg.trunc_tol
     )
@@ -269,7 +265,6 @@ def empirical_max_check(
     seed=0,
     kernel=None,
     trunc_tol=1e-6,
-    mc_draws=400_000,
 ) -> MaxCheckReport:
     """Check P{max_i xi_i(t_j) <= n x_j for all j} against its limit.
 
@@ -295,7 +290,7 @@ def empirical_max_check(
         limit = math.exp(-sup_integral(kernel, times, levels, tol=1e-10))
     elif family == PARETO_GBM:
         rng = np.random.default_rng([int(seed), 1])
-        z = rng.standard_normal((mc_draws, grid.m))
+        z = rng.standard_normal((_LIMIT_DRAWS, grid.m))
         dt = np.diff(grid.points, prepend=0.0)
         w = np.cumsum(z * np.sqrt(dt), axis=1)
         b = np.exp(w - 0.5 * grid.points)

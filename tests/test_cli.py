@@ -196,6 +196,22 @@ class TestLimit:
         assert "eigenvalues" not in out_path.read_text()
 
 
+# configs that must end in "error: ..." and exit 1, never a traceback
+# or a silently coerced run
+BAD_CONFIGS = {
+    "unknown-key": '{"kind": "quantile", "family": "pareto-gbm", "n": 200, "k": 20, "colour": 1}',
+    "string-int": '{"kind": "quantile", "family": "pareto-gbm", "n": "200", "k": 20}',
+    "top-level-list": '[{"kind": "quantile", "family": "pareto-gbm", "n": 200, "k": 20}]',
+    "one-element-pair": '{"kind": "tailcov", "family": "pareto-gbm", "n": 200, "k": 20, "pairs": [[0.5]]}',
+    "malformed-json": '{"kind": "quantile", "family": ',
+    "bool-reps": '{"kind": "quantile", "family": "pareto-gbm", "n": 200, "k": 20, "reps": true}',
+    "bool-float": '{"kind": "quantile", "family": "pareto-gbm", "n": 200, "k": 20, "alpha": false}',
+    "string-in-schedule": '{"kind": "consistency", "family": "moving-max", "schedule": [[100, "10"]]}',
+    "missing-family": '{"kind": "quantile", "n": 200, "k": 20}',
+    "negative-seed": '{"kind": "quantile", "family": "pareto-gbm", "n": 200, "k": 20, "seed": -1}',
+}
+
+
 class TestExperiment:
     def _oscillation_cfg(self, K, out=""):
         # moving-max oscillation run whose estimate is exactly zero when K
@@ -249,6 +265,35 @@ class TestExperiment:
         rc = main(["experiment", "--config", cfg_path])
         assert rc == 1
         assert "FUNCEVT_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+    def test_bad_config_exits_one(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        rc = main(["experiment", "--config", str(cfg_path), "--workers", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_printed_table_is_the_exported_csv(self, tmp_path, capsys):
+        out_path = tmp_path / "report.csv"
+        cfg = ExperimentConfig(
+            kind="tailcov", family="pareto-gbm", n=300, k=30, reps=20, seed=1,
+            pairs=((0.0, 0.5), (0.25, 1.0)), out=str(out_path),
+        )
+        cfg_path = str(tmp_path / "cfg.json")
+        save_config(cfg, cfg_path)
+        rc, out = run(capsys, ["experiment", "--config", cfg_path,
+                               "--workers", "1", "--check"])
+        assert rc in (0, 2)
+        table = out_path.read_text()
+        assert table.count("\n") == 3
+        head, verdicts = out.split(table)
+        assert head == f"wrote report to {out_path}\n"
+        assert verdicts.splitlines()
+        for line in verdicts.splitlines():
+            assert line.startswith("PASS " if rc == 0 else "FAIL ")
 
     def test_no_check_returns_zero_either_way(self, tmp_path, capsys):
         cfg = self._oscillation_cfg(1e-3)

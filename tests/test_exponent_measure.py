@@ -174,9 +174,8 @@ class TestBroadcasting:
             MeasureOracle.moving_max(),
             MeasureOracle.moving_max(KernelSpec("student-t", rate=2.0, df=4.0)),
             MeasureOracle.pareto_gbm(),
-            MeasureOracle.pareto_gbm(method="mc", mc_draws=2000, mc_seed=1),
         ],
-        ids=["double-exp", "student-t", "gbm", "gbm-mc"],
+        ids=["double-exp", "student-t", "gbm"],
     )
     def test_array_levels_match_scalar_calls(self, oracle):
         ys = np.array([0.5, 1.0, 4.0])
@@ -199,24 +198,25 @@ class TestGbmOracle:
         assert got == pytest.approx(2.0 * stats.norm.cdf(-0.5), rel=1e-12)
 
     def test_analytic_vs_monte_carlo(self):
+        # independent cross-check: E[min(B(t)/x, B(s)/y)] by seeded Monte
+        # Carlo over the Brownian increments, t < s
         analytic = MeasureOracle.pareto_gbm()
-        mc = MeasureOracle.pareto_gbm(method="mc", mc_draws=400_000, mc_seed=3)
         for (t, x), (s, y) in [
             ((0.0, 1.0), (1.0, 1.0)),
             ((0.25, 2.0), (0.75, 1.0)),
             ((0.0, 0.5), (0.5, 3.0)),
         ]:
-            a = analytic.intersection_mass(t, x, s, y)
-            b = mc.intersection_mass(t, x, s, y)
-            assert a == pytest.approx(b, abs=0.01)
+            rng = np.random.default_rng(3)
+            z1 = rng.standard_normal(400_000)
+            z2 = rng.standard_normal(400_000)
+            b_t = np.exp(math.sqrt(t) * z1 - 0.5 * t)
+            b_s = b_t * np.exp(math.sqrt(s - t) * z2 - 0.5 * (s - t))
+            mc = float(np.mean(np.minimum(b_s / y, b_t / x)))
+            assert analytic.intersection_mass(t, x, s, y) == pytest.approx(mc, abs=0.01)
 
     def test_homogeneity_exact(self):
         pairs = [((0.0, 1.0), (1.0, 1.0)), ((0.2, 3.0), (0.6, 1.5))]
         assert homogeneity_check(MeasureOracle.pareto_gbm(), 2.0, pairs) < 1e-12
-
-    def test_bad_method_rejected(self):
-        with pytest.raises(DataError):
-            MeasureOracle.pareto_gbm(method="quad")
 
 
 class TestCanonicalMetric:

@@ -393,3 +393,39 @@ class TestRunExperimentKinds:
         assert rep.extra["n"] == [200, 800]
         assert len(rep.extra["median_sup"]) == 2
         assert all(v > 0.0 for v in rep.extra["median_sup"])
+
+
+# tiny configs covering every kind, and both families for tailcov
+TINY_CONFIGS = {
+    "normality": dict(kind="normality", family="pareto-gbm", n=200, k=20, reps=4, m=3),
+    "consistency": dict(
+        kind="consistency", family="moving-max", statistic="scale", reps=3, m=3,
+        schedule=((100, 10), (400, 20)),
+    ),
+    "tailcov-mm": dict(
+        kind="tailcov", family="moving-max", n=200, k=20, reps=4,
+        pairs=((0.0, 0.5), (0.25, 0.5)),
+    ),
+    "tailcov-gbm": dict(
+        kind="tailcov", family="pareto-gbm", n=200, k=20, reps=4,
+        pairs=((0.0, 0.5), (0.25, 0.5)),
+    ),
+    "quantile": dict(kind="quantile", family="moving-max", n=200, k=20, reps=4, m=3),
+    "oscillation": dict(
+        kind="oscillation", family="moving-max", n=200, k=1, reps=2, m=201,
+        v=5.0, K=2.0, variant="ratio",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TINY_CONFIGS)
+def test_exports_bitwise_identical_across_reruns_and_workers(name, tmp_path):
+    cfg = ExperimentConfig(seed=12, **TINY_CONFIGS[name])
+    exports = []
+    for run, workers in enumerate((1, 1, 2)):
+        report = run_experiment(cfg, workers=workers)
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"{run}.{fmt}"
+            export_report(report, path, fmt)
+            exports.append(path.read_bytes())
+    assert exports[0:2] == exports[2:4] == exports[4:6]

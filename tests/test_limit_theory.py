@@ -273,7 +273,6 @@ class TestSecondOrderCheck:
         )
         assert len(r.schedule) == 3
         assert r.amplitude_decays
-        n, k, amp, dev = r.schedule[0]
+        n, k, amp = r.schedule[0]
         assert (n, k) == (500, 22)
         assert amp == pytest.approx(math.sqrt(22) * 22 / 1000.0, rel=1e-12)
-        assert dev == 0.0

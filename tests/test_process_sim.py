@@ -75,13 +75,6 @@ class TestMovingMax:
         np.testing.assert_array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
-    def test_window_below_minimum_rejected(self):
-        g = make_grid(m=2)
-        with pytest.raises(SimulationError):
-            simulate_moving_max(
-                KernelSpec(), g, SimConfig(n=5, window_halfwidth=1.0)
-            )
-
     def test_marginal_is_frechet(self):
         g = make_grid(points=[0.0, 0.3, 1.0])
         sample = simulate_moving_max(KernelSpec(), g, SimConfig(n=10_000, seed=2))

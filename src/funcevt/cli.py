@@ -131,6 +131,30 @@ def _cmd_nu(args) -> int:
     return 0
 
 
+def _limit_json(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), with doc["functionals"]
+    mapping names to 2-d float arrays that are written as nested lists.
+
+    json's indenting encoder is pure Python and slow on the draws, so
+    each array is written by one %-format of its floats with "%r", which
+    is what json writes for a finite float.  An array that is empty or
+    holds a NaN or an infinity (json writes NaN / Infinity there) goes
+    through json.
+    """
+    arrays = doc["functionals"]
+    if not all(a.size and np.isfinite(a).all() for a in arrays.values()):
+        lists = {name: a.tolist() for name, a in arrays.items()}
+        return json.dumps({**doc, "functionals": lists}, indent=2, sort_keys=True)
+    marks = {name: f"<{name}>" for name in arrays}
+    text = json.dumps({**doc, "functionals": marks}, indent=2, sort_keys=True)
+    for name, a in arrays.items():
+        # each name sits at depth 2: rows at 6 spaces, floats at 8
+        row = "      [\n        " + ",\n        ".join(["%r"] * a.shape[1]) + "\n      ]"
+        rows = ",\n".join([row] * a.shape[0]) % tuple(a.ravel().tolist())
+        text = text.replace(f'"<{name}>"', "[\n" + rows + "\n    ]", 1)
+    return text
+
+
 def _cmd_limit(args) -> int:
     if args.family == MOVING_MAX:
         oracle = MeasureOracle.moving_max(_kernel(args))
@@ -160,13 +184,11 @@ def _cmd_limit(args) -> int:
             float(np.cov(fn.moment1[:, j], fn.moment2[:, j], ddof=1)[0, 1])
             for j in range(t_grid.m)
         ],
-        "functionals": {
-            name: getattr(fn, name).tolist() for name in names
-        },
+        "functionals": {name: getattr(fn, name) for name in names},
     }
+    text = _limit_json(doc)
     with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     print(f"wrote {args.draws} limit functional draws to {args.out}")
     return 0
 

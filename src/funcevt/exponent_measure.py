@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from funcevt.path_model import MOVING_MAX, PARETO_GBM, DataError
@@ -64,6 +62,10 @@ def sup_integral(kernel, times, levels, tol=1e-10):
     then applies adaptive quadrature per smooth segment.  The discarded
     tails beyond the scan radius carry less than tol/10 mass.
     """
+    # here, not at module level: they are slow to import
+    from scipy import integrate
+    from scipy.optimize import brentq
+
     times = np.asarray(times, dtype=float)
     levels = np.asarray(levels, dtype=float)
     if times.shape != levels.shape or times.ndim != 1:

@@ -263,7 +263,9 @@ def run_replications(cfg, workers=None) -> ReplicationSet:
         results = list(map(spec.replicate, *args))
     else:
         with ProcessPoolExecutor(max_workers=nw) as pool:
-            results = list(pool.map(spec.replicate, *args))
+            # about 4 tasks per worker: fewer round trips, still balanced
+            chunk = max(1, cfg.reps // (4 * nw))
+            results = list(pool.map(spec.replicate, *args, chunksize=chunk))
     arrays = {
         key: np.stack([payload[key] for payload, _ in results])
         for key in results[0][0]

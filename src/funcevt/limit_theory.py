@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq
 
 from funcevt.path_model import (
     MOVING_MAX,
@@ -188,6 +186,9 @@ class TrueFunctions:
         return out.reshape(v.shape) if v.ndim else float(out[0])
 
     def _gbm_location(self, t, v):
+        # here, not at module level: it is slow to import
+        from scipy.optimize import brentq
+
         target = 1.0 / v
 
         def f(u):
@@ -301,6 +302,8 @@ class LimitFunctionals:
 
 def _tail_coef_moment2(g, x_max):
     """2 x_max int_{x_max}^inf ((x**g - 1)/g) x**(g-2) dx, via w = log(x/x_max)."""
+    from scipy import integrate  # here, not at module level: it is slow to import
+
     L = math.log(x_max)
 
     def f(w):

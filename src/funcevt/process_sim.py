@@ -36,6 +36,9 @@ STUDENT_T = "student-t"
 # draws of the seeded Monte Carlo limit in `empirical_max_check`
 _LIMIT_DRAWS = 400_000
 
+# density values per chunk of `simulate_moving_max` (32 MB of float64)
+_CHUNK_VALUES = 4_000_000
+
 
 class SimulationError(ValueError):
     """Invalid simulation configuration (bad trunc_tol, kernel, floor, ...)."""
@@ -206,23 +209,25 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     np.cumsum(counts, out=starts[1:])
     vals = np.full((n, m), float(floor))
 
-    budget = max(1, 4_000_000 // max(m, 1))
-    i = 0
-    while i < n:
-        j = i
-        pts = 0
-        while j < n and (pts == 0 or pts + counts[j] <= budget):
-            pts += int(counts[j])
-            j += 1
-        if pts:
-            sl = slice(starts[i], starts[j])
-            dens = kernel.density(grid.points[None, :] + xs[sl, None])
-            dens /= ys[sl, None]
-            nz = np.flatnonzero(counts[i:j])
-            loc = (starts[i:j][nz] - starts[i]).astype(np.int64)
-            red = np.maximum.reduceat(dens, loc, axis=0)
-            vals[i + nz] = np.maximum(red, floor)
-        i = j
+    # Chunks of consecutive non-empty paths hold at most `budget` points,
+    # unless one path alone holds more.  Cutting at every multiple of
+    # budget/2 of the point offsets, and around every path of more than
+    # budget/2 points, leaves chunks that are one such path or whose path
+    # starts span < budget/2 and whose last path holds <= budget/2.
+    budget = max(1, _CHUNK_VALUES // max(m, 1))
+    nz = np.flatnonzero(counts)
+    first = starts[nz]
+    big = np.flatnonzero(2 * counts[nz] > budget)
+    cuts = np.unique(np.concatenate((
+        [0, nz.size], big, big + 1,
+        np.searchsorted(2 * first, np.arange(budget, 2 * total, budget)),
+    )))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        sl = slice(first[a], starts[nz[b - 1] + 1])
+        dens = kernel.density(grid.points[None, :] + xs[sl, None])
+        dens /= ys[sl, None]
+        red = np.maximum.reduceat(dens, first[a:b] - first[a], axis=0)
+        vals[nz[a:b]] = np.maximum(red, floor)
     return PathSample(grid, vals, MOVING_MAX)
 
 

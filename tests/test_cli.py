@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from funcevt.cli import main
+import funcevt
+from funcevt.cli import _limit_json, main
 from funcevt.estimators import EstimatorCurves
 from funcevt.harness import ExperimentConfig, save_config
 from funcevt.path_model import ParetoPaths, PathSample, make_grid
@@ -182,6 +187,31 @@ class TestLimit:
         assert len(doc["covariance_moments"]) == 2
         assert all(v > 0.0 for v in doc["variance"]["moment1"])
 
+    @pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
+    def test_file_is_json_dumps_bytes(self, tmp_path, family):
+        out_path = tmp_path / "limit.json"
+        rc = main(["limit", "--family", family, "--tgrid", "3", "--xgrid", "32",
+                   "--xmax", "1e3", "--draws", "50", "--seed", "2",
+                   "--out", str(out_path)])
+        assert rc == 0
+        text = out_path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_writer_matches_json_dumps(self, bad):
+        rng = np.random.default_rng(4)
+        arrays = {name: rng.standard_normal((5, 3)) for name in ("index", "scale")}
+        doc = {"family": "pareto-gbm", "variance": {"index": [1.5, math.nan]},
+               "functionals": arrays}
+
+        def want():
+            lists = {name: a.tolist() for name, a in arrays.items()}
+            return json.dumps({**doc, "functionals": lists}, indent=2, sort_keys=True)
+
+        assert _limit_json(doc) == want()
+        arrays["scale"][3, 1] = bad
+        assert _limit_json(doc) == want()
+
     def test_clipped_count_on_stderr_only(self, tmp_path, capsys):
         # the cell grid of a 3-time, 128-level moving-max run: its
         # covariance needs no eigenvalue clipping
@@ -303,3 +333,17 @@ class TestExperiment:
                                "--workers", "1"])
         assert rc == 0
         assert "FAIL" not in out
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded():
+    code = (
+        "import sys, funcevt.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
+        "'scipy.stats') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(funcevt.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, timeout=120, env=env,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from funcevt import process_sim
 from funcevt.path_model import make_grid
 from funcevt.process_sim import (
     KernelSpec,
@@ -127,6 +129,113 @@ class TestMovingMax:
             SimConfig(n=5, trunc_tol=2.0)
         with pytest.raises(SimulationError):
             SimConfig(n=5, value_floor=-1.0)
+
+
+def reference_moving_max(kernel, grid, cfg):
+    """simulate_moving_max's values and per-path point counts, with the
+    chunks planned one path at a time (the loop the vectorised plan
+    replaced)."""
+    n = int(cfg.n)
+    m = grid.m
+    L = kernel.half_width(cfg.trunc_tol)
+    floor = cfg.value_floor if cfg.value_floor is not None else (
+        process_sim._default_floor(n, m, cfg.trunc_tol)
+    )
+    y_max = kernel.peak_height / float(floor)
+    intensity = (2.0 * L + 1.0) * y_max
+
+    rng = np.random.default_rng(cfg.seed)
+    counts = rng.poisson(intensity, n)
+    total = int(counts.sum())
+    xs = rng.uniform(-(L + 1.0), L, total)
+    ys = y_max * (1.0 - rng.random(total))
+
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    vals = np.full((n, m), float(floor))
+
+    budget = max(1, process_sim._CHUNK_VALUES // max(m, 1))
+    i = 0
+    while i < n:
+        j = i
+        pts = 0
+        while j < n and (pts == 0 or pts + counts[j] <= budget):
+            pts += int(counts[j])
+            j += 1
+        if pts:
+            sl = slice(starts[i], starts[j])
+            dens = kernel.density(grid.points[None, :] + xs[sl, None])
+            dens /= ys[sl, None]
+            nz = np.flatnonzero(counts[i:j])
+            loc = (starts[i:j][nz] - starts[i]).astype(np.int64)
+            red = np.maximum.reduceat(dens, loc, axis=0)
+            vals[i + nz] = np.maximum(red, floor)
+        i = j
+    return vals, counts
+
+
+# (kernel, m, n, value_floor, seed, density values per chunk or None)
+CHUNK_CASES = {
+    "tailcov-size": ("double-exp", 4, 5000, 6.25, 11, None),
+    "default-floor-m51": ("double-exp", 51, 500, None, 12, None),
+    "student-t-raised-floor": ("student-t", 21, 800, 20.0, 13, None),
+    "mostly-empty-paths": ("double-exp", 4, 3000, 60.0, 14, None),
+    "paths-over-budget": ("double-exp", 4, 400, 6.25, 15, 4 * 6),
+}
+
+
+class TestMovingMaxChunks:
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    def test_bitwise_equal_to_per_path_plan(self, case, monkeypatch):
+        shape, m, n, floor, seed, chunk_values = CHUNK_CASES[case]
+        if chunk_values is not None:
+            monkeypatch.setattr(process_sim, "_CHUNK_VALUES", chunk_values)
+        kernel, grid = KernelSpec(shape), make_grid(m=m)
+        cfg = SimConfig(n=n, seed=seed, value_floor=floor)
+        want, counts = reference_moving_max(kernel, grid, cfg)
+        budget = max(1, process_sim._CHUNK_VALUES // m)
+        if case in ("default-floor-m51", "student-t-raised-floor"):
+            assert counts.sum() > 2 * budget  # at least three chunks
+        if case == "mostly-empty-paths":
+            assert np.mean(counts == 0) > 0.5
+        if case == "paths-over-budget":
+            assert np.any(counts > budget) and np.any((counts > 0) & (counts <= budget // 2))
+        got = simulate_moving_max(kernel, grid, cfg).values
+        assert got.tobytes() == want.tobytes()
+
+    def test_chunks_stay_within_budget(self, monkeypatch):
+        # a small budget makes paths below, between and above budget/2 and budget
+        monkeypatch.setattr(process_sim, "_CHUNK_VALUES", 4 * 9)
+        kernel, grid = KernelSpec(), make_grid(m=4)
+        cfg = SimConfig(n=3000, seed=16, value_floor=6.25)
+        _, counts = reference_moving_max(kernel, grid, cfg)
+        budget = 9
+        assert np.any(counts > budget)
+        rows = []
+        density = KernelSpec.density
+
+        def recording(self, u):
+            if np.ndim(u) == 2:
+                rows.append(np.shape(u)[0])
+            return density(self, u)
+
+        monkeypatch.setattr(KernelSpec, "density", recording)
+        simulate_moving_max(kernel, grid, cfg)
+        assert sum(rows) == counts.sum()
+        oversized = sorted(r for r in rows if r > budget)
+        assert oversized == sorted(counts[counts > budget])
+
+    def test_memory_peak_at_cli_default_floor(self):
+        # ~1.4M points at m = 51: one unchunked density block would need
+        # ~0.57 GB per temporary; chunks cap each temporary at 32 MB
+        kernel, grid = KernelSpec(), make_grid(m=51)
+        tracemalloc.start()
+        try:
+            simulate_moving_max(kernel, grid, SimConfig(n=2000, seed=17))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 150e6
 
 
 class TestParetoGbm:

@@ -1,8 +1,8 @@
 """Pointwise extreme-value index, location, and scale estimators.
 
-All estimators work on one time-grid column of a path sample and use
-the top k + 1 order statistics xi_{n-k,n} <= ... <= xi_{n,n}.  The
-building block is the r-th log-excess moment
+All estimators use, at each time-grid column of a path sample, the top
+k + 1 order statistics xi_{n-k,n} <= ... <= xi_{n,n}.  The building
+block is the r-th log-excess moment
 
     M_r = (1/k) sum_{i=0..k-1} (log xi_{n-i,n} - log xi_{n-k,n})**r.
 
@@ -14,8 +14,10 @@ From it:
     location           u_hat       = xi_{n-k,n}
     scale              a_hat       = u_hat * gamma_plus * (1 - gamma_minus)
 
-estimate_curves evaluates all of them on every grid column and flags
-degenerate columns instead of aborting.
+One kernel computes u_hat and the moments of every column from a single
+partition of the sample.  estimate_curves runs it on the whole grid and
+flags degenerate columns (M_2 <= 0 or M_1**2/M_2 >= 1) instead of
+aborting; the scalar estimators run it on one column and raise there.
 """
 
 from __future__ import annotations
@@ -24,48 +26,60 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from funcevt.path_model import DataError, TimeGrid
+from funcevt.path_model import DataError, TimeGrid, partition_columns
 
 
 class DegenerateTailError(ValueError):
     """Tail too flat for the moment ratio (M_2 = 0 or M_1**2 = M_2)."""
 
 
-def _top_log_excesses(values, t_index, k):
-    vals = values.values if hasattr(values, "values") else np.asarray(values, float)
-    col = vals[:, int(t_index)]
-    n = col.size
-    k = int(k)
-    if not 1 <= k <= n - 1:
-        raise DataError(f"k must be in [1, n-1], got k={k}, n={n}")
-    if np.any(col <= 0.0):
+def _log_excess_moments(values, k, orders=(1, 2)):
+    """u_hat and the log-excess moments M_r, r in orders, of every column
+    of values (n x m), as length-m arrays, from one partition."""
+    cols, k = partition_columns(values, k)
+    if np.any(values <= 0.0):
         raise DataError("column values must be positive")
-    top = np.sort(np.partition(col, n - k - 1)[n - k - 1 :])
-    # top[0] = xi_{n-k,n}, top[1:] the k largest
-    return np.log(top[1:]) - np.log(top[0]), top[0]
+    top = np.sort(cols[:, -k - 1 :], axis=1)  # top[:, 0] = xi_{n-k,n}
+    logs = np.log(top)
+    # a C-contiguous row sums pairwise exactly as the 1-d np.mean of one
+    # column does, so a column's moments do not depend on its neighbours
+    excess = logs[:, 1:] - logs[:, :1]
+    return (top[:, 0].copy(), *((excess ** r).mean(axis=1) for r in orders))
+
+
+def _negative_part(m1, m2):
+    """gamma_minus of every column (nan where degenerate) and the degenerate
+    mask; a nan moment compares false, so its column is not flagged."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = m1 * m1 / m2
+        degenerate = (m2 <= 0.0) | (ratio >= 1.0)
+        gm = np.where(degenerate, np.nan, 1.0 - 0.5 / (1.0 - ratio))
+    return gm, degenerate
+
+
+def _column(sample, t_index, k, orders=(1, 2)):
+    """u_hat and the moments M_r of column t_index alone, as floats."""
+    vals = sample.values if hasattr(sample, "values") else np.asarray(sample, float)
+    moments = _log_excess_moments(vals[:, [int(t_index)]], k, orders)
+    return [float(a[0]) for a in moments]
+
+
+def _gamma_minus(m1, m2) -> float:
+    """gamma_minus of one column; DegenerateTailError where it is flagged."""
+    gm, degenerate = _negative_part(np.array([m1]), np.array([m2]))
+    if degenerate[0]:
+        raise DegenerateTailError("degenerate tail: M_2 = 0 or M_1**2 >= M_2")
+    return float(gm[0])
 
 
 def log_excess_moment(sample, t_index, k, r) -> float:
     """r-th moment of log-excesses over the (k+1)-th largest value."""
-    excess, _ = _top_log_excesses(sample, t_index, k)
-    return float(np.mean(excess ** r))
+    return _column(sample, t_index, k, (r,))[1]
 
 
 def hill_estimate(sample, t_index, k) -> float:
     """Hill estimator of the positive part of the index (= M_1)."""
     return log_excess_moment(sample, t_index, k, 1)
-
-
-def _negative_part(m1, m2):
-    if m2 <= 0.0:
-        raise DegenerateTailError("second log-excess moment is zero")
-    ratio = m1 * m1 / m2
-    if ratio >= 1.0:
-        raise DegenerateTailError(
-            "log-excess moments are degenerate (M_1**2 >= M_2); "
-            "k >= 2 distinct top values are required"
-        )
-    return 1.0 - 0.5 / (1.0 - ratio)
 
 
 def negative_index_estimate(sample, t_index, k) -> float:
@@ -74,24 +88,19 @@ def negative_index_estimate(sample, t_index, k) -> float:
     Raises DegenerateTailError when the top of the column is constant
     (M_2 = 0) or k = 1 (the moment ratio is then always 1).
     """
-    excess, _ = _top_log_excesses(sample, t_index, k)
-    m1 = float(np.mean(excess))
-    m2 = float(np.mean(excess ** 2))
-    return _negative_part(m1, m2)
+    _, m1, m2 = _column(sample, t_index, k)
+    return _gamma_minus(m1, m2)
 
 
 def moment_estimate(sample, t_index, k) -> float:
     """Moment estimator of the index, positive plus negative part."""
-    excess, _ = _top_log_excesses(sample, t_index, k)
-    m1 = float(np.mean(excess))
-    m2 = float(np.mean(excess ** 2))
-    return m1 + _negative_part(m1, m2)
+    _, m1, m2 = _column(sample, t_index, k)
+    return m1 + _gamma_minus(m1, m2)
 
 
 def location_estimate(sample, t_index, k) -> float:
     """The (k+1)-th largest value, estimating the 1 - k/n quantile."""
-    _, u = _top_log_excesses(sample, t_index, k)
-    return float(u)
+    return _column(sample, t_index, k, ())[0]
 
 
 def scale_estimate(sample, t_index, k) -> float:
@@ -100,12 +109,10 @@ def scale_estimate(sample, t_index, k) -> float:
     Returns 0.0 when gamma_plus = 0 (callers should flag that case);
     propagates DegenerateTailError from the negative part.
     """
-    excess, u = _top_log_excesses(sample, t_index, k)
-    m1 = float(np.mean(excess))
+    u, m1, m2 = _column(sample, t_index, k)
     if m1 == 0.0:
         return 0.0
-    m2 = float(np.mean(excess ** 2))
-    return float(u) * m1 * (1.0 - _negative_part(m1, m2))
+    return u * m1 * (1.0 - _gamma_minus(m1, m2))
 
 
 @dataclass(frozen=True)
@@ -129,17 +136,8 @@ class EstimatorCurves:
     COLUMNS = ("t", "gamma_plus", "gamma_minus", "gamma", "u_hat", "a_hat", "flag")
 
     def to_csv(self, path):
-        rows = np.column_stack(
-            [
-                self.grid.points,
-                self.gamma_plus,
-                self.gamma_minus,
-                self.gamma,
-                self.u_hat,
-                self.a_hat,
-                self.flag.astype(float),
-            ]
-        )
+        cols = [self.grid.points] + [getattr(self, c) for c in self.COLUMNS[1:]]
+        rows = np.column_stack(cols)  # the uint8 flag is written as a float
         np.savetxt(
             path,
             rows,
@@ -158,44 +156,16 @@ class EstimatorCurves:
         if raw.shape[1] != 7:
             raise DataError("curves CSV needs 7 columns")
         return cls(
-            TimeGrid(raw[:, 0]),
-            int(k),
-            int(n),
-            raw[:, 1],
-            raw[:, 2],
-            raw[:, 3],
-            raw[:, 4],
-            raw[:, 5],
-            raw[:, 6].astype(np.uint8),
+            TimeGrid(raw[:, 0]), int(k), int(n), *raw[:, 1:6].T, raw[:, 6].astype(np.uint8)
         )
 
 
 def estimate_curves(sample, k) -> EstimatorCurves:
     """Evaluate all estimators on every grid column of a sample."""
-    m = sample.m
-    gp = np.empty(m)
-    gm = np.empty(m)
-    g = np.empty(m)
-    u = np.empty(m)
-    a = np.empty(m)
-    flag = np.zeros(m, dtype=np.uint8)
-    for j in range(m):
-        excess, u_j = _top_log_excesses(sample, j, k)
-        m1 = float(np.mean(excess))
-        m2 = float(np.mean(excess ** 2))
-        gp[j] = m1
-        u[j] = u_j
-        try:
-            gm[j] = _negative_part(m1, m2)
-            g[j] = m1 + gm[j]
-            a[j] = u_j * m1 * (1.0 - gm[j])
-        except DegenerateTailError:
-            gm[j] = np.nan
-            g[j] = np.nan
-            a[j] = np.nan
-            flag[j] = 1
-            continue
-        if m1 == 0.0:
-            a[j] = 0.0
-            flag[j] = 1
-    return EstimatorCurves(sample.grid, int(k), sample.n, gp, gm, g, u, a, flag)
+    u, m1, m2 = _log_excess_moments(sample.values, k)
+    gm, degenerate = _negative_part(m1, m2)
+    a = u * m1 * (1.0 - gm)
+    flat = (m1 == 0.0) & ~degenerate  # as scale_estimate: no scale without gamma_plus
+    a[flat] = 0.0
+    flag = (degenerate | flat).astype(np.uint8)
+    return EstimatorCurves(sample.grid, int(k), sample.n, m1, gm, m1 + gm, u, a, flag)

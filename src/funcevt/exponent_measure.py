@@ -59,8 +59,9 @@ def sup_integral(kernel, times, levels, tol=1e-10):
 
     Splits the line at kernel peaks and at crossing points of the
     competing curves (located by a dense scan plus root refinement),
-    then applies adaptive quadrature per smooth segment.  The discarded
-    tails beyond the scan radius carry less than tol/10 mass.
+    then applies adaptive quadrature per smooth segment.  The outer two
+    run to infinity: quad does not converge on a heavy-tailed kernel's
+    mass at one end of a segment cut at the scan radius.
     """
     # here, not at module level: they are slow to import
     from scipy import integrate
@@ -107,7 +108,7 @@ def sup_integral(kernel, times, levels, tol=1e-10):
             breaks.add(0.5 * (ua + ub))
 
     edges = sorted(b for b in breaks if lo < b < hi)
-    cuts = [lo] + edges + [hi]
+    cuts = [-math.inf] + edges + [math.inf]
     total = 0.0
     eps = tol / (4.0 * max(len(cuts) - 1, 1))
     for a, b in zip(cuts[:-1], cuts[1:]):

@@ -51,6 +51,7 @@ from funcevt.path_model import (
     FAMILIES,
     MOVING_MAX,
     DataError,
+    check_k,
     make_grid,
     marginal_model_for,
     pareto_transform,
@@ -63,8 +64,8 @@ from funcevt.process_sim import (
 )
 from funcevt.tail_process import (
     OscillationConfig,
+    build_tail_field,
     oscillation_diagnostic,
-    tail_empirical_process,
     tail_quantile_stat,
 )
 
@@ -98,7 +99,6 @@ class ExperimentConfig:
     pairs: tuple = ()  # tailcov: ((t, s), ...)
     alpha: float = -1.0  # quantile exponent
     beta: float = 0.25
-    c: float = 1.0
     kernel_shape: str = "double-exp"
     kernel_rate: float = 1.0
     kernel_df: float = 3.0
@@ -335,7 +335,7 @@ class StatsReport:
     config: dict
     config_hash: str
     extra: dict = field(default_factory=dict)
-    schema: int = 1
+    schema: int = 2
 
 
 def _report(cfg, statistic, t, mean, var, var_limit, used, flagged, ks=None, extra=None):
@@ -455,8 +455,7 @@ def load_report(path, fmt=None) -> StatsReport:
 
 
 def _need_k_below_n(cfg):
-    if not 1 <= cfg.k < cfg.n:
-        raise DataError("need 1 <= k < n")
+    check_k(cfg.k, cfg.n)
 
 
 def _listed_grid(cfg):
@@ -555,8 +554,7 @@ def _consistency_validate(cfg):
     ns = [n for n, _ in cfg.schedule]
     ks = [k for _, k in cfg.schedule]
     for n, k in cfg.schedule:
-        if not 1 <= k < n:
-            raise DataError("schedule entries need 1 <= k < n")
+        check_k(k, n)
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise DataError("schedule n must be strictly increasing")
     if any(b < a for a, b in zip(ks, ks[1:])):
@@ -625,8 +623,7 @@ def _pair_grid(cfg):
 
 def _tailcov_replicate(cfg, grid, context, seed):
     zeta = _pareto_sample(cfg, grid, seed, _tail_floor(cfg.n, cfg.k))
-    w = np.array([tail_empirical_process(zeta, j, 1.0, cfg.k) for j in range(grid.m)])
-    return {"w_at_one": w}, False
+    return {"w_at_one": build_tail_field(zeta, cfg.k, x_grid=[1.0]).values[:, 0]}, False
 
 
 def _tailcov_summary(cfg, grid, repset):

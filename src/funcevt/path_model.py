@@ -38,6 +38,24 @@ class DataError(ValueError):
     """Malformed grid, sample, or CSV input."""
 
 
+def check_k(k, n) -> int:
+    """k as an int; DataError unless 1 <= k <= n - 1."""
+    k = int(k)
+    if not 1 <= k <= n - 1:
+        raise DataError(f"k must be in [1, n-1], got k={k}, n={n}")
+    return k
+
+
+def partition_columns(values, k):
+    """(cols, check_k(k, n)): the columns of values (n x m) as the rows of a
+    new C-contiguous array, each with its k + 1 largest values last and
+    the (k+1)-th largest first of them (contiguous rows partition faster)."""
+    k = check_k(k, values.shape[0])
+    cols = np.array(values.T, order="C")  # always a copy: partitioned in place
+    cols.partition(values.shape[0] - k - 1, axis=1)
+    return cols, k
+
+
 def _as_grid_points(points):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size == 0:

@@ -23,29 +23,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from funcevt.path_model import DataError, TimeGrid
+from funcevt.path_model import DataError, TimeGrid, check_k, partition_columns
+
+
+def _exceedance_counts(values, x):
+    """#{i : values[i, j] >= x_l} as an (m, x.size) integer array: one sort per
+    column, then one binary search of all (j, l) cells for the values below x_l."""
+    cols = np.array(values.T, order="C")  # a copy, sorted in place
+    cols.sort(axis=1)
+    m, n = cols.shape
+    flat, row = cols.ravel(), np.arange(m)[:, None] * n - 1
+    below = np.zeros((m, x.size), dtype=np.intp)  # all n for a nan level
+    step = (1 << n.bit_length()) >> 1  # the largest power of two <= n
+    while step:
+        probe = np.minimum(below + step, n)
+        below = np.where(flat[row + probe] >= x, below, probe)
+        step >>= 1
+    return n - below
+
+
+def _tail_process(values, x, k):
+    """w_n at every column of values (rows) and every level of x (columns)."""
+    x = np.asarray(x, dtype=float).ravel()
+    if np.any(x <= 0.0):
+        raise DataError("x must be positive")
+    n = values.shape[0]
+    k = check_k(k, n)
+    frac = _exceedance_counts(values, x * (n / k)) / n
+    return math.sqrt(k) * ((n / k) * frac - 1.0 / x)
 
 
 def exceedance_fraction(paths, t_index, x):
     """S_{n,t}(x): fraction of paths with zeta(t) >= x, vectorised over x."""
-    col = paths.values[:, int(t_index)]
     x = np.asarray(x, dtype=float)
-    out = np.count_nonzero(col[None, :] >= np.atleast_1d(x)[:, None], axis=1) / col.size
+    out = _exceedance_counts(paths.values[:, [int(t_index)]], x.ravel())[0] / paths.n
     return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 def tail_empirical_process(paths, t_index, x, k):
     """w_n(t, x) = sqrt(k)((n/k) S_{n,t}(x n/k) - 1/x), vectorised over x."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DataError("x must be positive")
-    n = paths.n
-    k = int(k)
-    if not 1 <= k < n:
-        raise DataError(f"k must be in [1, n-1], got k={k}, n={n}")
-    frac = exceedance_fraction(paths, t_index, x * (n / k))
-    out = math.sqrt(k) * ((n / k) * frac - 1.0 / x)
-    return out if np.ndim(out) else float(out)
+    out = _tail_process(paths.values[:, [int(t_index)]], x, k)[0]
+    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -79,16 +97,14 @@ def build_tail_field(paths, k, x_grid=None, n_x=64, beta=0.25, c=1.0) -> TailFie
     The default level grid is geometric from c to n/k with n_x points.
     """
     n = paths.n
-    k = int(k)
+    k = check_k(k, n)
     if x_grid is None:
         hi = n / k
         if not c < hi:
             raise DataError("need c < n/k for the default level grid")
         x_grid = np.exp(np.linspace(math.log(c), math.log(hi), int(n_x)))
     x_grid = np.asarray(x_grid, dtype=float)
-    vals = np.empty((paths.m, x_grid.size))
-    for j in range(paths.m):
-        vals[j] = tail_empirical_process(paths, j, x_grid, k)
+    vals = _tail_process(paths.values, x_grid, k)
     return TailField(paths.grid, x_grid, vals, n, k, float(beta), float(c))
 
 
@@ -112,17 +128,14 @@ def tail_quantile_stat(paths, k, alpha):
 
     alpha may be a scalar or a per-grid-point array.
     """
-    n = paths.n
-    k = int(k)
-    if not 1 <= k < n:
-        raise DataError(f"k must be in [1, n-1], got k={k}, n={n}")
+    cols, k = partition_columns(paths.values, k)
     alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (paths.m,))
-    out = np.empty(paths.m)
-    for j in range(paths.m):
-        col = paths.values[:, j]
-        v = np.partition(col, n - k - 1)[n - k - 1] * (k / n)
-        out[j] = math.sqrt(k) * (v ** alpha[j] - 1.0)
-    return out
+    v = cols[:, -k - 1] * (k / paths.n)
+    # one scalar pow per grid point, not a vectorised **: numpy's SIMD
+    # power differs from pow in the last bit for about 5% of inputs, and
+    # reports built on this statistic are compared bitwise
+    powers = np.array([vj ** aj for vj, aj in zip(v, alpha)])
+    return math.sqrt(k) * (powers - 1.0)
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,14 @@ class TestTailproc:
         assert row[0] == pytest.approx(0.25)
         np.testing.assert_allclose(row[1:], field.values[1], rtol=1e-15)
 
+    @pytest.mark.parametrize("k", ["0", "-5", "400"])
+    def test_k_out_of_range_exits_one(self, tmp_path, capsys, k):
+        # k = 0 used to divide by zero in the default level grid
+        in_path, _ = _pareto_csv(tmp_path)
+        rc = main(["tailproc", "--in", in_path, "--k", k, "--out", str(tmp_path / "f.csv")])
+        assert rc == 1
+        assert "k must be in [1, n-1]" in capsys.readouterr().err
+
 
 class TestDiagnose:
     def test_hand_counts(self, tmp_path, capsys):

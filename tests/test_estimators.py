@@ -1,7 +1,12 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from funcevt.estimators import (
     DegenerateTailError,
@@ -202,3 +207,173 @@ class TestOnSimulatedFamilies:
         a = np.array([truth.scale(t, n / k) for t in g.points])
         assert not curves.flag.any()
         assert np.max(np.abs(curves.a_hat / a - 1.0)) < 0.5
+
+
+# The per-column estimators as they were before the column kernel: each
+# column partitioned on its own, moments by 1-d np.mean.  estimate_curves
+# and the scalar estimators must reproduce them bit for bit.
+
+
+def reference_top_log_excesses(vals, j, k):
+    col = vals[:, j]
+    n = col.size
+    top = np.sort(np.partition(col, n - k - 1)[n - k - 1 :])
+    return np.log(top[1:]) - np.log(top[0]), top[0]
+
+
+def reference_negative_part(m1, m2):
+    if m2 <= 0.0:
+        raise DegenerateTailError("second log-excess moment is zero")
+    ratio = m1 * m1 / m2
+    if ratio >= 1.0:
+        raise DegenerateTailError("degenerate")
+    return 1.0 - 0.5 / (1.0 - ratio)
+
+
+def reference_curves(sample, k):
+    m = sample.m
+    gp, gm, g, u, a = (np.empty(m) for _ in range(5))
+    flag = np.zeros(m, dtype=np.uint8)
+    for j in range(m):
+        excess, u_j = reference_top_log_excesses(sample.values, j, k)
+        m1 = float(np.mean(excess))
+        m2 = float(np.mean(excess ** 2))
+        gp[j] = m1
+        u[j] = u_j
+        try:
+            gm[j] = reference_negative_part(m1, m2)
+            g[j] = m1 + gm[j]
+            a[j] = u_j * m1 * (1.0 - gm[j])
+        except DegenerateTailError:
+            gm[j] = g[j] = a[j] = np.nan
+            flag[j] = 1
+            continue
+        if m1 == 0.0:
+            a[j] = 0.0
+            flag[j] = 1
+    return {"gamma_plus": gp, "gamma_minus": gm, "gamma": g, "u_hat": u,
+            "a_hat": a, "flag": flag}
+
+
+def bits(x):
+    return np.asarray(x).tobytes()
+
+
+def family_sample(family, n, m=6, seed=31):
+    g = make_grid(m=m)
+    if family == "moving-max":
+        return simulate_moving_max(KernelSpec(), g, SimConfig(n=n, seed=seed))
+    return simulate_pareto_gbm(g, SimConfig(n=n, seed=seed))
+
+
+def tied_sample():
+    # columns: distinct values; ties at the top; a constant top of 5
+    # (M_1 = M_2 = 0); a constant column; two distinct top values
+    base = np.arange(1.0, 13.0)
+    cols = [
+        base,
+        np.r_[base[:8], 9.0, 9.0, 9.0, 12.0],
+        np.r_[base[:7], np.full(5, 8.0)],
+        np.full(12, 3.0),
+        np.r_[base[:10], 11.0, 11.0],
+    ]
+    return PathSample(make_grid(m=len(cols)), np.column_stack(cols))
+
+
+def assert_matches_reference(sample, k):
+    curves = estimate_curves(sample, k)
+    want = reference_curves(sample, k)
+    for name, arr in want.items():
+        assert bits(getattr(curves, name)) == bits(arr), name
+    for j in range(sample.m):
+        excess, u = reference_top_log_excesses(sample.values, j, k)
+        m1, m2 = float(np.mean(excess)), float(np.mean(excess ** 2))
+        assert bits(hill_estimate(sample, j, k)) == bits(m1)
+        assert bits(log_excess_moment(sample, j, k, 2)) == bits(m2)
+        assert bits(log_excess_moment(sample, j, k, 3)) == bits(np.mean(excess ** 3))
+        assert bits(location_estimate(sample, j, k)) == bits(float(u))
+        try:
+            gm = reference_negative_part(m1, m2)
+        except DegenerateTailError:
+            for est in (negative_index_estimate, moment_estimate):
+                with pytest.raises(DegenerateTailError):
+                    est(sample, j, k)
+            if m1 == 0.0:
+                assert scale_estimate(sample, j, k) == 0.0
+            else:
+                with pytest.raises(DegenerateTailError):
+                    scale_estimate(sample, j, k)
+            continue
+        assert bits(negative_index_estimate(sample, j, k)) == bits(gm)
+        assert bits(moment_estimate(sample, j, k)) == bits(m1 + gm)
+        want_a = 0.0 if m1 == 0.0 else float(u) * m1 * (1.0 - gm)
+        assert bits(scale_estimate(sample, j, k)) == bits(want_a)
+    return curves
+
+
+class TestColumnKernelMatchesReference:
+    @pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
+    @pytest.mark.parametrize("k", [1, 2, 200, 1499])
+    def test_families(self, family, k):
+        assert_matches_reference(family_sample(family, 1500), k)
+
+    def test_k_above_a_numpy_buffer(self):
+        # k = n - 1 > 8192, numpy's default buffer size
+        rng = np.random.default_rng(8)
+        sample = PathSample(make_grid(m=2), rng.pareto(1.0, (9000, 2)) + 1.0)
+        assert_matches_reference(sample, 8999)
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 11])
+    def test_ties_constant_tops_and_zero_hill(self, k):
+        curves = assert_matches_reference(tied_sample(), k)
+        if k == 4:
+            # the constant top of column 2 is flagged with M_1 = 0
+            assert curves.gamma_plus[2] == 0.0 and curves.flag[2] == 1
+        assert curves.flag[3] == 1  # a constant column is always flagged
+
+
+class TestProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(40, 400),
+        m=st.integers(1, 4),
+        k_share=st.floats(0.0, 0.5),
+        c=st.floats(1e-3, 1e3),
+    )
+    def test_scale_equivariance(self, seed, n, m, k_share, c):
+        # logs of c * x differ from logs of x by the rounding of log c, so
+        # log-excesses, and the index estimates built on them, agree to a
+        # relative 1e-12, or an absolute 1e-12 where an estimate is near 0
+        vals = np.random.default_rng(seed).pareto(1.0, (n, m)) + 1.0
+        k = 10 + int(k_share * (n - 20))
+        g = make_grid(m=m)
+        a = estimate_curves(PathSample(g, vals), k)
+        b = estimate_curves(PathSample(g, c * vals), k)
+        np.testing.assert_array_equal(b.flag, a.flag)
+        for name in ("gamma_plus", "gamma"):
+            np.testing.assert_allclose(
+                getattr(b, name), getattr(a, name), rtol=1e-12, atol=1e-12
+            )
+        np.testing.assert_allclose(b.u_hat, c * a.u_hat, rtol=1e-12)
+        np.testing.assert_allclose(b.a_hat, c * a.a_hat, rtol=1e-11)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_curves_csv_round_trip_is_exact(self, data):
+        points = data.draw(
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6, unique=True).map(sorted)
+        )
+        m = len(points)
+        floats = hnp.arrays(float, m, elements=st.floats(allow_subnormal=True))
+        arrays = [data.draw(floats) for _ in range(5)]
+        flag = data.draw(hnp.arrays(np.uint8, m, elements=st.integers(0, 1)))
+        curves = EstimatorCurves(make_grid(points=points), 3, 9, *arrays, flag)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "curves.csv")
+            curves.to_csv(path)
+            back = EstimatorCurves.from_csv(path, k=3, n=9)
+        np.testing.assert_array_equal(back.grid.points, curves.grid.points)
+        for name in EstimatorCurves.COLUMNS[1:]:
+            np.testing.assert_array_equal(getattr(back, name), getattr(curves, name))
+        assert back.flag.dtype == np.uint8

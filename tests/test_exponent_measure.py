@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,17 @@ class TestSupIntegral:
         env = np.max(k.density(times[:, None] + u[None, :]) / levels[:, None], axis=0)
         ref = np.trapezoid(env, u)
         assert sup_integral(k, times, levels, tol=1e-8) == pytest.approx(ref, abs=1e-5)
+
+    @pytest.mark.parametrize("y", [0.01, 0.019306977288832496])
+    def test_student_kernel_converges_at_small_level_ratios(self, y):
+        # at (t, s) = (0, 1) and these ratios (the funcevt limit cells of
+        # --xgrid 8 --xmax 1e2) f(u + 1)/y >= f(u) everywhere, so
+        # C_{0,1} lies inside C_{1,y} and the intersection mass is 1/x = 1;
+        # the quadrature must converge without an IntegrationWarning
+        oracle = MeasureOracle.moving_max(KernelSpec("student-t", rate=1.0, df=3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert oracle.intersection_mass(0.0, 1.0, 1.0, y) == pytest.approx(1.0, abs=1e-10)
 
     def test_input_validation(self):
         k = KernelSpec()

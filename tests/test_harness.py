@@ -87,6 +87,12 @@ class TestConfig:
         assert back == cfg
         assert config_hash(back) == config_hash(cfg)
 
+    def test_removed_c_field_is_an_unknown_key(self):
+        doc = small_normality().to_dict()
+        assert "c" not in doc
+        with pytest.raises(DataError, match="unknown config keys: c"):
+            ExperimentConfig.from_dict(dict(doc, c=1.0))
+
     def test_hash_sensitive_to_fields(self):
         a = small_normality(seed=1)
         b = small_normality(seed=2)
@@ -279,6 +285,20 @@ class TestExportLoad:
         assert back.config_hash == report.config_hash
         np.testing.assert_allclose(back.var, report.var)
         assert back.config == report.config
+        assert doc["schema"] == back.schema == 2
+
+    def test_schema_one_report_still_loads(self, tmp_path):
+        # schema 1 echoed the config field c, which nothing read
+        report = run_experiment(small_normality(reps=3))
+        p = tmp_path / "report.json"
+        export_report(report, p)
+        doc = json.loads(p.read_text())
+        doc["schema"] = 1
+        doc["config"]["c"] = 1.0
+        p.write_text(json.dumps(doc))
+        back = load_report(p)
+        assert back.schema == 1 and back.config["c"] == 1.0
+        np.testing.assert_array_equal(back.mean, report.mean)
 
 
 def hand_report(kind, statistic="hill", t=(0.0,), mean=(0.0,), var=(1.0,),

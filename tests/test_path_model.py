@@ -1,7 +1,12 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
 from funcevt.path_model import (
@@ -170,6 +175,22 @@ class TestSampleTypes:
         back = PathSample.from_csv(path)
         np.testing.assert_array_equal(back.values, s.values)
         np.testing.assert_array_equal(back.grid.points, g.points)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_csv_round_trip_is_exact_for_any_positive_values(self, data):
+        points = data.draw(
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True).map(sorted)
+        )
+        shape = (data.draw(st.integers(1, 6)), len(points))
+        positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+        s = PathSample(make_grid(points=points), data.draw(hnp.arrays(float, shape, elements=positive)))
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "paths.csv")
+            s.to_csv(path)
+            back = PathSample.from_csv(path)
+        assert back.values.tobytes() == s.values.tobytes()
+        assert back.grid.points.tobytes() == s.grid.points.tobytes()
 
     def test_pareto_csv_round_trip(self, tmp_path):
         g = make_grid(m=2)

@@ -2,8 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from funcevt.path_model import DataError, ParetoPaths, make_grid
+from funcevt import harness
+from funcevt.harness import ExperimentConfig
+from funcevt.path_model import (
+    DataError,
+    ParetoPaths,
+    make_grid,
+    marginal_model_for,
+    pareto_transform,
+)
+from funcevt.process_sim import KernelSpec, SimConfig, simulate_moving_max, simulate_pareto_gbm
 from funcevt.tail_process import (
     OscillationConfig,
     TailField,
@@ -36,6 +48,22 @@ class TestExceedanceFraction:
     def test_vectorised(self):
         out = exceedance_fraction(HAND, 0, np.array([4.0, 8.0]))
         np.testing.assert_allclose(out, [3.0 / 8.0, 2.0 / 8.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_brute_force_count_and_monotone(self, data):
+        # values and levels share a few exact ties; a nan level counts nothing
+        some = st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(1.0, 1e6))
+        n, m = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 3))
+        paths = ParetoPaths(make_grid(m=m), data.draw(hnp.arrays(float, (n, m), elements=some)))
+        x = data.draw(hnp.arrays(float, st.integers(0, 12), elements=some | st.just(math.nan)))
+        for j in range(m):
+            col = paths.values[:, j]
+            got = exceedance_fraction(paths, j, x)
+            want = np.array([np.count_nonzero(col >= level) for level in x]) / n
+            assert got.tobytes() == want.tobytes()
+            ordered = exceedance_fraction(paths, j, np.sort(x[~np.isnan(x)]))
+            assert np.all(np.diff(ordered) <= 0.0)
 
 
 class TestTailEmpiricalProcess:
@@ -217,3 +245,106 @@ class TestOscillation:
             oscillation_diagnostic(
                 paths, OscillationConfig(s=0.51, delta=0.05, v=2.0, K=1.0)
             )
+
+
+# The per-column tail process and quantile statistic as they were before
+# the all-times kernels: one comparison count per column and level, one
+# partition per column.  The kernels must reproduce them bit for bit.
+
+
+def reference_exceedance_fraction(paths, j, x):
+    col = paths.values[:, j]
+    x = np.asarray(x, dtype=float)
+    out = np.count_nonzero(col[None, :] >= np.atleast_1d(x)[:, None], axis=1) / col.size
+    return out.reshape(x.shape) if x.ndim else float(out[0])
+
+
+def reference_tail_empirical_process(paths, j, x, k):
+    x = np.asarray(x, dtype=float)
+    n = paths.n
+    frac = reference_exceedance_fraction(paths, j, x * (n / k))
+    out = math.sqrt(k) * ((n / k) * frac - 1.0 / x)
+    return out if np.ndim(out) else float(out)
+
+
+def reference_quantile_stat(paths, k, alpha):
+    n = paths.n
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (paths.m,))
+    out = np.empty(paths.m)
+    for j in range(paths.m):
+        v = np.partition(paths.values[:, j], n - k - 1)[n - k - 1] * (k / n)
+        out[j] = math.sqrt(k) * (v ** alpha[j] - 1.0)
+    return out
+
+
+def family_zeta(family, n=1500, m=6, seed=41):
+    g = make_grid(m=m)
+    if family == "moving-max":
+        sample = simulate_moving_max(KernelSpec(), g, SimConfig(n=n, seed=seed))
+    else:
+        sample = simulate_pareto_gbm(g, SimConfig(n=n, seed=seed))
+    return pareto_transform(sample, marginal_model_for(sample))
+
+
+def tied_zeta():
+    # ties at and around the levels x n/k, and a constant column
+    vals = np.column_stack([
+        np.r_[np.ones(6), 2.0, 2.0, 4.0, 4.0, 4.0, 8.0],
+        np.full(12, 3.0),
+        np.arange(1.0, 13.0),
+    ])
+    return ParetoPaths(make_grid(m=3), vals)
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
+    @pytest.mark.parametrize("k", [1, 2, 200, 1499])
+    def test_tail_field(self, family, k):
+        zeta = family_zeta(family)
+        for x_grid in (None, np.array([0.5, 1.0, 1.0 + 1e-12, 3.0])):
+            field = build_tail_field(zeta, k, x_grid=x_grid, n_x=16)
+            want = np.array([
+                reference_tail_empirical_process(zeta, j, field.x_grid, k)
+                for j in range(zeta.m)
+            ])
+            assert field.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
+    @pytest.mark.parametrize("k", [1, 2, 200, 1499])
+    def test_quantile_stat(self, family, k):
+        zeta = family_zeta(family)
+        per_point = np.linspace(-2.5, 3.0, zeta.m)
+        for alpha in (-1.0, 0.37, per_point):
+            got = tail_quantile_stat(zeta, k, alpha)
+            assert got.tobytes() == reference_quantile_stat(zeta, k, alpha).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 11])
+    def test_ties(self, k):
+        zeta = tied_zeta()
+        x_grid = np.array([0.25, 1.0, 2.0, 3.0, 4.0, 12.0]) * (k / 12)
+        field = build_tail_field(zeta, k, x_grid=x_grid)
+        for j in range(zeta.m):
+            want = reference_tail_empirical_process(zeta, j, x_grid, k)
+            assert field.values[j].tobytes() == want.tobytes()
+            x = x_grid * 12 / k
+            got = exceedance_fraction(zeta, j, x)
+            assert got.tobytes() == reference_exceedance_fraction(zeta, j, x).tobytes()
+        got = tail_quantile_stat(zeta, k, [2.0, -1.0, 0.5])
+        assert got.tobytes() == reference_quantile_stat(zeta, k, [2.0, -1.0, 0.5]).tobytes()
+
+    @pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
+    @pytest.mark.parametrize("k", [1, 2, 200, 1999])
+    def test_tailcov_payload(self, family, k):
+        cfg = ExperimentConfig(
+            kind="tailcov", family=family, n=2000, k=k, reps=2, seed=9,
+            pairs=((0.0, 0.5), (0.25, 0.75)),
+        )
+        grid = harness.grid_for(cfg)
+        seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+        payload, flagged = harness._tailcov_replicate(cfg, grid, None, seed)
+        zeta = harness._pareto_sample(cfg, grid, seed, harness._tail_floor(cfg.n, k))
+        want = np.array([
+            reference_tail_empirical_process(zeta, j, 1.0, k) for j in range(grid.m)
+        ])
+        assert payload["w_at_one"].tobytes() == want.tobytes()
+        assert not flagged

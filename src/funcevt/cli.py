@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -284,9 +285,39 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_POSITIVE_INT = (lambda v: v >= 1, "a positive integer")
+_FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0.0, "a finite positive number")
+
+# what each numeric option (by dest) must hold, checked once parsing is
+# done; the commands' own checks still apply after these
+_NUMERIC_RULES = {
+    "n": _POSITIVE_INT,
+    "grid": _POSITIVE_INT,
+    # the upper end needs the sample: check_k tests it once n is known
+    "k": (lambda v: v >= 1, "in [1, n-1] for a sample of n paths"),
+    "xgrid": _POSITIVE_INT,
+    "tgrid": _POSITIVE_INT,
+    "draws": (lambda v: v >= 2, "an integer >= 2 (the report holds sample variances)"),
+    "workers": _POSITIVE_INT,
+    "seed": (lambda v: v >= 0, "a non-negative integer"),
+    "xmax": _FINITE_POSITIVE,
+    "trunc_tol": _FINITE_POSITIVE,
+}
+
+
+def _check_numbers(args):
+    """DataError naming the first numeric option that breaks its rule."""
+    for dest, (holds, what) in _NUMERIC_RULES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not holds(value):
+            flag = "--" + dest.replace("_", "-")
+            raise DataError(f"{flag} must be {what}, got {value!r}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except (DataError, SimulationError, DegenerateTailError,
             InconsistentMeasureError, DegenerateCovarianceError) as exc:

@@ -64,9 +64,9 @@ from funcevt.process_sim import (
 )
 from funcevt.tail_process import (
     OscillationConfig,
-    build_tail_field,
     oscillation_diagnostic,
-    tail_quantile_stat,
+    quantile_stat_from_order_stats,
+    tail_process_from_counts,
 )
 
 STATISTICS = ("hill", "index", "location", "scale")
@@ -494,6 +494,51 @@ def _pareto_sample(cfg, grid, seed, floor):
     return pareto_transform(sample, model)
 
 
+# relative margin by which the Pareto-scale value of the lowest raw value
+# of `_pareto_top`'s block must stay below the levels the block is read at
+_TOP_MARGIN = 1e-9
+
+
+def _pareto_top(cfg, grid, seed):
+    """The upper tail of the Pareto-scale replicate, one row per grid time.
+
+    Row j holds every value of column j at or above n/k and its k + 1
+    largest values, the (k+1)-th largest at index -k - 1 and the larger
+    ones after it; these are the same floats `pareto_transform` gives.
+    Only the 2k + 1 largest raw values of a column (all n if fewer) are
+    transformed, as long as the transform of the lowest of them stays
+    below n/k and below the (k+1)-th largest transformed value, with a
+    margin: the transform is increasing, so then no other value can reach
+    either level.  Else the rest is transformed too.  Tail clamps fall on
+    the largest values, so each is counted once either way.
+    """
+    sample = _simulate(cfg, grid, cfg.n, seed, _tail_floor(cfg.n, cfg.k))
+    model = marginal_model_for(sample, bound_exponent=cfg.bound_exponent)
+    n, k = cfg.n, cfg.k
+    big = min(2 * k, n - 1)
+    # negated columns, each partitioned so that its big + 1 largest values
+    # come first and the (big+1)-th largest sits at index big: numpy
+    # partitions this way round much faster when the bottom of a column is
+    # one tied value, as the moving-max floor is
+    neg = np.negative(sample.values.T, order="C")
+    neg.partition(big, axis=1)
+
+    def transform(lo, hi):
+        out = np.empty((grid.m, hi - lo))
+        for j, t in enumerate(grid.points):
+            out[j] = 1.0 / model.tail(t, -neg[j, lo:hi])
+        return np.clip(out, 1.0, None, out=out)
+
+    top = transform(0, big + 1)
+    lowest = top[:, big].copy()
+    top.partition(big - k, axis=1)
+    levels = np.minimum(n / k, top[:, -k - 1])
+    if big < n - 1 and not np.all(lowest * (1.0 + _TOP_MARGIN) < levels):
+        top = np.concatenate((transform(big + 1, n), top), axis=1)
+        top.partition(n - k - 1, axis=1)
+    return top
+
+
 def _preregistered(size):
     # 3 grid points to control KS multiplicity: ends and middle
     if size <= 3:
@@ -622,8 +667,8 @@ def _pair_grid(cfg):
 
 
 def _tailcov_replicate(cfg, grid, context, seed):
-    zeta = _pareto_sample(cfg, grid, seed, _tail_floor(cfg.n, cfg.k))
-    return {"w_at_one": build_tail_field(zeta, cfg.k, x_grid=[1.0]).values[:, 0]}, False
+    counts = np.count_nonzero(_pareto_top(cfg, grid, seed) >= cfg.n / cfg.k, axis=1)
+    return {"w_at_one": tail_process_from_counts(counts, 1.0, cfg.n, cfg.k)}, False
 
 
 def _tailcov_summary(cfg, grid, repset):
@@ -656,8 +701,8 @@ def _tailcov_check(report):
 
 
 def _quantile_replicate(cfg, grid, context, seed):
-    zeta = _pareto_sample(cfg, grid, seed, _tail_floor(cfg.n, cfg.k))
-    q = tail_quantile_stat(zeta, cfg.k, cfg.alpha)
+    top = _pareto_top(cfg, grid, seed)[:, -cfg.k - 1]
+    q = quantile_stat_from_order_stats(top, cfg.n, cfg.k, cfg.alpha)
     return {"quantile_stat": q}, not np.all(np.isfinite(q))
 
 

@@ -144,7 +144,10 @@ def _write_csv(path, grid, values):
 
 def _read_csv(path):
     try:
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is reported below as a DataError
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            raw = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot parse paths CSV {path!r}: {exc}") from exc
     if raw.shape[0] < 2:

@@ -7,6 +7,9 @@ Moving-maximum Poisson process
     truncates the point set to a window X in [-(L+1), L] and Y in
     (0, y_max]; both cut-offs are derived from the truncation tolerance
     so that every simulated value above a documented floor is exact.
+    Both kernels are unimodal at 0, so one density value per point shows
+    whether the point can lift any path value above the floor; only the
+    points that can are evaluated on the whole grid.
 
 Pareto times geometric Brownian motion
     xi(t) = Y * exp(W(t) - t/2) with Y standard Pareto independent of
@@ -39,6 +42,10 @@ _LIMIT_DRAWS = 400_000
 # density values per chunk of `simulate_moving_max` (32 MB of float64)
 _CHUNK_VALUES = 4_000_000
 
+# relative margin below the floor within which `simulate_moving_max`
+# keeps a point whose peak value on the grid would drop it
+_PREFILTER_MARGIN = 1e-12
+
 
 class SimulationError(ValueError):
     """Invalid simulation configuration (bad trunc_tol, kernel, floor, ...)."""
@@ -59,10 +66,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.shape not in (DOUBLE_EXP, STUDENT_T):
             raise SimulationError(f"unknown kernel shape {self.shape!r}")
-        if not self.rate > 0.0:
-            raise SimulationError("kernel rate must be positive")
-        if self.shape == STUDENT_T and not self.df > 0.0:
-            raise SimulationError("kernel df must be positive")
+        if not 0.0 < self.rate < math.inf:
+            raise SimulationError("kernel rate must be positive and finite")
+        if self.shape == STUDENT_T and not 0.0 < self.df < math.inf:
+            raise SimulationError("kernel df must be positive and finite")
 
     def density(self, u):
         u = np.asarray(u, dtype=float)
@@ -189,6 +196,16 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     Y in (0, y_max] with y_max = f_max / floor.  Retained points
     reproduce every path value above the floor exactly; values that
     would fall below are reported as the floor.
+
+    Only points that can reach the floor are evaluated on the grid.  The
+    kernel is unimodal at 0, so the largest value of f(t + x)/y over the
+    grid is at the grid point nearest -x: an end point of the grid when
+    -x lies outside its span.  A point whose value there is below the
+    floor, less a relative margin of 1e-12 for the last bits of the
+    density, is dropped; points with -x inside the span are kept.  A
+    path value is the floor or a max over its points, and a max is exact,
+    so the sample is the same floats as evaluating every point.  The
+    draws and their order do not change.
     """
     n = int(cfg.n)
     m = grid.m
@@ -201,12 +218,23 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
 
     rng = np.random.default_rng(cfg.seed)
     counts = rng.poisson(intensity, n)
-    total = int(counts.sum())
-    xs = rng.uniform(-(L + 1.0), L, total)
-    ys = y_max * (1.0 - rng.random(total))  # uniform on (0, y_max]
+    xs = rng.uniform(-(L + 1.0), L, int(counts.sum()))
+    ys = y_max * (1.0 - rng.random(xs.size))  # uniform on (0, y_max]
 
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
+    # Prefilter (see the docstring): distance from -x to the grid's span,
+    # |t + x| at the nearer end point as rounded in the density call below
+    # (rounding keeps the sign of t + x), or 0 inside the span
+    near = np.maximum(np.maximum(grid.points[0] + xs, -(grid.points[-1] + xs)), 0.0)
+    keep = kernel.density(near) / ys >= float(floor) * (1.0 - _PREFILTER_MARGIN)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    kept = np.zeros(xs.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    starts = kept[offsets]  # the survivors' offsets per path
+    counts = np.diff(starts)
+    total = int(starts[-1])
+    xs, ys = xs[keep], ys[keep]
+
     vals = np.full((n, m), float(floor))
 
     # Chunks of consecutive non-empty paths hold at most `budget` points,

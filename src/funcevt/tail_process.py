@@ -42,6 +42,12 @@ def _exceedance_counts(values, x):
     return n - below
 
 
+def tail_process_from_counts(counts, x, n, k):
+    """w_n(t, x) = sqrt(k)((n/k) S - 1/x) with S = counts/n, where counts
+    holds the number of the n values at or above x n/k; broadcasts."""
+    return math.sqrt(k) * ((n / k) * (counts / n) - 1.0 / x)
+
+
 def _tail_process(values, x, k):
     """w_n at every column of values (rows) and every level of x (columns)."""
     x = np.asarray(x, dtype=float).ravel()
@@ -49,8 +55,7 @@ def _tail_process(values, x, k):
         raise DataError("x must be positive")
     n = values.shape[0]
     k = check_k(k, n)
-    frac = _exceedance_counts(values, x * (n / k)) / n
-    return math.sqrt(k) * ((n / k) * frac - 1.0 / x)
+    return tail_process_from_counts(_exceedance_counts(values, x * (n / k)), x, n, k)
 
 
 def exceedance_fraction(paths, t_index, x):
@@ -129,8 +134,14 @@ def tail_quantile_stat(paths, k, alpha):
     alpha may be a scalar or a per-grid-point array.
     """
     cols, k = partition_columns(paths.values, k)
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), (paths.m,))
-    v = cols[:, -k - 1] * (k / paths.n)
+    return quantile_stat_from_order_stats(cols[:, -k - 1], paths.n, k, alpha)
+
+
+def quantile_stat_from_order_stats(top, n, k, alpha):
+    """sqrt(k)((top k/n)**alpha - 1) from the (k+1)-th largest value top of
+    each of n-value columns; alpha is a scalar or one exponent per column."""
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), top.shape)
+    v = top * (k / n)
     # one scalar pow per grid point, not a vectorised **: numpy's SIMD
     # power differs from pow in the last bit for about 5% of inputs, and
     # reports built on this statistic are compared bitwise

@@ -86,6 +86,64 @@ class TestSimulateEstimate:
         assert err.startswith("error: ")
 
 
+# per numeric option, a command whose value for it breaks its rule and
+# whose other arguments are valid; {paths} is a sample CSV, {out} the output
+BAD_NUMBERS = {
+    "n": ("--n", "simulate --family pareto-gbm --n 0 --grid 2 --out {out}"),
+    "grid": ("--grid", "simulate --family pareto-gbm --n 5 --grid 0 --out {out}"),
+    "seed-simulate": (
+        "--seed", "simulate --family pareto-gbm --n 5 --grid 2 --seed -1 --out {out}"
+    ),
+    "trunc-tol": (
+        "--trunc-tol", "simulate --family moving-max --n 5 --grid 2 --trunc-tol nan --out {out}"
+    ),
+    "k": ("--k", "estimate --in {paths} --k 0 --out {out}"),
+    "xgrid": ("--xgrid", "tailproc --in {paths} --k 10 --xgrid -2 --out {out}"),
+    "tgrid": ("--tgrid", "limit --family pareto-gbm --tgrid 0 --xgrid 8 --draws 5 --out {out}"),
+    "draws-negative": ("--draws", "limit --family pareto-gbm --xgrid 8 --draws -3 --out {out}"),
+    "draws-zero": ("--draws", "limit --family pareto-gbm --xgrid 8 --draws 0 --out {out}"),
+    "draws-one": ("--draws", "limit --family pareto-gbm --xgrid 8 --draws 1 --out {out}"),
+    "seed-limit": (
+        "--seed", "limit --family pareto-gbm --xgrid 8 --draws 5 --seed -3 --out {out}"
+    ),
+    "xmax": ("--xmax", "limit --family pareto-gbm --xgrid 8 --xmax inf --draws 5 --out {out}"),
+    "workers": ("--workers", "experiment --config {paths} --workers 0"),
+}
+
+
+@pytest.mark.parametrize("flag", ["--lambda", "--df"])
+def test_infinite_kernel_parameter_exits_one(flag, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    rc = main(["simulate", "--family", "moving-max", "--n", "5", "--grid", "2",
+               "--kernel", "t", flag, "inf", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: kernel ")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", BAD_NUMBERS)
+def test_numeric_option_out_of_range_exits_one(name, tmp_path, capsys):
+    flag, command = BAD_NUMBERS[name]
+    paths, _ = _pareto_csv(tmp_path)
+    out = tmp_path / "out"
+    rc = main(command.format(paths=paths, out=out).split())
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n"])
+def test_empty_csv_gives_only_the_data_error(text, tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(text)
+    rc = main(["estimate", "--in", str(empty), "--k", "5", "--out", str(tmp_path / "c.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: paths CSV {str(empty)!r} has no data rows\n"
+
+
 def _pareto_csv(tmp_path, n=80, m=5, seed=11):
     """iid unit Pareto columns written through the library's own writer."""
     rng = np.random.default_rng(seed)

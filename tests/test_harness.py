@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from funcevt import harness, path_model
 from funcevt.estimators import estimate_curves
 from funcevt.harness import (
     CSV_HEADER,
@@ -28,6 +31,7 @@ from funcevt.harness import (
 from funcevt.limit_theory import true_functions
 from funcevt.path_model import DataError
 from funcevt.process_sim import KernelSpec, SimConfig, simulate_pareto_gbm
+from funcevt.tail_process import build_tail_field, tail_quantile_stat
 
 
 def small_normality(**kw):
@@ -449,3 +453,108 @@ def test_exports_bitwise_identical_across_reruns_and_workers(name, tmp_path):
             export_report(report, path, fmt)
             exports.append(path.read_bytes())
     assert exports[0:2] == exports[2:4] == exports[4:6]
+
+
+def reference_tailcov_replicate(cfg, grid, context, seed):
+    """The tailcov replicate from the whole Pareto-scale sample (the code
+    the top block replaced)."""
+    zeta = harness._pareto_sample(cfg, grid, seed, harness._tail_floor(cfg.n, cfg.k))
+    return {"w_at_one": build_tail_field(zeta, cfg.k, x_grid=[1.0]).values[:, 0]}, False
+
+
+def reference_quantile_replicate(cfg, grid, context, seed):
+    """The quantile replicate from the whole Pareto-scale sample."""
+    zeta = harness._pareto_sample(cfg, grid, seed, harness._tail_floor(cfg.n, cfg.k))
+    q = tail_quantile_stat(zeta, cfg.k, cfg.alpha)
+    return {"quantile_stat": q}, not np.all(np.isfinite(q))
+
+
+def needs_whole_column(cfg, grid, seed):
+    """Whether the top block of some column misses a level it is read at,
+    from the whole Pareto-scale sample: then every value is transformed."""
+    zeta = harness._pareto_sample(cfg, grid, seed, harness._tail_floor(cfg.n, cfg.k))
+    n, k = cfg.n, cfg.k
+    big = min(2 * k, n - 1)
+    cols = np.sort(zeta.values, axis=0)
+    levels = np.minimum(n / k, cols[n - k - 1])
+    return big < n - 1 and bool(np.any(cols[n - big - 1] * (1.0 + harness._TOP_MARGIN) >= levels))
+
+
+def top_block_runs(cfg):
+    """(payload bytes, flag) of the new and the reference replicate of every
+    replication of cfg, and how many of them need the whole column."""
+    new, ref = (
+        (harness._tailcov_replicate, reference_tailcov_replicate)
+        if cfg.kind == "tailcov"
+        else (harness._quantile_replicate, reference_quantile_replicate)
+    )
+    grid = grid_for(cfg)
+    got, want, whole = [], [], 0
+    for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.reps):
+        for out, fn in ((got, new), (want, ref)):
+            payload, flag = fn(cfg, grid, None, seed)
+            out.append(({key: v.tobytes() for key, v in payload.items()}, flag))
+        whole += needs_whole_column(cfg, grid, seed)
+    return got, want, whole
+
+
+def top_block_config(kind, family, n, k, reps, value_floor=0.0):
+    extra = dict(pairs=((0.0, 0.5), (0.25, 0.75))) if kind == "tailcov" else dict(
+        m=4, alpha=-1.0
+    )
+    return ExperimentConfig(
+        kind=kind, family=family, n=n, k=k, reps=reps, seed=n + k,
+        value_floor=value_floor, **extra,
+    )
+
+
+# (family, n, k, value_floor, reps, some replication needs the whole column)
+TOP_BLOCK_CASES = {
+    "mm-acceptance-size": ("moving-max", 5000, 200, 0.0, 4, False),
+    "gbm-acceptance-size": ("pareto-gbm", 5000, 200, 0.0, 4, False),
+    "mm-small": ("moving-max", 400, 40, 0.0, 20, False),
+    "gbm-small": ("pareto-gbm", 400, 40, 0.0, 20, False),
+    # fewer than k + 1 values above the floor tie the block's ends
+    "mm-floor-ties": ("moving-max", 200, 20, 30.0, 10, True),
+    # the block is the 5 largest of 40; 6 values reach n/k = 20 in ~1.6%
+    # of the columns
+    "gbm-small-k": ("pareto-gbm", 40, 2, 0.0, 100, True),
+    # 2k + 1 > n: the block is the whole column
+    "gbm-block-is-column": ("pareto-gbm", 7, 4, 0.0, 10, False),
+}
+
+
+@pytest.mark.parametrize("kind", ["tailcov", "quantile"])
+@pytest.mark.parametrize("case", TOP_BLOCK_CASES)
+def test_top_block_replicates_bitwise_equal_to_whole_sample(kind, case):
+    family, n, k, value_floor, reps, whole_expected = TOP_BLOCK_CASES[case]
+    cfg = top_block_config(kind, family, n, k, reps, value_floor)
+    got, want, whole = top_block_runs(cfg)
+    assert got == want
+    assert (whole > 0) == whole_expected
+
+
+def _clamp_count(caught):
+    found = (re.match(r"clamped (\d+) tail values", str(w.message)) for w in caught)
+    return sum(int(m.group(1)) for m in found if m)
+
+
+@pytest.mark.parametrize("kind", ["tailcov", "quantile"])
+@pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
+def test_top_block_counts_every_tail_clamp(kind, family, monkeypatch):
+    # a floor of 1e-3 clamps every value above ~1000 on the Pareto scale
+    monkeypatch.setattr(path_model, "TAIL_FLOOR", 1e-3)
+    cfg = top_block_config(kind, family, 5000, 200, 3)
+    grid = grid_for(cfg)
+    new = harness._tailcov_replicate if kind == "tailcov" else harness._quantile_replicate
+    ref = reference_tailcov_replicate if kind == "tailcov" else reference_quantile_replicate
+    for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.reps):
+        counts, payloads = [], []
+        for fn in (new, ref):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                payload, _ = fn(cfg, grid, None, seed)
+            counts.append(_clamp_count(caught))
+            payloads.append({key: v.tobytes() for key, v in payload.items()})
+        assert counts[0] == counts[1] > 0
+        assert payloads[0] == payloads[1]

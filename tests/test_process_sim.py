@@ -1,13 +1,18 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from funcevt import process_sim
 from funcevt.path_model import make_grid
 from funcevt.process_sim import (
+    DOUBLE_EXP,
+    STUDENT_T,
     KernelSpec,
     SimConfig,
     SimulationError,
@@ -46,6 +51,16 @@ class TestKernelSpec:
     def test_bad_rate_rejected(self):
         with pytest.raises(SimulationError):
             KernelSpec("double-exp", rate=0.0)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(SimulationError):
+            KernelSpec("double-exp", rate=rate)
+
+    @pytest.mark.parametrize("df", [0.0, math.inf, math.nan])
+    def test_bad_df_rejected(self, df):
+        with pytest.raises(SimulationError):
+            KernelSpec("student-t", df=df)
 
     def test_oscillation_constant_dominates_ratio_bound(self):
         k = KernelSpec("double-exp", rate=1.0)
@@ -131,15 +146,13 @@ class TestMovingMax:
             SimConfig(n=5, value_floor=-1.0)
 
 
-def reference_moving_max(kernel, grid, cfg):
-    """simulate_moving_max's values and per-path point counts, with the
-    chunks planned one path at a time (the loop the vectorised plan
-    replaced)."""
+def _draws(kernel, grid, cfg):
+    """simulate_moving_max's floor and Poisson draws: per-path point counts,
+    then the points' x and y, in draw order."""
     n = int(cfg.n)
-    m = grid.m
     L = kernel.half_width(cfg.trunc_tol)
     floor = cfg.value_floor if cfg.value_floor is not None else (
-        process_sim._default_floor(n, m, cfg.trunc_tol)
+        process_sim._default_floor(n, grid.m, cfg.trunc_tol)
     )
     y_max = kernel.peak_height / float(floor)
     intensity = (2.0 * L + 1.0) * y_max
@@ -149,6 +162,16 @@ def reference_moving_max(kernel, grid, cfg):
     total = int(counts.sum())
     xs = rng.uniform(-(L + 1.0), L, total)
     ys = y_max * (1.0 - rng.random(total))
+    return floor, counts, xs, ys
+
+
+def reference_moving_max(kernel, grid, cfg):
+    """simulate_moving_max's values and per-path point counts, from every
+    drawn point, with the chunks planned one path at a time (the loop the
+    vectorised plan replaced, before the point prefilter)."""
+    n = int(cfg.n)
+    m = grid.m
+    floor, counts, xs, ys = _draws(kernel, grid, cfg)
 
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
@@ -174,13 +197,26 @@ def reference_moving_max(kernel, grid, cfg):
     return vals, counts
 
 
-# (kernel, m, n, value_floor, seed, density values per chunk or None)
+def survivor_counts(kernel, grid, cfg):
+    """Per path, the drawn points the simulator's density blocks should
+    hold: those whose largest value over the whole grid reaches the floor
+    less the prefilter's margin, and those with -x within the grid's span,
+    which the prefilter keeps unseen."""
+    floor, counts, xs, ys = _draws(kernel, grid, cfg)
+    peak = (kernel.density(grid.points[None, :] + xs[:, None]) / ys[:, None]).max(axis=1)
+    inside = (grid.points[0] <= -xs) & (-xs <= grid.points[-1])
+    keep = inside | (peak >= float(floor) * (1.0 - process_sim._PREFILTER_MARGIN))
+    return np.bincount(np.repeat(np.arange(cfg.n), counts)[keep], minlength=cfg.n)
+
+
+# (kernel, m, n, value_floor, seed, density values per chunk or None); the
+# chunk sizes are small because only ~5% of the points survive the prefilter
 CHUNK_CASES = {
     "tailcov-size": ("double-exp", 4, 5000, 6.25, 11, None),
-    "default-floor-m51": ("double-exp", 51, 500, None, 12, None),
-    "student-t-raised-floor": ("student-t", 21, 800, 20.0, 13, None),
+    "default-floor-m51": ("double-exp", 51, 500, None, 12, 51 * 4000),
+    "student-t-raised-floor": ("student-t", 21, 800, 20.0, 13, 21 * 20),
     "mostly-empty-paths": ("double-exp", 4, 3000, 60.0, 14, None),
-    "paths-over-budget": ("double-exp", 4, 400, 6.25, 15, 4 * 6),
+    "paths-over-budget": ("double-exp", 4, 400, 0.5, 15, 4 * 6),
 }
 
 
@@ -192,25 +228,27 @@ class TestMovingMaxChunks:
             monkeypatch.setattr(process_sim, "_CHUNK_VALUES", chunk_values)
         kernel, grid = KernelSpec(shape), make_grid(m=m)
         cfg = SimConfig(n=n, seed=seed, value_floor=floor)
-        want, counts = reference_moving_max(kernel, grid, cfg)
+        want, _ = reference_moving_max(kernel, grid, cfg)
+        kept = survivor_counts(kernel, grid, cfg)
         budget = max(1, process_sim._CHUNK_VALUES // m)
         if case in ("default-floor-m51", "student-t-raised-floor"):
-            assert counts.sum() > 2 * budget  # at least three chunks
+            assert kept.sum() > 2 * budget  # at least three chunks
         if case == "mostly-empty-paths":
-            assert np.mean(counts == 0) > 0.5
+            assert np.mean(kept == 0) > 0.5
         if case == "paths-over-budget":
-            assert np.any(counts > budget) and np.any((counts > 0) & (counts <= budget // 2))
+            assert np.any(kept > budget) and np.any((kept > 0) & (kept <= budget // 2))
         got = simulate_moving_max(kernel, grid, cfg).values
         assert got.tobytes() == want.tobytes()
 
     def test_chunks_stay_within_budget(self, monkeypatch):
-        # a small budget makes paths below, between and above budget/2 and budget
+        # a small budget makes paths below, between and above budget/2 and
+        # budget; at floor 0.25 about six points per path survive the prefilter
         monkeypatch.setattr(process_sim, "_CHUNK_VALUES", 4 * 9)
         kernel, grid = KernelSpec(), make_grid(m=4)
-        cfg = SimConfig(n=3000, seed=16, value_floor=6.25)
-        _, counts = reference_moving_max(kernel, grid, cfg)
+        cfg = SimConfig(n=3000, seed=16, value_floor=0.25)
+        kept = survivor_counts(kernel, grid, cfg)
         budget = 9
-        assert np.any(counts > budget)
+        assert np.any(kept > budget)
         rows = []
         density = KernelSpec.density
 
@@ -221,9 +259,28 @@ class TestMovingMaxChunks:
 
         monkeypatch.setattr(KernelSpec, "density", recording)
         simulate_moving_max(kernel, grid, cfg)
-        assert sum(rows) == counts.sum()
+        assert sum(rows) == kept.sum()
         oversized = sorted(r for r in rows if r > budget)
-        assert oversized == sorted(counts[counts > budget])
+        assert oversized == sorted(kept[kept > budget])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from((DOUBLE_EXP, STUDENT_T)),
+        rate=st.floats(0.5, 4.0),
+        m=st.integers(1, 51),
+        n=st.integers(1, 40),
+        floor=st.floats(0.2, 80.0),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.integers(1, 40),
+    )
+    def test_bitwise_equal_to_reference_property(self, shape, rate, m, n, floor, seed, budget):
+        # trunc_tol 1e-3 keeps the student-t window, and so the draw, small
+        kernel, grid = KernelSpec(shape, rate), make_grid(m=m)
+        cfg = SimConfig(n=n, seed=seed, trunc_tol=1e-3, value_floor=floor)
+        with mock.patch.object(process_sim, "_CHUNK_VALUES", budget * m):
+            got = simulate_moving_max(kernel, grid, cfg).values
+        want, _ = reference_moving_max(kernel, grid, cfg)
+        assert got.tobytes() == want.tobytes()
 
     def test_memory_peak_at_cli_default_floor(self):
         # ~1.4M points at m = 51: one unchunked density block would need

@@ -20,24 +20,13 @@ from funcevt.process_sim import (
     SimConfig,
     simulate_moving_max,
     simulate_pareto_gbm,
-    moving_max_from_points,
-    empirical_max_check,
     SimulationError,
 )
 from funcevt.estimators import (
-    DegenerateTailError,
-    log_excess_moment,
-    hill_estimate,
-    negative_index_estimate,
-    moment_estimate,
-    location_estimate,
-    scale_estimate,
     estimate_curves,
     EstimatorCurves,
 )
 from funcevt.tail_process import (
-    exceedance_fraction,
-    tail_empirical_process,
     TailField,
     build_tail_field,
     weighted_sup_distance,
@@ -49,7 +38,6 @@ from funcevt.exponent_measure import (
     MeasureOracle,
     InconsistentMeasureError,
     canonical_metric,
-    homogeneity_check,
     covariance_matrix,
 )
 from funcevt.limit_theory import (

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from funcevt.estimators import DegenerateTailError, estimate_curves
+from funcevt.estimators import estimate_curves
 from funcevt.exponent_measure import InconsistentMeasureError, MeasureOracle
 from funcevt.harness import (
     check_report,
@@ -319,8 +319,8 @@ def main(argv=None) -> int:
     try:
         _check_numbers(args)
         return args.func(args)
-    except (DataError, SimulationError, DegenerateTailError,
-            InconsistentMeasureError, DegenerateCovarianceError) as exc:
+    except (DataError, SimulationError, InconsistentMeasureError,
+            DegenerateCovarianceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

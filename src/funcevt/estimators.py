@@ -17,7 +17,7 @@ From it:
 One kernel computes u_hat and the moments of every column from a single
 partition of the sample.  estimate_curves runs it on the whole grid and
 flags degenerate columns (M_2 <= 0 or M_1**2/M_2 >= 1) instead of
-aborting; the scalar estimators run it on one column and raise there.
+aborting.
 """
 
 from __future__ import annotations
@@ -29,13 +29,9 @@ import numpy as np
 from funcevt.path_model import DataError, TimeGrid, partition_columns
 
 
-class DegenerateTailError(ValueError):
-    """Tail too flat for the moment ratio (M_2 = 0 or M_1**2 = M_2)."""
-
-
-def _log_excess_moments(values, k, orders=(1, 2)):
-    """u_hat and the log-excess moments M_r, r in orders, of every column
-    of values (n x m), as length-m arrays, from one partition."""
+def _log_excess_moments(values, k):
+    """u_hat and the log-excess moments M_1, M_2 of every column of values
+    (n x m), as length-m arrays, from one partition."""
     cols, k = partition_columns(values, k)
     if np.any(values <= 0.0):
         raise DataError("column values must be positive")
@@ -44,7 +40,7 @@ def _log_excess_moments(values, k, orders=(1, 2)):
     # a C-contiguous row sums pairwise exactly as the 1-d np.mean of one
     # column does, so a column's moments do not depend on its neighbours
     excess = logs[:, 1:] - logs[:, :1]
-    return (top[:, 0].copy(), *((excess ** r).mean(axis=1) for r in orders))
+    return top[:, 0].copy(), excess.mean(axis=1), (excess ** 2).mean(axis=1)
 
 
 def _negative_part(m1, m2):
@@ -55,64 +51,6 @@ def _negative_part(m1, m2):
         degenerate = (m2 <= 0.0) | (ratio >= 1.0)
         gm = np.where(degenerate, np.nan, 1.0 - 0.5 / (1.0 - ratio))
     return gm, degenerate
-
-
-def _column(sample, t_index, k, orders=(1, 2)):
-    """u_hat and the moments M_r of column t_index alone, as floats."""
-    vals = sample.values if hasattr(sample, "values") else np.asarray(sample, float)
-    moments = _log_excess_moments(vals[:, [int(t_index)]], k, orders)
-    return [float(a[0]) for a in moments]
-
-
-def _gamma_minus(m1, m2) -> float:
-    """gamma_minus of one column; DegenerateTailError where it is flagged."""
-    gm, degenerate = _negative_part(np.array([m1]), np.array([m2]))
-    if degenerate[0]:
-        raise DegenerateTailError("degenerate tail: M_2 = 0 or M_1**2 >= M_2")
-    return float(gm[0])
-
-
-def log_excess_moment(sample, t_index, k, r) -> float:
-    """r-th moment of log-excesses over the (k+1)-th largest value."""
-    return _column(sample, t_index, k, (r,))[1]
-
-
-def hill_estimate(sample, t_index, k) -> float:
-    """Hill estimator of the positive part of the index (= M_1)."""
-    return log_excess_moment(sample, t_index, k, 1)
-
-
-def negative_index_estimate(sample, t_index, k) -> float:
-    """Moment-type estimator of the negative part of the index.
-
-    Raises DegenerateTailError when the top of the column is constant
-    (M_2 = 0) or k = 1 (the moment ratio is then always 1).
-    """
-    _, m1, m2 = _column(sample, t_index, k)
-    return _gamma_minus(m1, m2)
-
-
-def moment_estimate(sample, t_index, k) -> float:
-    """Moment estimator of the index, positive plus negative part."""
-    _, m1, m2 = _column(sample, t_index, k)
-    return m1 + _gamma_minus(m1, m2)
-
-
-def location_estimate(sample, t_index, k) -> float:
-    """The (k+1)-th largest value, estimating the 1 - k/n quantile."""
-    return _column(sample, t_index, k, ())[0]
-
-
-def scale_estimate(sample, t_index, k) -> float:
-    """Scale estimator u_hat * gamma_plus * (1 - gamma_minus).
-
-    Returns 0.0 when gamma_plus = 0 (callers should flag that case);
-    propagates DegenerateTailError from the negative part.
-    """
-    u, m1, m2 = _column(sample, t_index, k)
-    if m1 == 0.0:
-        return 0.0
-    return u * m1 * (1.0 - _gamma_minus(m1, m2))
 
 
 @dataclass(frozen=True)
@@ -165,7 +103,7 @@ def estimate_curves(sample, k) -> EstimatorCurves:
     u, m1, m2 = _log_excess_moments(sample.values, k)
     gm, degenerate = _negative_part(m1, m2)
     a = u * m1 * (1.0 - gm)
-    flat = (m1 == 0.0) & ~degenerate  # as scale_estimate: no scale without gamma_plus
+    flat = (m1 == 0.0) & ~degenerate  # no scale without gamma_plus
     a[flat] = 0.0
     flag = (degenerate | flat).astype(np.uint8)
     return EstimatorCurves(sample.grid, int(k), sample.n, m1, gm, m1 + gm, u, a, flag)

@@ -240,21 +240,6 @@ def canonical_metric(oracle, beta, p, q) -> float:
     return math.sqrt(max(d2, 0.0))
 
 
-def homogeneity_check(oracle, r, pairs) -> float:
-    """Max relative deviation of nu(r A) from nu(A)/r over cell pairs.
-
-    pairs is an iterable of ((t, x), (s, y)).
-    """
-    if not r > 0.0:
-        raise DataError("scale r must be positive")
-    worst = 0.0
-    for (t, x), (s, y) in pairs:
-        base = oracle.intersection_mass(t, x, s, y)
-        scaled = oracle.intersection_mass(t, r * x, s, r * y)
-        worst = max(worst, abs(scaled - base / r) * r / base)
-    return worst
-
-
 def covariance_matrix(oracle, t_grid, x_grid) -> np.ndarray:
     """Covariance of the limit field over cells (t_i, x_j), row-major in (i, j).
 

@@ -54,6 +54,7 @@ from funcevt.path_model import (
     check_k,
     make_grid,
     marginal_model_for,
+    pareto_scale,
     pareto_transform,
 )
 from funcevt.process_sim import (
@@ -526,8 +527,8 @@ def _pareto_top(cfg, grid, seed):
     def transform(lo, hi):
         out = np.empty((grid.m, hi - lo))
         for j, t in enumerate(grid.points):
-            out[j] = 1.0 / model.tail(t, -neg[j, lo:hi])
-        return np.clip(out, 1.0, None, out=out)
+            out[j] = pareto_scale(model, t, -neg[j, lo:hi])
+        return out
 
     top = transform(0, big + 1)
     lowest = top[:, big].copy()

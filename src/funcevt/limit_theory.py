@@ -390,8 +390,6 @@ class Gm0Variances:
     var_moment2: float = 20.0
     cov_moments: float = 4.0
     var_location: float = 1.0
-    cov_moment1_location: float = 0.0
-    cov_moment2_location: float = 0.0
 
     @property
     def var_hill(self) -> float:

@@ -92,11 +92,6 @@ class TimeGrid:
             raise DataError(f"t={t} is not a grid point")
         return i
 
-    def matches(self, other, tol=1e-12) -> bool:
-        return self.m == other.m and np.allclose(
-            self.points, other.points, rtol=0.0, atol=tol
-        )
-
 
 def make_grid(m=None, points=None) -> TimeGrid:
     """Build a time grid.
@@ -293,15 +288,20 @@ def marginal_model_for(sample, **kwargs) -> MarginalModel:
     return MarginalModel(sample.family, **kwargs)
 
 
+def pareto_scale(model, t, x):
+    """zeta = 1/(1 - F_t(x)) of the raw values x (an array) at time t, at
+    least 1: floating point can land a hair under 1 when F is near 0."""
+    zeta = 1.0 / model.tail(t, x)
+    return np.maximum(zeta, 1.0, out=zeta)
+
+
 def pareto_transform(sample, model) -> ParetoPaths:
     """Standardise a path sample to the Pareto scale.
 
-    Applies zeta_i(t) = 1/(1 - F_t(xi_i(t))) column by column using the
-    marginal model.  Output values are >= 1.
+    Applies `pareto_scale` column by column using the marginal model.
+    Output values are >= 1.
     """
     out = np.empty_like(sample.values)
     for j, t in enumerate(sample.grid.points):
-        out[:, j] = 1.0 / model.tail(t, sample.values[:, j])
-    # floating point can land a hair under 1 when F is evaluated near 0
-    np.clip(out, 1.0, None, out=out)
+        out[:, j] = pareto_scale(model, t, sample.values[:, j])
     return ParetoPaths(sample.grid, out)

@@ -30,14 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from funcevt.path_model import MOVING_MAX, PARETO_GBM, PathSample, TimeGrid
+from funcevt.path_model import MOVING_MAX, PARETO_GBM, PathSample
 
 DOUBLE_EXP = "double-exp"
 STUDENT_T = "student-t"
 
-
-# draws of the seeded Monte Carlo limit in `empirical_max_check`
-_LIMIT_DRAWS = 400_000
 
 # density values per chunk of `simulate_moving_max` (32 MB of float64)
 _CHUNK_VALUES = 4_000_000
@@ -172,22 +169,6 @@ def _default_floor(n, m, trunc_tol):
     return 1.0 / math.log(max(float(n) * float(m) / float(trunc_tol), 8.0))
 
 
-def moving_max_from_points(kernel, grid, xs, ys):
-    """One moving-max path from an explicit point set.
-
-    Returns sup_j f(t + x_j) / y_j on the grid; useful for forced-point
-    checks and tiny deterministic examples.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or xs.size == 0:
-        raise SimulationError("xs and ys must be equal-length 1-d arrays")
-    if np.any(ys <= 0.0):
-        raise SimulationError("point heights ys must be positive")
-    vals = kernel.density(grid.points[None, :] + xs[:, None]) / ys[:, None]
-    return vals.max(axis=0)
-
-
 def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     """Simulate n independent moving-max paths on the grid.
 
@@ -269,84 +250,3 @@ def simulate_pareto_gbm(grid, cfg) -> PathSample:
     w = np.cumsum(z * np.sqrt(dt), axis=1)
     b = np.exp(w - 0.5 * grid.points)
     return PathSample(grid, y[:, None] * b, PARETO_GBM)
-
-
-@dataclass(frozen=True)
-class MaxCheckReport:
-    """Empirical vs limiting joint law of normalised componentwise maxima."""
-
-    family: str
-    times: np.ndarray
-    levels: np.ndarray
-    n: int
-    reps: int
-    empirical: float
-    limit: float
-    se: float
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.empirical - self.limit)
-
-
-def empirical_max_check(
-    family,
-    times,
-    levels,
-    n,
-    reps,
-    seed=0,
-    kernel=None,
-    trunc_tol=1e-6,
-) -> MaxCheckReport:
-    """Check P{max_i xi_i(t_j) <= n x_j for all j} against its limit.
-
-    The limit is exp(-integral of max_j f(t_j + u)/x_j du) for the
-    moving-max family and exp(-E max_j B(t_j)/x_j) for the pareto-gbm
-    family (expectation by a seeded Monte Carlo oracle).
-    """
-    times = np.asarray(times, dtype=float)
-    levels = np.asarray(levels, dtype=float)
-    if times.shape != levels.shape or times.ndim != 1 or times.size == 0:
-        raise SimulationError("times and levels must be equal-length 1-d arrays")
-    if np.any(levels <= 0.0):
-        raise SimulationError("levels must be positive")
-    grid = TimeGrid(times)
-    n = int(n)
-    reps = int(reps)
-
-    if family == MOVING_MAX:
-        if kernel is None:
-            kernel = KernelSpec()
-        from funcevt.exponent_measure import sup_integral
-
-        limit = math.exp(-sup_integral(kernel, times, levels, tol=1e-10))
-    elif family == PARETO_GBM:
-        rng = np.random.default_rng([int(seed), 1])
-        z = rng.standard_normal((_LIMIT_DRAWS, grid.m))
-        dt = np.diff(grid.points, prepend=0.0)
-        w = np.cumsum(z * np.sqrt(dt), axis=1)
-        b = np.exp(w - 0.5 * grid.points)
-        limit = math.exp(-float(np.mean((b / levels[None, :]).max(axis=1))))
-    else:
-        raise SimulationError(f"unknown family {family!r}")
-
-    seeds = np.random.SeedSequence(int(seed)).spawn(reps)
-    hits = 0
-    for r in range(reps):
-        if family == MOVING_MAX:
-            floor = max(1.0, n * float(levels.min()) / 50.0)
-            sample = simulate_moving_max(
-                kernel,
-                grid,
-                SimConfig(n=n, seed=seeds[r], trunc_tol=trunc_tol, value_floor=floor),
-            )
-        else:
-            sample = simulate_pareto_gbm(grid, SimConfig(n=n, seed=seeds[r]))
-        colmax = sample.values.max(axis=0)
-        hits += int(np.all(colmax <= n * levels))
-    emp = hits / reps
-    se = math.sqrt(max(emp * (1.0 - emp), 1.0 / reps) / reps)
-    return MaxCheckReport(
-        family, times, levels, n, reps, float(emp), float(limit), float(se)
-    )

@@ -58,19 +58,6 @@ def _tail_process(values, x, k):
     return tail_process_from_counts(_exceedance_counts(values, x * (n / k)), x, n, k)
 
 
-def exceedance_fraction(paths, t_index, x):
-    """S_{n,t}(x): fraction of paths with zeta(t) >= x, vectorised over x."""
-    x = np.asarray(x, dtype=float)
-    out = _exceedance_counts(paths.values[:, [int(t_index)]], x.ravel())[0] / paths.n
-    return out.reshape(x.shape) if x.ndim else float(out[0])
-
-
-def tail_empirical_process(paths, t_index, x, k):
-    """w_n(t, x) = sqrt(k)((n/k) S_{n,t}(x n/k) - 1/x), vectorised over x."""
-    out = _tail_process(paths.values[:, [int(t_index)]], x, k)[0]
-    return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
-
-
 @dataclass(frozen=True)
 class TailField:
     """w_n evaluated on a time grid times a level grid."""

@@ -8,100 +8,94 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from funcevt.estimators import (
-    DegenerateTailError,
-    EstimatorCurves,
-    estimate_curves,
-    hill_estimate,
-    location_estimate,
-    log_excess_moment,
-    moment_estimate,
-    negative_index_estimate,
-    scale_estimate,
-)
+from funcevt.estimators import EstimatorCurves, _log_excess_moments, estimate_curves
 from funcevt.path_model import DataError, PathSample, make_grid
 from funcevt.process_sim import KernelSpec, SimConfig, simulate_moving_max, simulate_pareto_gbm
 from funcevt.limit_theory import true_functions
 
 
-def column(values):
-    return np.asarray(values, dtype=float)[:, None]
+def curves_of(values, k):
+    """estimate_curves on the columns of values, one grid point each."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    return estimate_curves(PathSample(make_grid(m=vals.shape[1]), vals), k)
 
 
 E = math.e
-HAND = column([1.0, E, E**2, E**3])
+HAND = [1.0, E, E**2, E**3]
 
 
 class TestHandExample:
     # top 3 of {1, e, e^2, e^3} with k=2: log-excesses over e are {1, 2}
 
     def test_first_moment(self):
-        assert log_excess_moment(HAND, 0, 2, 1) == pytest.approx(1.5, rel=1e-12)
+        assert _log_excess_moments(np.c_[HAND], 2)[1][0] == pytest.approx(1.5, rel=1e-12)
 
     def test_second_moment(self):
-        assert log_excess_moment(HAND, 0, 2, 2) == pytest.approx(2.5, rel=1e-12)
+        assert _log_excess_moments(np.c_[HAND], 2)[2][0] == pytest.approx(2.5, rel=1e-12)
 
     def test_hill(self):
-        assert hill_estimate(HAND, 0, 2) == pytest.approx(1.5, rel=1e-12)
+        assert curves_of(HAND, 2).gamma_plus[0] == pytest.approx(1.5, rel=1e-12)
 
     def test_negative_part(self):
         # 1 - 0.5/(1 - 2.25/2.5) = 1 - 5 = -4
-        assert negative_index_estimate(HAND, 0, 2) == pytest.approx(-4.0, rel=1e-12)
+        assert curves_of(HAND, 2).gamma_minus[0] == pytest.approx(-4.0, rel=1e-12)
 
     def test_moment_estimator(self):
-        assert moment_estimate(HAND, 0, 2) == pytest.approx(-2.5, rel=1e-12)
+        assert curves_of(HAND, 2).gamma[0] == pytest.approx(-2.5, rel=1e-12)
 
     def test_location(self):
-        assert location_estimate(HAND, 0, 2) == pytest.approx(E, rel=1e-12)
+        assert curves_of(HAND, 2).u_hat[0] == pytest.approx(E, rel=1e-12)
 
     def test_scale(self):
         # e * 1.5 * (1 + 4) = 7.5 e
-        assert scale_estimate(HAND, 0, 2) == pytest.approx(7.5 * E, rel=1e-12)
+        assert curves_of(HAND, 2).a_hat[0] == pytest.approx(7.5 * E, rel=1e-12)
 
 
 class TestEdgeCases:
     def test_tied_top_values_give_zero_hill(self):
-        vals = column([1.0, 5.0, 5.0, 5.0])
-        assert hill_estimate(vals, 0, 2) == 0.0
+        assert curves_of([1.0, 5.0, 5.0, 5.0], 2).gamma_plus[0] == 0.0
 
     def test_tied_top_values_degenerate_for_moment(self):
-        vals = column([1.0, 5.0, 5.0, 5.0])
-        with pytest.raises(DegenerateTailError):
-            negative_index_estimate(vals, 0, 2)
+        curves = curves_of([1.0, 5.0, 5.0, 5.0], 2)
+        assert curves.flag[0] == 1
+        assert math.isnan(curves.gamma_minus[0])
 
     def test_k_equal_one_degenerate(self):
         # with k = 1 the moment ratio is identically 1
-        vals = column([1.0, 2.0, 3.0])
-        with pytest.raises(DegenerateTailError):
-            moment_estimate(vals, 0, 1)
+        curves = curves_of([1.0, 2.0, 3.0], 1)
+        assert curves.flag[0] == 1
+        assert math.isnan(curves.gamma[0])
 
     def test_k_out_of_range(self):
-        vals = column([1.0, 2.0, 3.0])
         with pytest.raises(DataError):
-            hill_estimate(vals, 0, 3)
+            curves_of([1.0, 2.0, 3.0], 3)
         with pytest.raises(DataError):
-            hill_estimate(vals, 0, 0)
+            curves_of([1.0, 2.0, 3.0], 0)
 
     def test_negative_values_rejected(self):
         with pytest.raises(DataError):
-            hill_estimate(column([1.0, -2.0, 3.0]), 0, 1)
+            _log_excess_moments(np.c_[[1.0, -2.0, 3.0]], 1)
 
-    def test_scale_zero_when_hill_zero(self):
-        vals = column([1.0, 5.0, 5.0, 5.0])
-        assert scale_estimate(vals, 0, 2) == 0.0
+    def test_no_scale_when_hill_zero(self):
+        # a constant top has M_1 = M_2 = 0: flagged, with no scale estimate
+        curves = curves_of([1.0, 5.0, 5.0, 5.0], 2)
+        assert curves.gamma_plus[0] == 0.0 and curves.flag[0] == 1
+        assert math.isnan(curves.a_hat[0])
 
     def test_hill_scale_invariance(self):
         rng = np.random.default_rng(0)
-        vals = column(rng.pareto(2.0, 100) + 1.0)
-        a = hill_estimate(vals, 0, 20)
-        b = hill_estimate(7.0 * vals, 0, 20)
+        vals = rng.pareto(2.0, 100) + 1.0
+        a = curves_of(vals, 20).gamma_plus[0]
+        b = curves_of(7.0 * vals, 20).gamma_plus[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_moment_scale_invariance(self):
         rng = np.random.default_rng(1)
-        vals = column(rng.pareto(2.0, 100) + 1.0)
-        a = moment_estimate(vals, 0, 20)
-        b = moment_estimate(0.01 * vals, 0, 20)
+        vals = rng.pareto(2.0, 100) + 1.0
+        a = curves_of(vals, 20).gamma[0]
+        b = curves_of(0.01 * vals, 20).gamma[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_only_top_k_plus_one_matter(self):
@@ -109,59 +103,55 @@ class TestEdgeCases:
         vals = rng.pareto(1.0, 200) + 1.0
         lo = np.sort(vals)[: 200 - 21]
         changed = np.concatenate([lo * 0.5, np.sort(vals)[200 - 21 :]])
-        assert hill_estimate(column(vals), 0, 20) == pytest.approx(
-            hill_estimate(column(changed), 0, 20), rel=1e-12
-        )
-        assert moment_estimate(column(vals), 0, 20) == pytest.approx(
-            moment_estimate(column(changed), 0, 20), rel=1e-12
-        )
+        a, b = curves_of(vals, 20), curves_of(changed, 20)
+        assert a.gamma_plus[0] == pytest.approx(b.gamma_plus[0], rel=1e-12)
+        assert a.gamma[0] == pytest.approx(b.gamma[0], rel=1e-12)
 
     def test_rank_based_small_sample(self):
         # top 3 of {0.7, 1.4, 2.8, 5.6} with k=2: excesses over 1.4 are
         # {log 2, log 4}, so the Hill value is 1.5 log 2
-        vals = column([0.7, 1.4, 2.8, 5.6])
-        assert hill_estimate(vals, 0, 2) == pytest.approx(1.5 * math.log(2.0), rel=1e-12)
-        assert location_estimate(vals, 0, 2) == pytest.approx(1.4, rel=1e-12)
+        curves = curves_of([0.7, 1.4, 2.8, 5.6], 2)
+        assert curves.gamma_plus[0] == pytest.approx(1.5 * math.log(2.0), rel=1e-12)
+        assert curves.u_hat[0] == pytest.approx(1.4, rel=1e-12)
 
 
 class TestConsistencyOnSyntheticLaws:
     def test_hill_on_pure_pareto(self):
         # gamma_plus = 1/alpha for a Pareto(alpha) tail; average over
-        # replications to beat the k**-1/2 noise
+        # replications to beat the k**-1/2 noise; replication r is column r
         rng = np.random.default_rng(3)
-        ests = []
-        for _ in range(200):
-            vals = 1.0 / (1.0 - rng.random(2000))
-            ests.append(hill_estimate(column(vals), 0, 100))
+        draws = 1.0 / (1.0 - rng.random((200, 2000)))
+        ests = curves_of(draws.T, 100).gamma_plus
         assert np.mean(ests) == pytest.approx(1.0, abs=0.05)
 
     def test_negative_part_on_pareto(self):
         # Pareto has gamma_minus = 0
         rng = np.random.default_rng(4)
         vals = 1.0 / (1.0 - rng.random(100_000)) ** 0.5
-        est = negative_index_estimate(column(vals), 0, 500)
+        est = curves_of(vals, 500).gamma_minus[0]
         assert abs(est) < 0.15
 
     def test_moment_estimator_bounded_support(self):
         # uniform on (0, 1] has gamma = -1
         rng = np.random.default_rng(5)
         vals = rng.random(100_000)
-        est = moment_estimate(column(vals), 0, 500)
+        est = curves_of(vals, 500).gamma[0]
         assert est == pytest.approx(-1.0, abs=0.2)
 
 
 class TestEstimateCurves:
-    def test_matches_scalar_estimators(self):
+    def test_columns_match_one_column_runs(self):
+        # a column's estimates do not depend on its neighbours, bit for bit
         rng = np.random.default_rng(6)
         g = make_grid(m=3)
         sample = PathSample(g, rng.pareto(1.5, (400, 3)) + 1.0)
         curves = estimate_curves(sample, 40)
         for j in range(3):
-            assert curves.gamma_plus[j] == hill_estimate(sample.values, j, 40)
-            assert curves.gamma_minus[j] == negative_index_estimate(sample.values, j, 40)
-            assert curves.gamma[j] == moment_estimate(sample.values, j, 40)
-            assert curves.u_hat[j] == location_estimate(sample.values, j, 40)
-            assert curves.a_hat[j] == scale_estimate(sample.values, j, 40)
+            alone = estimate_curves(
+                PathSample(make_grid(points=[g.points[j]]), sample.values[:, [j]]), 40
+            )
+            for name in ("gamma_plus", "gamma_minus", "gamma", "u_hat", "a_hat", "flag"):
+                assert bits(getattr(curves, name)[j]) == bits(getattr(alone, name)[0]), name
         assert not curves.flag.any()
 
     def test_degenerate_column_flagged_not_fatal(self):
@@ -211,7 +201,7 @@ class TestOnSimulatedFamilies:
 
 # The per-column estimators as they were before the column kernel: each
 # column partitioned on its own, moments by 1-d np.mean.  estimate_curves
-# and the scalar estimators must reproduce them bit for bit.
+# must reproduce them bit for bit.
 
 
 def reference_top_log_excesses(vals, j, k):
@@ -222,12 +212,10 @@ def reference_top_log_excesses(vals, j, k):
 
 
 def reference_negative_part(m1, m2):
-    if m2 <= 0.0:
-        raise DegenerateTailError("second log-excess moment is zero")
-    ratio = m1 * m1 / m2
-    if ratio >= 1.0:
-        raise DegenerateTailError("degenerate")
-    return 1.0 - 0.5 / (1.0 - ratio)
+    """gamma_minus of one column, or None where the column is degenerate."""
+    if m2 <= 0.0 or m1 * m1 / m2 >= 1.0:
+        return None
+    return 1.0 - 0.5 / (1.0 - m1 * m1 / m2)
 
 
 def reference_curves(sample, k):
@@ -240,14 +228,14 @@ def reference_curves(sample, k):
         m2 = float(np.mean(excess ** 2))
         gp[j] = m1
         u[j] = u_j
-        try:
-            gm[j] = reference_negative_part(m1, m2)
-            g[j] = m1 + gm[j]
-            a[j] = u_j * m1 * (1.0 - gm[j])
-        except DegenerateTailError:
+        gm_j = reference_negative_part(m1, m2)
+        if gm_j is None:
             gm[j] = g[j] = a[j] = np.nan
             flag[j] = 1
             continue
+        gm[j] = gm_j
+        g[j] = m1 + gm_j
+        a[j] = u_j * m1 * (1.0 - gm_j)
         if m1 == 0.0:
             a[j] = 0.0
             flag[j] = 1
@@ -285,29 +273,10 @@ def assert_matches_reference(sample, k):
     want = reference_curves(sample, k)
     for name, arr in want.items():
         assert bits(getattr(curves, name)) == bits(arr), name
+    m2 = _log_excess_moments(sample.values, k)[2]
     for j in range(sample.m):
-        excess, u = reference_top_log_excesses(sample.values, j, k)
-        m1, m2 = float(np.mean(excess)), float(np.mean(excess ** 2))
-        assert bits(hill_estimate(sample, j, k)) == bits(m1)
-        assert bits(log_excess_moment(sample, j, k, 2)) == bits(m2)
-        assert bits(log_excess_moment(sample, j, k, 3)) == bits(np.mean(excess ** 3))
-        assert bits(location_estimate(sample, j, k)) == bits(float(u))
-        try:
-            gm = reference_negative_part(m1, m2)
-        except DegenerateTailError:
-            for est in (negative_index_estimate, moment_estimate):
-                with pytest.raises(DegenerateTailError):
-                    est(sample, j, k)
-            if m1 == 0.0:
-                assert scale_estimate(sample, j, k) == 0.0
-            else:
-                with pytest.raises(DegenerateTailError):
-                    scale_estimate(sample, j, k)
-            continue
-        assert bits(negative_index_estimate(sample, j, k)) == bits(gm)
-        assert bits(moment_estimate(sample, j, k)) == bits(m1 + gm)
-        want_a = 0.0 if m1 == 0.0 else float(u) * m1 * (1.0 - gm)
-        assert bits(scale_estimate(sample, j, k)) == bits(want_a)
+        excess, _ = reference_top_log_excesses(sample.values, j, k)
+        assert bits(m2[j]) == bits(np.mean(excess ** 2))
     return curves
 
 

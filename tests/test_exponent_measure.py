@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from funcevt import exponent_measure
@@ -12,9 +14,9 @@ from funcevt.exponent_measure import (
     MeasureOracle,
     canonical_metric,
     covariance_matrix,
-    homogeneity_check,
     sup_integral,
 )
+from funcevt.limit_theory import _CLIP_TOL
 from funcevt.path_model import DataError, make_grid
 from funcevt.process_sim import KernelSpec
 
@@ -109,11 +111,11 @@ class TestMovingMaxOracle:
 
     def test_homogeneity(self):
         oracle = MeasureOracle.moving_max()
-        pairs = [((0.0, 1.0), (0.5, 1.0)), ((0.1, 2.0), (0.7, 0.8))]
-        assert homogeneity_check(oracle, 1.0, pairs) < 1e-9
-        assert homogeneity_check(oracle, 2.0, pairs) < 1e-9
-        with pytest.raises(DataError):
-            homogeneity_check(oracle, 0.0, pairs)
+        for t, x, s, y in ((0.0, 1.0, 0.5, 1.0), (0.1, 2.0, 0.7, 0.8)):
+            base = oracle.intersection_mass(t, x, s, y)
+            for r in (1.0, 2.0):
+                scaled = oracle.intersection_mass(t, r * x, s, r * y)
+                assert abs(scaled - base / r) * r / base < 1e-9
 
 
 def random_cells(seed, count):
@@ -139,9 +141,11 @@ class TestDoubleExpClosedForm:
     def test_homogeneity_and_symmetry(self, rate):
         oracle = MeasureOracle.moving_max(KernelSpec("double-exp", rate=rate))
         cells = list(random_cells(7, 50))
-        pairs = [((t, x), (s, y)) for t, x, s, y in cells]
         for r in (0.3, 2.0, 17.0):
-            assert homogeneity_check(oracle, r, pairs) < 1e-12
+            for t, x, s, y in cells:
+                base = oracle.intersection_mass(t, x, s, y)
+                scaled = oracle.intersection_mass(t, r * x, s, r * y)
+                assert abs(scaled - base / r) * r / base < 1e-12
         for t, x, s, y in cells:
             assert oracle.intersection_mass(t, x, s, y) == oracle.intersection_mass(
                 s, y, t, x
@@ -227,8 +231,11 @@ class TestGbmOracle:
             assert analytic.intersection_mass(t, x, s, y) == pytest.approx(mc, abs=0.01)
 
     def test_homogeneity_exact(self):
-        pairs = [((0.0, 1.0), (1.0, 1.0)), ((0.2, 3.0), (0.6, 1.5))]
-        assert homogeneity_check(MeasureOracle.pareto_gbm(), 2.0, pairs) < 1e-12
+        oracle = MeasureOracle.pareto_gbm()
+        for t, x, s, y in ((0.0, 1.0, 1.0, 1.0), (0.2, 3.0, 0.6, 1.5)):
+            base = oracle.intersection_mass(t, x, s, y)
+            scaled = oracle.intersection_mass(t, 2.0 * x, s, 2.0 * y)
+            assert abs(scaled - base / 2.0) * 2.0 / base < 1e-12
 
 
 class TestCanonicalMetric:
@@ -353,3 +360,59 @@ class TestCovarianceMatrix:
             covariance_matrix(
                 MeasureOracle.pareto_gbm(), make_grid(m=2), np.array([1.0, -2.0])
             )
+
+
+# The double-exp mass is capped at the smaller marginal mass.  The gbm and
+# student-t masses are not: where one cell nearly contains the other they
+# can round a few ulps above it, so their bound allows a relative 1e-14.
+ORACLES = {
+    "double-exp": (MeasureOracle.moving_max(), 0.0),
+    "double-exp-rate-3": (MeasureOracle.moving_max(KernelSpec("double-exp", rate=3.0)), 0.0),
+    "gbm": (MeasureOracle.pareto_gbm(), 1e-14),
+    "student-t": (MeasureOracle.moving_max(KernelSpec("student-t", rate=1.0, df=3.0)), 1e-14),
+}
+
+
+def cells(level_bound):
+    """(t, x, s, y, r): times in [0, 1], levels and scale log-uniform."""
+    level = st.floats(-level_bound, level_bound).map(math.exp)
+    unit = st.floats(0.0, 1.0)
+    return st.tuples(unit, level, unit, level, level)
+
+
+def check_cell(oracle, slack, cell):
+    t, x, s, y, r = cell
+    nu = oracle.intersection_mass(t, x, s, y)
+    scaled = oracle.intersection_mass(t, r * x, s, r * y)
+    assert abs(scaled - nu / r) <= 1e-12 * nu / r
+    assert oracle.intersection_mass(s, y, t, x) == nu
+    assert 0.0 < nu <= min(1.0 / x, 1.0 / y) * (1.0 + slack)
+
+
+class TestOracleProperties:
+    @pytest.mark.parametrize("name", ["double-exp", "double-exp-rate-3", "gbm"])
+    @settings(max_examples=200, deadline=None)
+    @given(cell=cells(7.0))
+    def test_closed_forms(self, name, cell):
+        check_cell(*ORACLES[name], cell)
+
+    @settings(max_examples=10, deadline=None)
+    @given(cell=cells(2.0))
+    def test_student_t_quadrature(self, cell):
+        # the masses come from quadrature with an absolute tolerance, so
+        # the levels stay where the masses are not small
+        check_cell(*ORACLES["student-t"], cell)
+
+
+class TestCovarianceProperties:
+    @pytest.mark.parametrize("name", ["double-exp", "gbm"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        times=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True).map(sorted),
+        levels=st.lists(st.floats(-7.0, 7.0).map(math.exp), min_size=1, max_size=6),
+    )
+    def test_symmetric_and_positive_semidefinite(self, name, times, levels):
+        cov = covariance_matrix(ORACLES[name][0], make_grid(points=times), np.array(levels))
+        np.testing.assert_array_equal(cov, cov.T)
+        eig = np.linalg.eigvalsh(cov)
+        assert eig.min() >= -_CLIP_TOL * eig.max()

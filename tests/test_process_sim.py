@@ -9,15 +9,14 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from funcevt import process_sim
-from funcevt.path_model import make_grid
+from funcevt.exponent_measure import sup_integral
+from funcevt.path_model import TimeGrid, make_grid
 from funcevt.process_sim import (
     DOUBLE_EXP,
     STUDENT_T,
     KernelSpec,
     SimConfig,
     SimulationError,
-    empirical_max_check,
-    moving_max_from_points,
     simulate_moving_max,
     simulate_pareto_gbm,
 )
@@ -70,16 +69,18 @@ class TestKernelSpec:
 
 
 class TestMovingMax:
+    # a path from a forced point set {(x_j, y_j)} is max_j f(t + x_j) / y_j
+
     def test_forced_single_point(self):
         g = make_grid(points=[0.0, 0.5, 1.0])
         k = KernelSpec("double-exp", rate=1.0)
-        vals = moving_max_from_points(k, g, xs=[0.0], ys=[1.0])
+        vals = k.density(g.points + 0.0) / 1.0
         np.testing.assert_allclose(vals, 0.5 * np.exp(-g.points), rtol=1e-14)
 
     def test_forced_two_points_take_max(self):
         g = make_grid(points=[0.0, 1.0])
         k = KernelSpec("double-exp", rate=1.0)
-        vals = moving_max_from_points(k, g, xs=[0.0, -1.0], ys=[1.0, 0.25])
+        vals = np.maximum(k.density(g.points + 0.0) / 1.0, k.density(g.points - 1.0) / 0.25)
         # second point contributes f(t-1)/0.25 = 2 exp(-|t-1|)
         np.testing.assert_allclose(vals, [2.0 * math.exp(-1.0), 2.0], rtol=1e-14)
 
@@ -332,27 +333,47 @@ class TestParetoGbm:
         np.testing.assert_array_equal(a.values, b.values)
 
 
+# Max-stability: P{max_i xi_i(t_j) <= n x_j for all j} against its limit
+# exp(-integral of max_j f(t_j + u)/x_j du) for the moving-max family and
+# exp(-E max_j B(t_j)/x_j) for the pareto-gbm family, with E by a seeded
+# Monte Carlo of 400,000 profiles.  Replicate r is seeded by the r-th
+# child of SeedSequence(seed), and the standard error of the hit share p
+# is sqrt(max(p (1 - p), 1/reps) / reps).
+
+
 class TestEmpiricalMaxCheck:
     def test_moving_max_single_time_levels(self):
         # Frechet marginals are max-stable, so the empirical probability
         # is unbiased at every n: P{max <= n x} = exp(-1/x) exactly
+        grid, n, reps = TimeGrid(np.array([0.5])), 50, 500
         for x, seed in ((2.0, 1), (1.0, 2)):
-            rep = empirical_max_check(
-                "moving-max", [0.5], [x], n=50, reps=500, seed=seed
+            levels = np.array([x])
+            limit = math.exp(-sup_integral(KernelSpec(), grid.points, levels, tol=1e-10))
+            assert limit == pytest.approx(math.exp(-1.0 / x), rel=1e-9)
+            # a floor of n x / 50 (at least 1) never reaches the level n x
+            cfg = dict(n=n, value_floor=max(1.0, n * x / 50.0))
+            hits = sum(
+                np.all(simulate_moving_max(KernelSpec(), grid, SimConfig(seed=child, **cfg))
+                       .values.max(axis=0) <= n * levels)
+                for child in np.random.SeedSequence(seed).spawn(reps)
             )
-            assert rep.limit == pytest.approx(math.exp(-1.0 / x), rel=1e-9)
-            assert rep.abs_error < 4.0 * rep.se + 0.01
+            emp = hits / reps
+            se = math.sqrt(max(emp * (1.0 - emp), 1.0 / reps) / reps)
+            assert abs(emp - limit) < 4.0 * se + 0.01
 
     def test_gbm_two_times(self):
         # E max(B(0), B(1)) = 2 Phi(1/2), so the limit is exp(-2 Phi(1/2))
-        rep = empirical_max_check("pareto-gbm", [0.0, 1.0], [1.0, 1.0], n=2000, reps=400, seed=3)
-        assert rep.limit == pytest.approx(math.exp(-2.0 * stats.norm.cdf(0.5)), abs=5e-3)
-        assert rep.abs_error < 4.0 * rep.se + 0.01
-
-    def test_input_validation(self):
-        with pytest.raises(SimulationError):
-            empirical_max_check("moving-max", [0.0, 1.0], [1.0], n=10, reps=2)
-        with pytest.raises(SimulationError):
-            empirical_max_check("moving-max", [0.0], [-1.0], n=10, reps=2)
-        with pytest.raises(SimulationError):
-            empirical_max_check("weibull", [0.0], [1.0], n=10, reps=2)
+        grid, levels, n, reps = TimeGrid(np.array([0.0, 1.0])), np.array([1.0, 1.0]), 2000, 400
+        z = np.random.default_rng([3, 1]).standard_normal((400_000, grid.m))
+        w = np.cumsum(z * np.sqrt(np.diff(grid.points, prepend=0.0)), axis=1)
+        b = np.exp(w - 0.5 * grid.points)
+        limit = math.exp(-float(np.mean((b / levels).max(axis=1))))
+        assert limit == pytest.approx(math.exp(-2.0 * stats.norm.cdf(0.5)), abs=5e-3)
+        hits = sum(
+            np.all(simulate_pareto_gbm(grid, SimConfig(n=n, seed=child)).values.max(axis=0)
+                   <= n * levels)
+            for child in np.random.SeedSequence(3).spawn(reps)
+        )
+        emp = hits / reps
+        se = math.sqrt(max(emp * (1.0 - emp), 1.0 / reps) / reps)
+        assert abs(emp - limit) < 4.0 * se + 0.01

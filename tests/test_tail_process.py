@@ -19,10 +19,9 @@ from funcevt.process_sim import KernelSpec, SimConfig, simulate_moving_max, simu
 from funcevt.tail_process import (
     OscillationConfig,
     TailField,
+    _exceedance_counts,
     build_tail_field,
-    exceedance_fraction,
     oscillation_diagnostic,
-    tail_empirical_process,
     tail_quantile_stat,
     weighted_sup_distance,
 )
@@ -37,16 +36,20 @@ HAND = pareto_column([1.0, 1.0, 1.0, 1.0, 2.0, 4.0, 8.0, 16.0])
 
 
 class TestExceedanceFraction:
+    # the fraction S_{n,t}(x) of the n values at or above x is counts / n
+
     def test_hand_counts(self):
-        assert exceedance_fraction(HAND, 0, 4.0) == pytest.approx(3.0 / 8.0)
-        assert exceedance_fraction(HAND, 0, 1.0) == pytest.approx(1.0)
-        assert exceedance_fraction(HAND, 0, 100.0) == 0.0
+        frac = _exceedance_counts(HAND.values, np.array([4.0, 1.0, 100.0]))[0] / HAND.n
+        assert frac[0] == pytest.approx(3.0 / 8.0)
+        assert frac[1] == pytest.approx(1.0)
+        assert frac[2] == 0.0
 
     def test_threshold_is_inclusive(self):
-        assert exceedance_fraction(HAND, 0, 16.0) == pytest.approx(1.0 / 8.0)
+        frac = _exceedance_counts(HAND.values, np.array([16.0]))[0] / HAND.n
+        assert frac[0] == pytest.approx(1.0 / 8.0)
 
     def test_vectorised(self):
-        out = exceedance_fraction(HAND, 0, np.array([4.0, 8.0]))
+        out = _exceedance_counts(HAND.values, np.array([4.0, 8.0]))[0] / HAND.n
         np.testing.assert_allclose(out, [3.0 / 8.0, 2.0 / 8.0])
 
     @settings(max_examples=60, deadline=None)
@@ -57,35 +60,34 @@ class TestExceedanceFraction:
         n, m = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 3))
         paths = ParetoPaths(make_grid(m=m), data.draw(hnp.arrays(float, (n, m), elements=some)))
         x = data.draw(hnp.arrays(float, st.integers(0, 12), elements=some | st.just(math.nan)))
+        got = _exceedance_counts(paths.values, x) / n
+        ordered = _exceedance_counts(paths.values, np.sort(x[~np.isnan(x)])) / n
         for j in range(m):
             col = paths.values[:, j]
-            got = exceedance_fraction(paths, j, x)
             want = np.array([np.count_nonzero(col >= level) for level in x]) / n
-            assert got.tobytes() == want.tobytes()
-            ordered = exceedance_fraction(paths, j, np.sort(x[~np.isnan(x)]))
-            assert np.all(np.diff(ordered) <= 0.0)
+            assert got[j].tobytes() == want.tobytes()
+            assert np.all(np.diff(ordered[j]) <= 0.0)
 
 
 class TestTailEmpiricalProcess:
     # n=8, k=2 so n/k = 4 and sqrt(k) = sqrt(2)
 
     def test_hand_values(self):
-        w1 = tail_empirical_process(HAND, 0, 1.0, 2)
+        w1, w2 = build_tail_field(HAND, 2, x_grid=[1.0, 2.0]).values[0]
         assert w1 == pytest.approx(math.sqrt(2.0) * (4.0 * 3.0 / 8.0 - 1.0))
-        w2 = tail_empirical_process(HAND, 0, 2.0, 2)
         assert w2 == pytest.approx(math.sqrt(2.0) * (4.0 * 2.0 / 8.0 - 0.5))
 
     def test_no_exceedances_gives_minus_inverse_level(self):
-        w = tail_empirical_process(HAND, 0, 8.0, 2)
+        w = build_tail_field(HAND, 2, x_grid=[8.0]).values[0, 0]
         assert w == pytest.approx(-math.sqrt(2.0) / 8.0)
 
     def test_level_must_be_positive(self):
         with pytest.raises(DataError):
-            tail_empirical_process(HAND, 0, 0.0, 2)
+            build_tail_field(HAND, 2, x_grid=[0.0])
 
     def test_k_range_checked(self):
         with pytest.raises(DataError):
-            tail_empirical_process(HAND, 0, 1.0, 8)
+            build_tail_field(HAND, 8, x_grid=[1.0])
 
     def test_centred_and_scaled_on_iid_pareto(self):
         # on iid standard Pareto the variance of w_n(x) is
@@ -108,8 +110,9 @@ class TestTailField:
         paths = ParetoPaths(g, 1.0 / (1.0 - rng.random((500, 3))))
         field = build_tail_field(paths, 50, n_x=16)
         assert field.values.shape == (3, 16)
+        alone = ParetoPaths(make_grid(points=[g.points[1]]), paths.values[:, [1]])
         np.testing.assert_allclose(
-            field.values[1], tail_empirical_process(paths, 1, field.x_grid, 50)
+            field.values[1], build_tail_field(alone, 50, x_grid=field.x_grid).values[0]
         )
         assert field.x_grid[0] == pytest.approx(1.0)
         assert field.x_grid[-1] == pytest.approx(500 / 50)
@@ -327,7 +330,7 @@ class TestKernelsMatchReference:
             want = reference_tail_empirical_process(zeta, j, x_grid, k)
             assert field.values[j].tobytes() == want.tobytes()
             x = x_grid * 12 / k
-            got = exceedance_fraction(zeta, j, x)
+            got = _exceedance_counts(zeta.values, x)[j] / zeta.n
             assert got.tobytes() == reference_exceedance_fraction(zeta, j, x).tobytes()
         got = tail_quantile_stat(zeta, k, [2.0, -1.0, 0.5])
         assert got.tobytes() == reference_quantile_stat(zeta, k, [2.0, -1.0, 0.5]).tobytes()

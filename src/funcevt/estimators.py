@@ -58,7 +58,7 @@ class EstimatorCurves:
     """Estimates of all five quantities as curves over the time grid.
 
     flag is 1 where the column was degenerate (gamma_minus, gamma and
-    a_hat are nan there, or a_hat = 0 with gamma_plus = 0).
+    a_hat are nan there).
     """
 
     grid: TimeGrid
@@ -103,7 +103,5 @@ def estimate_curves(sample, k) -> EstimatorCurves:
     u, m1, m2 = _log_excess_moments(sample.values, k)
     gm, degenerate = _negative_part(m1, m2)
     a = u * m1 * (1.0 - gm)
-    flat = (m1 == 0.0) & ~degenerate  # no scale without gamma_plus
-    a[flat] = 0.0
-    flag = (degenerate | flat).astype(np.uint8)
+    flag = degenerate.astype(np.uint8)
     return EstimatorCurves(sample.grid, int(k), sample.n, m1, gm, m1 + gm, u, a, flag)

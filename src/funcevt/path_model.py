@@ -49,7 +49,8 @@ def check_k(k, n) -> int:
 def partition_columns(values, k):
     """(cols, check_k(k, n)): the columns of values (n x m) as the rows of a
     new C-contiguous array, each with its k + 1 largest values last and
-    the (k+1)-th largest first of them (contiguous rows partition faster)."""
+    the (k+1)-th largest first of them (contiguous rows partition faster);
+    for column-major values, as samples store them, a straight copy."""
     k = check_k(k, values.shape[0])
     cols = np.array(values.T, order="C")  # always a copy: partitioned in place
     cols.partition(values.shape[0] - k - 1, axis=1)
@@ -129,7 +130,9 @@ def _check_values(values, grid, minimum, what):
     if np.any(vals < minimum) or (minimum == 0.0 and np.any(vals == 0.0)):
         bound = "positive" if minimum == 0.0 else f">= {minimum}"
         raise DataError(f"{what} values must be {bound}")
-    return vals
+    # column-major: every per-time kernel reads one contiguous column; this
+    # copies only input that arrives row-major, such as a CSV load
+    return np.asfortranarray(vals)
 
 
 def _write_csv(path, grid, values):
@@ -153,7 +156,8 @@ def _read_csv(path):
 
 @dataclass(frozen=True)
 class PathSample:
-    """n paths of a positive process on a common time grid."""
+    """n paths of a positive process on a common time grid; values (n x m)
+    is stored column-major, so each time's column is contiguous."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -184,7 +188,8 @@ class PathSample:
 
 @dataclass(frozen=True)
 class ParetoPaths:
-    """Paths standardised to the Pareto scale, zeta = 1/(1 - F_t(xi)) >= 1."""
+    """Paths standardised to the Pareto scale, zeta = 1/(1 - F_t(xi)) >= 1;
+    values is stored column-major, as in `PathSample`."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -301,7 +306,7 @@ def pareto_transform(sample, model) -> ParetoPaths:
     Applies `pareto_scale` column by column using the marginal model.
     Output values are >= 1.
     """
-    out = np.empty_like(sample.values)
+    out = np.empty((sample.m, sample.n))  # one contiguous row per time
     for j, t in enumerate(sample.grid.points):
-        out[:, j] = pareto_scale(model, t, sample.values[:, j])
-    return ParetoPaths(sample.grid, out)
+        out[j] = pareto_scale(model, t, sample.values[:, j])
+    return ParetoPaths(sample.grid, out.T)

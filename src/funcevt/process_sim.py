@@ -216,7 +216,7 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     total = int(starts[-1])
     xs, ys = xs[keep], ys[keep]
 
-    vals = np.full((n, m), float(floor))
+    vals = np.full((m, n), float(floor))  # one row per time: column-major paths
 
     # Chunks of consecutive non-empty paths hold at most `budget` points,
     # unless one path alone holds more.  Cutting at every multiple of
@@ -236,8 +236,8 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
         dens = kernel.density(grid.points[None, :] + xs[sl, None])
         dens /= ys[sl, None]
         red = np.maximum.reduceat(dens, first[a:b] - first[a], axis=0)
-        vals[nz[a:b]] = np.maximum(red, floor)
-    return PathSample(grid, vals, MOVING_MAX)
+        vals[:, nz[a:b]] = np.maximum(red, floor).T
+    return PathSample(grid, vals.T, MOVING_MAX)
 
 
 def simulate_pareto_gbm(grid, cfg) -> PathSample:
@@ -247,6 +247,14 @@ def simulate_pareto_gbm(grid, cfg) -> PathSample:
     y = 1.0 / (1.0 - rng.random(n))
     z = rng.standard_normal((n, grid.m))
     dt = np.diff(grid.points, prepend=0.0)
-    w = np.cumsum(z * np.sqrt(dt), axis=1)
-    b = np.exp(w - 0.5 * grid.points)
-    return PathSample(grid, y[:, None] * b, PARETO_GBM)
+    # one (m, n) array, one row per time, worked on in place: the increments
+    # sqrt(dt) Z, then W(t_j) = W(t_{j-1}) + increment j, the sums that a
+    # cumsum along each path adds in the same order
+    w = np.multiply(z.T, np.sqrt(dt)[:, None], order="C")
+    del z
+    for j in range(1, grid.m):
+        w[j] += w[j - 1]
+    w -= 0.5 * grid.points[:, None]
+    np.exp(w, out=w)
+    w *= y
+    return PathSample(grid, w.T, PARETO_GBM)

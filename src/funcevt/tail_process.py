@@ -28,7 +28,8 @@ from funcevt.path_model import DataError, TimeGrid, check_k, partition_columns
 
 def _exceedance_counts(values, x):
     """#{i : values[i, j] >= x_l} as an (m, x.size) integer array: one sort per
-    column, then one binary search of all (j, l) cells for the values below x_l."""
+    column (a straight copy for column-major values, as samples store them),
+    then one binary search of all (j, l) cells for the values below x_l."""
     cols = np.array(values.T, order="C")  # a copy, sorted in place
     cols.sort(axis=1)
     m, n = cols.shape

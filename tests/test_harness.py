@@ -2,10 +2,13 @@ import json
 import math
 import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from funcevt import harness, path_model
@@ -303,6 +306,35 @@ class TestExportLoad:
         back = load_report(p)
         assert back.schema == 1 and back.config["c"] == 1.0
         np.testing.assert_array_equal(back.mean, report.mean)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_is_exact(self, fmt, data):
+        # any float a row can hold, nan included (numpy's own nan, which
+        # is what the ks column holds); CSV keeps only the rows
+        size = data.draw(st.integers(0, 5))
+        number = st.one_of(st.floats(allow_nan=False), st.just(math.nan))
+        rows = [np.array(data.draw(st.lists(number, min_size=size, max_size=size)),
+                         dtype=float) for _ in range(5)]
+        echo = st.dictionaries(
+            st.text(max_size=8),
+            st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.text()),
+            max_size=4,
+        )
+        counts = [data.draw(st.integers(0, 10**6)) for _ in range(3)]
+        report = StatsReport("tailcov", "w", *rows, *counts, data.draw(echo),
+                             data.draw(st.text(max_size=16)), data.draw(echo))
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, f"report.{fmt}")
+            export_report(report, path, fmt)
+            back = load_report(path, fmt)
+        for name in ("t", "mean", "var", "var_limit", "ks"):
+            assert getattr(back, name).tobytes() == getattr(report, name).tobytes()
+        if fmt == "json":
+            for name in ("kind", "statistic", "reps", "used", "flagged", "config",
+                         "config_hash", "extra", "schema"):
+                assert getattr(back, name) == getattr(report, name)
 
 
 def hand_report(kind, statistic="hill", t=(0.0,), mean=(0.0,), var=(1.0,),

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
+from funcevt.estimators import _log_excess_moments
 from funcevt.path_model import (
     DataError,
     MarginalModel,
@@ -17,8 +19,12 @@ from funcevt.path_model import (
     TimeGrid,
     make_grid,
     marginal_model_for,
+    pareto_scale,
     pareto_transform,
+    partition_columns,
 )
+from funcevt.process_sim import KernelSpec, SimConfig, simulate_moving_max, simulate_pareto_gbm
+from funcevt.tail_process import _exceedance_counts
 
 
 class TestMakeGrid:
@@ -104,7 +110,62 @@ class TestMarginalModel:
             model.tail(0.0, -1.0)
 
 
+def reference_pareto_transform(sample, model):
+    """pareto_transform's values from a row-major (n, m) array, read and
+    written one strided column at a time (the loop the column-major layout
+    replaced)."""
+    vals = np.ascontiguousarray(sample.values)
+    out = np.empty_like(vals)
+    for j, t in enumerate(sample.grid.points):
+        out[:, j] = pareto_scale(model, t, vals[:, j])
+    return out
+
+
+def _clamp_messages(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught if "clamped" in str(w.message)]
+
+
+SAMPLES = ("pareto-gbm", "moving-max", "student-t")
+
+
+def _sample(case):
+    """A simulated sample of one of SAMPLES; the student-t moving-max one has
+    a raised floor, so long runs of one tied value."""
+    grid = make_grid(m=21)
+    if case == "pareto-gbm":
+        return simulate_pareto_gbm(grid, SimConfig(n=2000, seed=31))
+    if case == "moving-max":
+        return simulate_moving_max(KernelSpec(), grid, SimConfig(n=1000, seed=32))
+    cfg = SimConfig(n=1000, seed=33, value_floor=0.5)
+    return simulate_moving_max(KernelSpec("student-t", rate=2.0), make_grid(m=4), cfg)
+
+
 class TestParetoTransform:
+    # tobytes() reads in row-major order whatever the memory layout
+    @pytest.mark.parametrize("case", SAMPLES)
+    def test_bitwise_equal_to_strided_loop(self, case):
+        sample = _sample(case)
+        model = marginal_model_for(sample)
+        want = reference_pareto_transform(sample, model)
+        assert pareto_transform(sample, model).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
+    def test_bitwise_equal_to_strided_loop_with_tail_clamps(self, family):
+        # 1e300 underflows the tail, in every other column; 1e280 does not
+        sample = _sample(family)
+        vals = np.array(sample.values)
+        vals[::97, ::2] = 1e300
+        vals[5, 1] = 1e280
+        sample = PathSample(sample.grid, vals, family)
+        model = marginal_model_for(sample)
+        got, got_msgs = _clamp_messages(pareto_transform, sample, model)
+        want, want_msgs = _clamp_messages(reference_pareto_transform, sample, model)
+        assert got.values.tobytes() == want.tobytes()
+        assert len(want_msgs) == 11 and got_msgs == want_msgs
+
     def test_moving_max_unit_value(self):
         g = make_grid(m=1)
         s = PathSample(g, np.array([[1.0]]), "moving-max")
@@ -179,16 +240,18 @@ class TestSampleTypes:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_csv_round_trip_is_exact_for_any_positive_values(self, data):
+        # both sample types: PathSample values > 0, ParetoPaths values >= 1
+        cls, low = data.draw(st.sampled_from([(PathSample, 0.0), (ParetoPaths, 1.0)]))
         points = data.draw(
             st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5, unique=True).map(sorted)
         )
         shape = (data.draw(st.integers(1, 6)), len(points))
-        positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
-        s = PathSample(make_grid(points=points), data.draw(hnp.arrays(float, shape, elements=positive)))
+        values = st.floats(low, exclude_min=low == 0.0, allow_infinity=False)
+        s = cls(make_grid(points=points), data.draw(hnp.arrays(float, shape, elements=values)))
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "paths.csv")
             s.to_csv(path)
-            back = PathSample.from_csv(path)
+            back = cls.from_csv(path)
         assert back.values.tobytes() == s.values.tobytes()
         assert back.grid.points.tobytes() == s.grid.points.tobytes()
 
@@ -199,3 +262,48 @@ class TestSampleTypes:
         z.to_csv(path)
         back = ParetoPaths.from_csv(path)
         np.testing.assert_array_equal(back.values, z.values)
+
+
+class TestColumnMajorLayout:
+    """Sample values are (n, m) arrays stored column-major."""
+
+    def test_simulated_samples(self):
+        grid = make_grid(m=5)
+        for sample in (
+            simulate_pareto_gbm(grid, SimConfig(n=50, seed=1)),
+            simulate_moving_max(KernelSpec(), grid, SimConfig(n=50, seed=2)),
+        ):
+            assert sample.values.shape == (50, 5)
+            assert sample.values.flags.f_contiguous
+            assert pareto_transform(sample, marginal_model_for(sample)).values.flags.f_contiguous
+
+    def test_csv_loads(self, tmp_path):
+        g = make_grid(m=3)
+        vals = 1.0 + np.random.default_rng(5).uniform(0.0, 9.0, (7, 3))
+        for cls in (PathSample, ParetoPaths):
+            path = tmp_path / f"{cls.__name__}.csv"
+            cls(g, vals).to_csv(path)
+            back = cls.from_csv(path)
+            assert back.values.flags.f_contiguous
+            np.testing.assert_array_equal(back.values, vals)
+
+    def test_row_major_array_and_strided_view(self):
+        base = 1.0 + np.random.default_rng(6).uniform(0.0, 9.0, (40, 12))
+        g = make_grid(m=6)
+        for vals in (np.ascontiguousarray(base[:, :6]), base[::2, 1::2]):
+            for cls in (PathSample, ParetoPaths):
+                s = cls(g, vals)
+                assert s.values.flags.f_contiguous
+                assert s.values.tobytes() == vals.tobytes()
+
+    @pytest.mark.parametrize("case", SAMPLES)
+    def test_column_kernels_ignore_the_layout(self, case):
+        vals = _sample(case).values
+        c, f = np.array(vals, order="C"), np.array(vals, order="F")
+        assert c.flags.c_contiguous and f.flags.f_contiguous
+        for k in (1, 20, 300):
+            assert partition_columns(c, k)[0].tobytes() == partition_columns(f, k)[0].tobytes()
+            for a, b in zip(_log_excess_moments(c, k), _log_excess_moments(f, k)):
+                assert a.tobytes() == b.tobytes()
+        x = np.concatenate((np.geomspace(0.01, 100.0, 17), [np.median(vals)]))
+        assert _exceedance_counts(c, x).tobytes() == _exceedance_counts(f, x).tobytes()

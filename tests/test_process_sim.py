@@ -296,7 +296,42 @@ class TestMovingMaxChunks:
         assert peak < 150e6
 
 
+def reference_pareto_gbm(grid, cfg):
+    """simulate_pareto_gbm's values from a row-major (n, m) array and one
+    cumsum along each path (the code the in-place column-major update
+    replaced)."""
+    n = int(cfg.n)
+    rng = np.random.default_rng(cfg.seed)
+    y = 1.0 / (1.0 - rng.random(n))
+    z = rng.standard_normal((n, grid.m))
+    dt = np.diff(grid.points, prepend=0.0)
+    w = np.cumsum(z * np.sqrt(dt), axis=1)
+    b = np.exp(w - 0.5 * grid.points)
+    return y[:, None] * b
+
+
+# grids for the bitwise check: uniform sizes, and uneven grids from 0 and from
+# above 0 (a first increment over [0, t_0])
+GBM_GRIDS = {
+    "m1": dict(m=1),
+    "m2": dict(m=2),
+    "m4": dict(m=4),
+    "m101": dict(m=101),
+    "uneven-from-0": dict(points=[0.0, 1e-6, 0.013, 0.5, 0.51, 0.97, 1.0]),
+    "uneven-from-0.02": dict(points=[0.02, 0.3, 0.31, 0.8]),
+}
+
+
 class TestParetoGbm:
+    # tobytes() reads in row-major order whatever the memory layout, so
+    # equal bytes mean equal values, bit for bit, at every (path, time)
+    @pytest.mark.parametrize("grid", sorted(GBM_GRIDS))
+    @pytest.mark.parametrize("seed", [0, 5, 23])
+    def test_bitwise_equal_to_row_major_cumsum(self, grid, seed):
+        grid, cfg = make_grid(**GBM_GRIDS[grid]), SimConfig(n=3000, seed=seed)
+        got = simulate_pareto_gbm(grid, cfg).values
+        assert got.tobytes() == reference_pareto_gbm(grid, cfg).tobytes()
+
     def test_time_zero_is_pure_pareto(self):
         g = make_grid(points=[0.0, 0.5])
         sample = simulate_pareto_gbm(g, SimConfig(n=5000, seed=7))

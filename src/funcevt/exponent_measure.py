@@ -54,18 +54,52 @@ def _tail_radius(kernel, mass):
     return float(student.isf(mass, kernel.df)) / kernel.rate
 
 
+def _crossings(kernel, times, inv):
+    """Points u where two curves inv_j f(t_j + u) meet, over all pairs.
+
+    Both kernel shapes meet a second curve in closed form: the
+    double-exp log-densities are piecewise linear, so two curves cross
+    at most once between their peaks, and for the student-t kernel the
+    ratio of the two curves is a power of a ratio of quadratics, so
+    they meet at the roots of one quadratic.
+    """
+    a, b = np.triu_indices(len(times), k=1)
+    ta, tb = times[a], times[b]
+    log_ratio = np.log(inv[a]) - np.log(inv[b])
+    if kernel.shape == DOUBLE_EXP:
+        # |t_a + u| - |t_b + u| = log(inv_a / inv_b) / rate between the peaks
+        d = log_ratio / kernel.rate
+        inside = np.abs(d) < np.abs(tb - ta)
+        return -0.5 * (ta + tb + d * np.sign(tb - ta))[inside]
+    # with z = rate u: nu + (alpha + z)^2 = k (nu + (beta + z)^2)
+    nu = kernel.df
+    alpha, beta = kernel.rate * ta, kernel.rate * tb
+    k = np.exp(log_ratio / (0.5 * (nu + 1.0)))
+    qa = 1.0 - k
+    qb = 2.0 * (alpha - k * beta)
+    qc = alpha * alpha - k * beta * beta + nu * qa
+    disc = qb * qb - 4.0 * qa * qc
+    real = disc >= 0.0
+    qa, qb, qc = qa[real], qb[real], qc[real]
+    q = -0.5 * (qb + np.copysign(np.sqrt(disc[real]), qb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.concatenate([q / qa, qc / q])
+    return roots[np.isfinite(roots)] / kernel.rate
+
+
 def sup_integral(kernel, times, levels, tol=1e-10):
     """integral over u of max_j f(t_j + u) / x_j du.
 
-    Splits the line at kernel peaks and at crossing points of the
-    competing curves (located by a dense scan plus root refinement),
-    then applies adaptive quadrature per smooth segment.  The outer two
-    run to infinity: quad does not converge on a heavy-tailed kernel's
-    mass at one end of a segment cut at the scan radius.
+    Splits the line at kernel peaks and at the points where two curves
+    cross on the envelope (found in closed form by `_crossings`), then
+    applies adaptive quadrature per smooth segment.  Kinks in the far
+    tails, where every curve has mass below tol / 20, are left inside
+    the outer two segments, which run to infinity: quad does not
+    converge on a heavy-tailed kernel's mass at one end of a segment
+    cut far out.
     """
-    # here, not at module level: they are slow to import
+    # here, not at module level: it is slow to import
     from scipy import integrate
-    from scipy.optimize import brentq
 
     times = np.asarray(times, dtype=float)
     levels = np.asarray(levels, dtype=float)
@@ -76,37 +110,23 @@ def sup_integral(kernel, times, levels, tol=1e-10):
 
     inv = 1.0 / levels
 
-    def envelope(u):
-        u = np.asarray(u, dtype=float)
-        vals = kernel.density(times[:, None] + np.atleast_1d(u)[None, :])
-        return np.max(inv[:, None] * vals, axis=0).reshape(np.shape(u))
+    def curves(u):
+        return inv[:, None] * kernel.density(times[:, None] + np.atleast_1d(u)[None, :])
 
-    def winner(u):
-        vals = kernel.density(times[:, None] + np.atleast_1d(u)[None, :])
-        return np.argmax(inv[:, None] * vals, axis=0)
+    def envelope(u):
+        return np.max(curves(u), axis=0).reshape(np.shape(u))
+
+    # a crossing is a kink only where the two curves it joins are the
+    # envelope; a third curve above both leaves the envelope smooth there
+    cross = _crossings(kernel, times, inv)
+    vals = curves(cross)
+    top = np.sort(vals, axis=0)[-2:]
+    kinks = cross[top[0] >= top[-1] * (1.0 - 1e-9)]
 
     radius = _tail_radius(kernel, tol * float(levels.min()) / 20.0)
     lo = -radius - float(times.max())
     hi = radius - float(times.min())
-    scan = np.linspace(lo, hi, 16385)
-    owner = winner(scan)
-    switches = np.flatnonzero(owner[1:] != owner[:-1])
-
-    breaks = set(float(-t) for t in times)
-    for i in switches:
-        a_idx, b_idx = owner[i], owner[i + 1]
-
-        def diff(u, a=a_idx, b=b_idx):
-            return inv[a] * float(kernel.density(times[a] + u)) - inv[b] * float(
-                kernel.density(times[b] + u)
-            )
-
-        ua, ub = scan[i], scan[i + 1]
-        if diff(ua) * diff(ub) < 0.0:
-            breaks.add(float(brentq(diff, ua, ub, xtol=1e-14)))
-        else:
-            breaks.add(0.5 * (ua + ub))
-
+    breaks = set(float(-t) for t in times) | set(kinks.tolist())
     edges = sorted(b for b in breaks if lo < b < hi)
     cuts = [-math.inf] + edges + [math.inf]
     total = 0.0
@@ -209,7 +229,9 @@ class MeasureOracle:
         union = sup_integral(
             self.kernel, np.array([t, s]), np.array([x, y]), tol=_QUAD_TOL
         )
-        return 1.0 / x + 1.0 / y - union
+        # where one cell contains the other the difference rounds a few
+        # ulps above the smaller marginal mass, which bounds it exactly
+        return min(1.0 / x + 1.0 / y - union, 1.0 / x, 1.0 / y)
 
 
 def canonical_metric(oracle, beta, p, q) -> float:

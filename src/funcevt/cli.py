@@ -132,28 +132,35 @@ def _cmd_nu(args) -> int:
     return 0
 
 
-def _limit_json(doc) -> str:
-    """json.dumps(doc, indent=2, sort_keys=True), with doc["functionals"]
-    mapping names to 2-d float arrays that are written as nested lists.
+def _write_limit_json(doc, fh):
+    """Write json.dumps(doc, indent=2, sort_keys=True) and a newline to fh,
+    with doc["functionals"] mapping names to 2-d float arrays that are
+    written as nested lists.
 
     json's indenting encoder is pure Python and slow on the draws, so
     each array is written by one %-format of its floats with "%r", which
-    is what json writes for a finite float.  An array that is empty or
-    holds a NaN or an infinity (json writes NaN / Infinity there) goes
-    through json.
+    is what json writes for a finite float, straight after the part of
+    the json skeleton that precedes it: only one array's text is held at
+    a time.  An array that is empty or holds a NaN or an infinity (json
+    writes NaN / Infinity there) goes through json.
     """
     arrays = doc["functionals"]
     if not all(a.size and np.isfinite(a).all() for a in arrays.values()):
         lists = {name: a.tolist() for name, a in arrays.items()}
-        return json.dumps({**doc, "functionals": lists}, indent=2, sort_keys=True)
+        fh.write(json.dumps({**doc, "functionals": lists}, indent=2, sort_keys=True))
+        fh.write("\n")
+        return
     marks = {name: f"<{name}>" for name in arrays}
-    text = json.dumps({**doc, "functionals": marks}, indent=2, sort_keys=True)
-    for name, a in arrays.items():
+    rest = json.dumps({**doc, "functionals": marks}, indent=2, sort_keys=True)
+    for name in sorted(arrays):  # the skeleton's key order
+        head, rest = rest.split(f'"<{name}>"', 1)
+        fh.write(head + "[\n")
+        a = arrays[name]
         # each name sits at depth 2: rows at 6 spaces, floats at 8
         row = "      [\n        " + ",\n        ".join(["%r"] * a.shape[1]) + "\n      ]"
-        rows = ",\n".join([row] * a.shape[0]) % tuple(a.ravel().tolist())
-        text = text.replace(f'"<{name}>"', "[\n" + rows + "\n    ]", 1)
-    return text
+        fh.write(",\n".join([row] * a.shape[0]) % tuple(a.ravel().tolist()))
+        fh.write("\n    ]")
+    fh.write(rest + "\n")
 
 
 def _cmd_limit(args) -> int:
@@ -170,6 +177,7 @@ def _cmd_limit(args) -> int:
     print(f"clipped eigenvalues: {field.clipped}", file=sys.stderr)
     params = LimitParams.constant(t_grid.m, 1.0, 0.0, rho)
     fn = limit_functionals(field, params)
+    del field  # the functionals are all that is written; free the draws
     names = ("moment1", "moment2", "index", "location", "scale")
     doc = {
         "t": t_grid.points.tolist(),
@@ -187,9 +195,8 @@ def _cmd_limit(args) -> int:
         ],
         "functionals": {name: getattr(fn, name) for name in names},
     }
-    text = _limit_json(doc)
     with open(args.out, "w") as fh:
-        fh.write(text + "\n")
+        _write_limit_json(doc, fh)
     print(f"wrote {args.draws} limit functional draws to {args.out}")
     return 0
 

@@ -44,6 +44,10 @@ from funcevt.exponent_measure import covariance_matrix
 # relative size of the negative covariance eigenvalues taken as rounding
 _CLIP_TOL = 1e-8
 
+# normals drawn per block of limit-field draws (1 MB of float64), which
+# bounds what `simulate_limit_field` holds beside the field itself
+_DRAW_BLOCK_VALUES = 1 << 17
+
 
 class DegenerateCovarianceError(RuntimeError):
     """Covariance matrix fails positive semi-definiteness beyond tolerance."""
@@ -262,10 +266,16 @@ def simulate_limit_field(oracle, t_grid, x_grid, draws, seed=0) -> LimitField:
     The covariance is factored by symmetric eigendecomposition;
     eigenvalues in [-_CLIP_TOL * max_eig, 0) are clipped to 0 (their count
     is `LimitField.clipped`), anything lower raises DegenerateCovarianceError.
+
+    The normals are drawn and multiplied in blocks of
+    max(1, _DRAW_BLOCK_VALUES // cells) rows, the last one drawn full size
+    and cut, so every product has the same shape: draw i depends on the
+    seed, i and the grid only, and the first N draws of a larger run are
+    the draws of a run of N.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     cov = covariance_matrix(oracle, t_grid, x_grid)
-    evals, evecs = np.linalg.eigh(cov)
+    evals, factor = np.linalg.eigh(cov)
     top = float(evals.max())
     if top <= 0.0:
         raise DegenerateCovarianceError("covariance has no positive eigenvalue")
@@ -275,10 +285,19 @@ def simulate_limit_field(oracle, t_grid, x_grid, draws, seed=0) -> LimitField:
             f"clip tolerance {_CLIP_TOL:g} * {top:.3e}"
         )
     clipped = int(np.count_nonzero(evals < 0.0))
-    factor = evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
+    factor *= np.sqrt(np.clip(evals, 0.0, None))[None, :]
+    draws, cells = int(draws), cov.shape[0]
+    rows = max(1, _DRAW_BLOCK_VALUES // cells)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((int(draws), cov.shape[0]))
-    vals = (z @ factor.T).reshape(int(draws), t_grid.m, x_grid.size)
+    vals = np.empty((draws, cells))
+    for start in range(0, draws, rows):
+        z = rng.standard_normal((rows, cells))
+        out = vals[start : start + rows]
+        if out.shape[0] == rows:
+            np.matmul(z, factor.T, out=out)
+        else:
+            out[:] = (z @ factor.T)[: out.shape[0]]
+    vals = vals.reshape(draws, t_grid.m, x_grid.size)
     return LimitField(t_grid, x_grid, cov, vals, seed, clipped)
 
 

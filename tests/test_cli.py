@@ -1,10 +1,12 @@
 """End-to-end checks of the batch CLI, driven through main() with real files."""
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from scipy.special import ndtr
 
 import funcevt
-from funcevt.cli import _limit_json, main
+from funcevt.cli import _write_limit_json, main
 from funcevt.estimators import EstimatorCurves
 from funcevt.harness import ExperimentConfig, save_config
 from funcevt.path_model import ParetoPaths, PathSample, make_grid
@@ -23,6 +25,24 @@ from funcevt.tail_process import build_tail_field
 def run(capsys, argv):
     rc = main(argv)
     return rc, capsys.readouterr().out
+
+
+def written(doc):
+    buf = io.StringIO()
+    _write_limit_json(doc, buf)
+    return buf.getvalue()
+
+
+def dumped(doc):
+    lists = {name: a.tolist() for name, a in doc["functionals"].items()}
+    return json.dumps({**doc, "functionals": lists}, indent=2, sort_keys=True) + "\n"
+
+
+class Discard:
+    """A text sink that keeps nothing of what is written to it."""
+
+    def write(self, text):
+        return len(text)
 
 
 class TestSimulateEstimate:
@@ -269,14 +289,32 @@ class TestLimit:
         arrays = {name: rng.standard_normal((5, 3)) for name in ("index", "scale")}
         doc = {"family": "pareto-gbm", "variance": {"index": [1.5, math.nan]},
                "functionals": arrays}
-
-        def want():
-            lists = {name: a.tolist() for name, a in arrays.items()}
-            return json.dumps({**doc, "functionals": lists}, indent=2, sort_keys=True)
-
-        assert _limit_json(doc) == want()
+        assert written(doc) == dumped(doc)
         arrays["scale"][3, 1] = bad
-        assert _limit_json(doc) == want()
+        assert written(doc) == dumped(doc)
+
+    @pytest.mark.parametrize("shape", [(5, 1), (1, 1), (0, 3)],
+                             ids=["one-column", "one-value", "empty"])
+    def test_writer_matches_json_dumps_on_edge_shapes(self, shape):
+        rng = np.random.default_rng(5)
+        doc = {"draws": shape[0], "functionals": {
+            "index": rng.standard_normal((4, 2)), "scale": rng.standard_normal(shape)}}
+        assert written(doc) == dumped(doc)
+
+    def test_writer_holds_one_array_at_a_time(self):
+        # five functionals of a 10,000-draw, 3-time run: the whole text is
+        # about 5 MB, one array's text and floats about 2 MB
+        rng = np.random.default_rng(6)
+        names = ("moment1", "moment2", "index", "location", "scale")
+        doc = {"variance": {name: [1.0, 2.0, 3.0] for name in names},
+               "functionals": {name: rng.standard_normal((10_000, 3)) for name in names}}
+        tracemalloc.start()
+        try:
+            _write_limit_json(doc, Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
     def test_clipped_count_on_stderr_only(self, tmp_path, capsys):
         # the cell grid of a 3-time, 128-level moving-max run: its

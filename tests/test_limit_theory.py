@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from funcevt.exponent_measure import MeasureOracle
+from funcevt import limit_theory
+from funcevt.exponent_measure import MeasureOracle, covariance_matrix
 from funcevt.limit_theory import (
     DegenerateCovarianceError,
     LimitField,
@@ -27,6 +29,28 @@ def brute_force_bias(g, rho, x):
 
     val, _ = integrate.quad(inner, 1.0, x, epsabs=1e-11, epsrel=1e-11, limit=200)
     return val
+
+
+def reference_limit_field(oracle, t_grid, x_grid, draws, seed):
+    """simulate_limit_field's values from one (draws x cells) matrix of
+    normals and one product (the draw before the fixed-size blocks)."""
+    cov = covariance_matrix(oracle, t_grid, x_grid)
+    evals, evecs = np.linalg.eigh(cov)
+    factor = evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
+    z = np.random.default_rng(seed).standard_normal((draws, cov.shape[0]))
+    return (z @ factor.T).reshape(draws, t_grid.m, len(x_grid))
+
+
+FIELD_ORACLES = {"double-exp": MeasureOracle.moving_max(), "gbm": MeasureOracle.pareto_gbm()}
+
+# (times, levels, draws, seed): the limit-mm bench workload, the README's
+# default `funcevt limit`, and the two fields of acceptance 08
+FIELD_SHAPES = {
+    "limit-mm": (3, functional_x_grid(1e4, 128), 10_000, 7),
+    "readme-default": (3, functional_x_grid(1e4, 512), 1000, 0),
+    "acceptance-08-cov": (3, np.array([1.0, 2.0, 4.0, 8.0]), 10_000, 40),
+    "acceptance-08-functionals": (1, functional_x_grid(1e4, 512), 10_000, 40),
+}
 
 
 class TestSecondOrderBias:
@@ -148,6 +172,42 @@ class TestSimulateLimitField:
         flat = field.values.reshape(field.n_draws, -1)
         emp = np.cov(flat, rowvar=False)
         assert np.abs(emp - field.cov).max() < 0.06
+
+    @pytest.mark.parametrize("shape", FIELD_SHAPES)
+    @pytest.mark.parametrize("name", FIELD_ORACLES)
+    def test_blocks_match_one_shot_reference(self, name, shape):
+        # exact on these shapes only: OpenBLAS's rows can depend on the
+        # row count of the product (at 300 cells 107 of 10,000 differ)
+        m, x, draws, seed = FIELD_SHAPES[shape]
+        g = make_grid(m=m)
+        field = simulate_limit_field(FIELD_ORACLES[name], g, x, draws, seed)
+        want = reference_limit_field(FIELD_ORACLES[name], g, x, draws, seed)
+        assert field.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block_values", [None, 5 * 16])
+    def test_draws_are_prefix_stable(self, monkeypatch, block_values):
+        if block_values is not None:
+            monkeypatch.setattr(limit_theory, "_DRAW_BLOCK_VALUES", block_values)
+        oracle = MeasureOracle.moving_max()
+        g = make_grid(m=2)
+        x = functional_x_grid(16.0, 8)
+        rows = limit_theory._DRAW_BLOCK_VALUES // 16
+        big = simulate_limit_field(oracle, g, x, draws=3 * rows + 2, seed=9).values
+        for n in (1, 2, 3, rows - 1, rows, rows + 1, 2 * rows + 3):
+            small = simulate_limit_field(oracle, g, x, draws=n, seed=9).values
+            assert small.tobytes() == big[:n].tobytes(), n
+
+    def test_memory_is_the_field_and_one_block(self):
+        oracle = MeasureOracle.moving_max()
+        g = make_grid(m=3)
+        x = functional_x_grid(1e4, 128)
+        tracemalloc.start()
+        try:
+            field = simulate_limit_field(oracle, g, x, draws=10_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * field.values.nbytes
 
     def test_indefinite_matrix_rejected(self):
         class BrokenOracle:

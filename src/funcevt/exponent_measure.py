@@ -145,21 +145,18 @@ def _double_exp_mass(rate, h, x, y):
     With a = 1/x, b = 1/y and e = exp(-rate h), the integrand
     min(a f(v), b f(v+h)) is a single exponential on each of v < -h,
     (-h, c), (c, 0) and v > 0, where c is the crossing point
-    (log(x/y) - rate h)/(2 rate) clipped to [-h, 0].  The sum is capped
-    at min(a, b), which it equals exactly once one cell contains the
-    other, so rounding cannot push it past a marginal mass.  Broadcasts
-    over x and y.
+    (log(x/y) - rate h)/(2 rate) clipped to [-h, 0].  Broadcasts over x
+    and y.
     """
     a, b = 1.0 / x, 1.0 / y
     e = math.exp(-rate * h)
     c = np.clip((np.log(x / y) - rate * h) / (2.0 * rate), -h, 0.0)
-    mass = 0.5 * (
+    return 0.5 * (
         np.minimum(a, b * e)
         + np.minimum(a * e, b)
         + a * (np.exp(rate * c) - e)
         + b * (np.exp(-rate * (c + h)) - e)
     )
-    return np.minimum(mass, np.minimum(a, b))
 
 
 def _gbm_mass(h, x, y):
@@ -204,16 +201,20 @@ class MeasureOracle:
     def intersection_mass(self, t, x, s, y):
         """nu(C_{t,x} n C_{s,y}), broadcast over the levels x and y.
 
-        Returns a float for scalar levels and an array otherwise.
+        Returns a float for scalar levels and an array otherwise.  Every
+        mass is capped at min(1/x, 1/y), which it equals exactly once one
+        cell contains the other: where one nearly contains the other the
+        formulas and the quadrature round a few ulps above it.
         """
         self._check_point(t, x)
         self._check_point(s, y)
         if s < t:
             t, x, s, y = s, y, t, x
         x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        cap = np.minimum(1.0 / x, 1.0 / y)
         h = s - t
         if h == 0.0:
-            out = np.minimum(1.0 / x, 1.0 / y)
+            out = cap
         elif self.family == MOVING_MAX and self.kernel.shape == DOUBLE_EXP:
             out = _double_exp_mass(self.kernel.rate, h, x, y)
         elif self.family == PARETO_GBM:
@@ -222,6 +223,7 @@ class MeasureOracle:
             out = np.array(
                 [self._scalar_mass(t, xi, s, yi) for xi, yi in zip(x.flat, y.flat)]
             ).reshape(x.shape)
+        out = np.minimum(out, cap)
         return float(out) if out.ndim == 0 else out
 
     def _scalar_mass(self, t, x, s, y) -> float:
@@ -229,9 +231,7 @@ class MeasureOracle:
         union = sup_integral(
             self.kernel, np.array([t, s]), np.array([x, y]), tol=_QUAD_TOL
         )
-        # where one cell contains the other the difference rounds a few
-        # ulps above the smaller marginal mass, which bounds it exactly
-        return min(1.0 / x + 1.0 / y - union, 1.0 / x, 1.0 / y)
+        return 1.0 / x + 1.0 / y - union
 
 
 def canonical_metric(oracle, beta, p, q) -> float:

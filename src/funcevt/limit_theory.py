@@ -289,15 +289,11 @@ def simulate_limit_field(oracle, t_grid, x_grid, draws, seed=0) -> LimitField:
     draws, cells = int(draws), cov.shape[0]
     rows = max(1, _DRAW_BLOCK_VALUES // cells)
     rng = np.random.default_rng(seed)
-    vals = np.empty((draws, cells))
-    for start in range(0, draws, rows):
+    vals = np.empty((-(-draws // rows) * rows, cells))
+    for start in range(0, vals.shape[0], rows):
         z = rng.standard_normal((rows, cells))
-        out = vals[start : start + rows]
-        if out.shape[0] == rows:
-            np.matmul(z, factor.T, out=out)
-        else:
-            out[:] = (z @ factor.T)[: out.shape[0]]
-    vals = vals.reshape(draws, t_grid.m, x_grid.size)
+        np.matmul(z, factor.T, out=vals[start : start + rows])
+    vals = vals[:draws].reshape(draws, t_grid.m, x_grid.size)
     return LimitField(t_grid, x_grid, cov, vals, seed, clipped)
 
 

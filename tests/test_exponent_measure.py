@@ -267,6 +267,24 @@ class TestCanonicalMetric:
             dqr = canonical_metric(oracle, 0.25, q, r)
             assert dpr <= dpq + dqr + 1e-9
 
+    @pytest.mark.parametrize("name", ["double-exp", "gbm"])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(-5.0, 5.0).map(math.exp)),
+            min_size=3,
+            max_size=3,
+        ),
+        beta=st.floats(0.0, 0.49),
+    )
+    def test_triangle_inequality(self, name, cells, beta):
+        p, q, r = cells
+
+        def d(a, b):
+            return canonical_metric(ORACLES[name], beta, a, b)
+
+        assert d(p, q) <= (d(p, r) + d(r, q)) * (1.0 + 1e-12)
+
     def test_beta_validated(self):
         oracle = MeasureOracle.moving_max()
         with pytest.raises(DataError):

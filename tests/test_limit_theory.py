@@ -33,7 +33,7 @@ def brute_force_bias(g, rho, x):
 
 def reference_limit_field(oracle, t_grid, x_grid, draws, seed):
     """simulate_limit_field's values from one (draws x cells) matrix of
-    normals and one product (the draw before the fixed-size blocks)."""
+    normals multiplied by the factor in a single product."""
     cov = covariance_matrix(oracle, t_grid, x_grid)
     evals, evecs = np.linalg.eigh(cov)
     factor = evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]

@@ -29,15 +29,12 @@ from funcevt.estimators import (
 from funcevt.tail_process import (
     TailField,
     build_tail_field,
-    weighted_sup_distance,
     tail_quantile_stat,
     OscillationConfig,
     oscillation_diagnostic,
 )
 from funcevt.exponent_measure import (
     MeasureOracle,
-    InconsistentMeasureError,
-    canonical_metric,
     covariance_matrix,
 )
 from funcevt.limit_theory import (

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from funcevt.estimators import estimate_curves
-from funcevt.exponent_measure import InconsistentMeasureError, MeasureOracle
+from funcevt.exponent_measure import MeasureOracle
 from funcevt.harness import (
     check_report,
     export_report,
@@ -91,9 +91,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_tailproc(args) -> int:
     paths = ParetoPaths.from_csv(args.infile)
-    field = build_tail_field(
-        paths, args.k, n_x=args.xgrid, beta=args.beta, c=args.c
-    )
+    field = build_tail_field(paths, args.k, n_x=args.xgrid, c=args.c)
     lines = ["t," + ",".join("%.17g" % x for x in field.x_grid)]
     for j, t in enumerate(field.t_grid.points):
         lines.append(
@@ -166,16 +164,14 @@ def _write_limit_json(doc, fh):
 def _cmd_limit(args) -> int:
     if args.family == MOVING_MAX:
         oracle = MeasureOracle.moving_max(_kernel(args))
-        rho = -1.0
     else:
         oracle = MeasureOracle.pareto_gbm()
-        rho = -np.inf
     t_grid = make_grid(m=args.tgrid)
     x_grid = functional_x_grid(args.xmax, args.xgrid)
     field = simulate_limit_field(oracle, t_grid, x_grid, args.draws, args.seed)
     # on stderr, not in the JSON, so the output file stays reproducible bytes
     print(f"clipped eigenvalues: {field.clipped}", file=sys.stderr)
-    params = LimitParams.constant(t_grid.m, 1.0, 0.0, rho)
+    params = LimitParams.constant(t_grid.m, 1.0, 0.0)
     fn = limit_functionals(field, params)
     del field  # the functionals are all that is written; free the draws
     names = ("moment1", "moment2", "index", "location", "scale")
@@ -246,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tailproc", help="tail empirical process field")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--beta", type=float, default=0.25)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--xgrid", type=int, default=64)
     p.add_argument("--out", required=True)
@@ -308,6 +303,8 @@ _NUMERIC_RULES = {
     "workers": _POSITIVE_INT,
     "seed": (lambda v: v >= 0, "a non-negative integer"),
     "xmax": _FINITE_POSITIVE,
+    # the upper end needs the sample: build_tail_field tests c < n/k
+    "c": (lambda v: 0.0 < v < math.inf, "in (0, n/k) for a sample of n paths"),
     "trunc_tol": _FINITE_POSITIVE,
 }
 
@@ -326,8 +323,7 @@ def main(argv=None) -> int:
     try:
         _check_numbers(args)
         return args.func(args)
-    except (DataError, SimulationError, InconsistentMeasureError,
-            DegenerateCovarianceError) as exc:
+    except (DataError, SimulationError, DegenerateCovarianceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -32,10 +32,10 @@ from funcevt.path_model import DataError, TimeGrid, partition_columns
 def _log_excess_moments(values, k):
     """u_hat and the log-excess moments M_1, M_2 of every column of values
     (n x m), as length-m arrays, from one partition."""
-    cols, k = partition_columns(values, k)
+    neg, k = partition_columns(values, k)
     if np.any(values <= 0.0):
         raise DataError("column values must be positive")
-    top = np.sort(cols[:, -k - 1 :], axis=1)  # top[:, 0] = xi_{n-k,n}
+    top = np.sort(-neg[:, : k + 1], axis=1)  # top[:, 0] = xi_{n-k,n}
     logs = np.log(top)
     # a C-contiguous row sums pairwise exactly as the 1-d np.mean of one
     # column does, so a column's moments do not depend on its neighbours

@@ -19,8 +19,8 @@ evaluate those intersection masses:
   evaluation is exact in terms of the normal CDF.
 
 `MeasureOracle.intersection_mass` broadcasts over its two levels.  Every
-oracle is homogeneous, nu(r A) = nu(A)/r, and drives both the canonical
-metric of the limit field and its covariance matrices.
+oracle is homogeneous, nu(r A) = nu(A)/r, and drives the covariance
+matrices of the limit field.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ from funcevt.process_sim import DOUBLE_EXP, KernelSpec
 
 # absolute tolerance of the student-t kernel's union quadrature
 _QUAD_TOL = 1e-11
-
-
-class InconsistentMeasureError(RuntimeError):
-    """Oracle returned masses violating a measure inequality."""
 
 
 def _tail_radius(kernel, mass):
@@ -232,34 +228,6 @@ class MeasureOracle:
             self.kernel, np.array([t, s]), np.array([x, y]), tol=_QUAD_TOL
         )
         return 1.0 / x + 1.0 / y - union
-
-
-def canonical_metric(oracle, beta, p, q) -> float:
-    """L2 metric of the weighted limit field between cells p = (t, x), q = (s, y):
-
-    d**2 = (x**b - y**b)**2 nu(n) + x**2b (1/x - nu(n)) + y**2b (1/y - nu(n)).
-
-    Raises InconsistentMeasureError if the oracle's intersection mass
-    exceeds a marginal mass, or if the radicand is below -1e-12.
-    """
-    if not 0.0 <= beta < 0.5:
-        raise DataError("beta must be in [0, 1/2)")
-    (t, x), (s, y) = p, q
-    common = oracle.intersection_mass(t, x, s, y)
-    mx, my = 1.0 / x, 1.0 / y
-    slack = 1e-9 * max(1.0, mx, my)
-    if common > min(mx, my) + slack or common < -slack:
-        raise InconsistentMeasureError(
-            f"nu(intersection) = {common} outside [0, min(1/x, 1/y) = {min(mx, my)}]"
-        )
-    d2 = (
-        (x ** beta - y ** beta) ** 2 * common
-        + x ** (2 * beta) * (mx - common)
-        + y ** (2 * beta) * (my - common)
-    )
-    if d2 < -1e-12:
-        raise InconsistentMeasureError(f"negative squared distance {d2}")
-    return math.sqrt(max(d2, 0.0))
 
 
 def covariance_matrix(oracle, t_grid, x_grid) -> np.ndarray:

@@ -56,6 +56,7 @@ from funcevt.path_model import (
     marginal_model_for,
     pareto_scale,
     pareto_transform,
+    partition_columns,
 )
 from funcevt.process_sim import (
     KernelSpec,
@@ -516,13 +517,7 @@ def _pareto_top(cfg, grid, seed):
     sample = _simulate(cfg, grid, cfg.n, seed, _tail_floor(cfg.n, cfg.k))
     model = marginal_model_for(sample, bound_exponent=cfg.bound_exponent)
     n, k = cfg.n, cfg.k
-    big = min(2 * k, n - 1)
-    # negated columns, each partitioned so that its big + 1 largest values
-    # come first and the (big+1)-th largest sits at index big: numpy
-    # partitions this way round much faster when the bottom of a column is
-    # one tied value, as the moving-max floor is
-    neg = np.negative(sample.values.T, order="C")
-    neg.partition(big, axis=1)
+    neg, big = partition_columns(sample.values, min(2 * k, n - 1))
 
     def transform(lo, hi):
         out = np.empty((grid.m, hi - lo))

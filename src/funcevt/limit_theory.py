@@ -103,12 +103,10 @@ class LimitParams:
 
     gamma_plus: np.ndarray
     gamma_minus: np.ndarray
-    rho: np.ndarray
 
     def __post_init__(self):
         gp = np.atleast_1d(np.asarray(self.gamma_plus, dtype=float))
         gm = np.atleast_1d(np.asarray(self.gamma_minus, dtype=float))
-        r = np.broadcast_to(np.asarray(self.rho, dtype=float), gp.shape).copy()
         if gp.shape != gm.shape:
             raise DataError("gamma_plus and gamma_minus must have the same shape")
         if np.any(gp < 0.0) or np.any(gm > 0.0):
@@ -120,20 +118,15 @@ class LimitParams:
             )
         object.__setattr__(self, "gamma_plus", gp)
         object.__setattr__(self, "gamma_minus", gm)
-        object.__setattr__(self, "rho", r)
 
     @property
     def gamma(self) -> np.ndarray:
         return self.gamma_plus + self.gamma_minus
 
     @classmethod
-    def constant(cls, m, gamma_plus=1.0, gamma_minus=0.0, rho=-1.0):
+    def constant(cls, m, gamma_plus=1.0, gamma_minus=0.0):
         m = int(m)
-        return cls(
-            np.full(m, float(gamma_plus)),
-            np.full(m, float(gamma_minus)),
-            np.full(m, float(rho)),
-        )
+        return cls(np.full(m, float(gamma_plus)), np.full(m, float(gamma_minus)))
 
 
 @dataclass(frozen=True)
@@ -169,10 +162,6 @@ class TrueFunctions:
 
     def gamma(self, t=None) -> float:
         return 1.0
-
-    @property
-    def rho(self) -> float:
-        return -1.0 if self.family == MOVING_MAX else -math.inf
 
     def location(self, t, v):
         """U_t(v), the 1 - 1/v quantile, for v > 1 (vectorised over v)."""
@@ -316,20 +305,10 @@ class LimitFunctionals:
 
 
 def _tail_coef_moment2(g, x_max):
-    """2 x_max int_{x_max}^inf ((x**g - 1)/g) x**(g-2) dx, via w = log(x/x_max)."""
-    from scipy import integrate  # here, not at module level: it is slow to import
-
-    L = math.log(x_max)
-
-    def f(w):
-        if g == 0.0:
-            kern = L + w
-        else:
-            kern = math.expm1(g * (L + w)) / g
-        return math.exp((g - 1.0) * w) * kern
-
-    val, _ = integrate.quad(f, 0.0, math.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return 2.0 * x_max ** g * val
+    """2 x_max int_{x_max}^inf ((x**g - 1)/g) x**(g-2) dx for g <= 0, in
+    closed form 2 x_max**g ((1-g) (x_max**g - 1)/g + 1) / ((1-g)(1-2g))."""
+    powm1 = float(_powm1_over(g, math.log(x_max)))
+    return 2.0 * x_max ** g * ((1.0 - g) * powm1 + 1.0) / ((1.0 - g) * (1.0 - 2.0 * g))
 
 
 def limit_functionals(field, params) -> LimitFunctionals:

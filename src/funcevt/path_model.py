@@ -47,14 +47,17 @@ def check_k(k, n) -> int:
 
 
 def partition_columns(values, k):
-    """(cols, check_k(k, n)): the columns of values (n x m) as the rows of a
-    new C-contiguous array, each with its k + 1 largest values last and
-    the (k+1)-th largest first of them (contiguous rows partition faster);
-    for column-major values, as samples store them, a straight copy."""
+    """(neg, check_k(k, n)): the negated columns of values (n x m) as the
+    rows of a new C-contiguous array, each partitioned so that its k + 1
+    largest values come first, the (k+1)-th largest at index k.
+    Contiguous rows partition faster, and negated ones much faster where
+    the bottom of a column is one tied value, as the moving-max floor is;
+    for column-major values, as samples store them, the negation is one
+    straight pass."""
     k = check_k(k, values.shape[0])
-    cols = np.array(values.T, order="C")  # always a copy: partitioned in place
-    cols.partition(values.shape[0] - k - 1, axis=1)
-    return cols, k
+    neg = np.negative(values.T, order="C")  # always a copy: partitioned in place
+    neg.partition(k, axis=1)
+    return neg, k
 
 
 def _as_grid_points(points):

@@ -9,10 +9,9 @@ and the tail empirical process, with k upper order statistics in play,
     w_n(t, x) = sqrt(k) ((n/k) S_{n,t}(x n/k) - 1/x),
 
 which converges to the Gaussian field W(C_{t,x}) of the exponent
-measure.  This module also provides the weighted sup distance used to
-compare a tail field with a draw of its limit, a quantile-ratio
-statistic, and an empirical oscillation diagnostic for the negligible
-set condition on path increments.
+measure.  This module also provides a quantile-ratio statistic and an
+empirical oscillation diagnostic for the negligible set condition on
+path increments.
 """
 
 from __future__ import annotations
@@ -68,8 +67,6 @@ class TailField:
     values: np.ndarray  # (m_t, m_x)
     n: int
     k: int
-    beta: float = 0.25
-    c: float = 1.0
 
     def __post_init__(self):
         x = np.asarray(self.x_grid, dtype=float)
@@ -80,11 +77,9 @@ class TailField:
         if v.shape != (self.t_grid.m, x.size):
             raise DataError("values shape must be (m_t, m_x)")
         object.__setattr__(self, "values", v)
-        if not 0.0 <= self.beta < 0.5:
-            raise DataError("beta must be in [0, 1/2)")
 
 
-def build_tail_field(paths, k, x_grid=None, n_x=64, beta=0.25, c=1.0) -> TailField:
+def build_tail_field(paths, k, x_grid=None, n_x=64, c=1.0) -> TailField:
     """Evaluate w_n on the full time grid and a geometric level grid.
 
     The default level grid is geometric from c to n/k with n_x points.
@@ -93,27 +88,14 @@ def build_tail_field(paths, k, x_grid=None, n_x=64, beta=0.25, c=1.0) -> TailFie
     k = check_k(k, n)
     if x_grid is None:
         hi = n / k
-        if not c < hi:
-            raise DataError("need c < n/k for the default level grid")
+        if not 0.0 < c < hi:  # false for a nan c too
+            raise DataError(
+                f"need 0 < c < n/k = {hi:g} for the default level grid, got c={c!r}"
+            )
         x_grid = np.exp(np.linspace(math.log(c), math.log(hi), int(n_x)))
     x_grid = np.asarray(x_grid, dtype=float)
     vals = _tail_process(paths.values, x_grid, k)
-    return TailField(paths.grid, x_grid, vals, n, k, float(beta), float(c))
-
-
-def weighted_sup_distance(field, limit_values) -> float:
-    """sup over the grid of x**beta |w_n(t,x) - W(t,x)|.
-
-    limit_values is a draw of the limit field on the same grids, as an
-    array of matching shape.
-    """
-    w = np.asarray(limit_values, dtype=float)
-    if w.shape != field.values.shape:
-        raise DataError(
-            f"limit draw shape {w.shape} does not match field {field.values.shape}"
-        )
-    weight = field.x_grid ** field.beta
-    return float(np.max(weight[None, :] * np.abs(field.values - w)))
+    return TailField(paths.grid, x_grid, vals, n, k)
 
 
 def tail_quantile_stat(paths, k, alpha):
@@ -121,8 +103,8 @@ def tail_quantile_stat(paths, k, alpha):
 
     alpha may be a scalar or a per-grid-point array.
     """
-    cols, k = partition_columns(paths.values, k)
-    return quantile_stat_from_order_stats(cols[:, -k - 1], paths.n, k, alpha)
+    neg, k = partition_columns(paths.values, k)
+    return quantile_stat_from_order_stats(-neg[:, k], paths.n, k, alpha)
 
 
 def quantile_stat_from_order_stats(top, n, k, alpha):

@@ -184,7 +184,7 @@ def test_08_limit_field_matches_oracle():
         10_000,
         40,
     )
-    fn = limit_functionals(field, LimitParams.constant(1, 1.0, 0.0, -1.0))
+    fn = limit_functionals(field, LimitParams.constant(1, 1.0, 0.0))
     m1, m2 = fn.moment1[:, 0], fn.moment2[:, 0]
     checks = (
         (float(m1.var(ddof=1)), lim.var_moment1),

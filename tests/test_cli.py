@@ -119,6 +119,9 @@ BAD_NUMBERS = {
     ),
     "k": ("--k", "estimate --in {paths} --k 0 --out {out}"),
     "xgrid": ("--xgrid", "tailproc --in {paths} --k 10 --xgrid -2 --out {out}"),
+    "c-zero": ("--c", "tailproc --in {paths} --k 10 --c 0 --out {out}"),
+    "c-negative": ("--c", "tailproc --in {paths} --k 10 --c -1 --out {out}"),
+    "c-nan": ("--c", "tailproc --in {paths} --k 10 --c nan --out {out}"),
     "tgrid": ("--tgrid", "limit --family pareto-gbm --tgrid 0 --xgrid 8 --draws 5 --out {out}"),
     "draws-negative": ("--draws", "limit --family pareto-gbm --xgrid 8 --draws -3 --out {out}"),
     "draws-zero": ("--draws", "limit --family pareto-gbm --xgrid 8 --draws 0 --out {out}"),
@@ -439,15 +442,24 @@ class TestExperiment:
         assert "FAIL" not in out
 
 
-def test_cli_import_leaves_slow_scipy_modules_unloaded():
-    code = (
-        "import sys, funcevt.cli; "
+def test_cli_import_leaves_slow_scipy_modules_unloaded(tmp_path):
+    # and so does `funcevt limit` for the two closed-form oracles: the
+    # limit functionals' tail coefficient is a closed form too
+    loaded = (
         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
-        "'scipy.stats') if m in sys.modules))"
+        "'scipy.stats') if m in sys.modules)); "
     )
+    limit = "".join(
+        f"funcevt.cli.main(['limit', '--family', {family!r}, '--tgrid', '2', "
+        f"'--xgrid', '16', '--draws', '4', '--out', {str(tmp_path / 'l.json')!r}]); "
+        for family in ("moving-max", "pareto-gbm")
+    )
+    code = "import sys, funcevt.cli; " + loaded + limit + loaded
     env = {**os.environ, "PYTHONPATH": str(Path(funcevt.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, timeout=120, env=env,
     )
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]"  # after the import
+    assert lines[-1] == "[]"  # after both limit runs

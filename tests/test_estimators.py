@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from funcevt.estimators import EstimatorCurves, _log_excess_moments, estimate_curves
+from funcevt.harness import _tail_floor
 from funcevt.path_model import DataError, PathSample, make_grid
 from funcevt.process_sim import KernelSpec, SimConfig, simulate_moving_max, simulate_pareto_gbm
 from funcevt.limit_theory import true_functions
@@ -247,10 +248,11 @@ def bits(x):
     return np.asarray(x).tobytes()
 
 
-def family_sample(family, n, m=6, seed=31):
+def family_sample(family, n, m=6, seed=31, floor=None):
     g = make_grid(m=m)
     if family == "moving-max":
-        return simulate_moving_max(KernelSpec(), g, SimConfig(n=n, seed=seed))
+        cfg = SimConfig(n=n, seed=seed, value_floor=floor)
+        return simulate_moving_max(KernelSpec(), g, cfg)
     return simulate_pareto_gbm(g, SimConfig(n=n, seed=seed))
 
 
@@ -281,10 +283,16 @@ def assert_matches_reference(sample, k):
 
 
 class TestColumnKernelMatchesReference:
-    @pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
+    @pytest.mark.parametrize("family", ["moving-max", "moving-max-floored", "pareto-gbm"])
     @pytest.mark.parametrize("k", [1, 2, 200, 1499])
     def test_families(self, family, k):
-        assert_matches_reference(family_sample(family, 1500), k)
+        if family == "moving-max-floored":
+            # the harness's speed floor: the bottom of every column is one
+            # tied value, which the partition must handle as it does others
+            sample = family_sample("moving-max", 1500, floor=_tail_floor(1500, k))
+        else:
+            sample = family_sample(family, 1500)
+        assert_matches_reference(sample, k)
 
     def test_k_above_a_numpy_buffer(self):
         # k = n - 1 > 8192, numpy's default buffer size

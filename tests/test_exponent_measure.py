@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 
@@ -10,9 +9,7 @@ from scipy import stats
 
 from funcevt import exponent_measure
 from funcevt.exponent_measure import (
-    InconsistentMeasureError,
     MeasureOracle,
-    canonical_metric,
     covariance_matrix,
     sup_integral,
 )
@@ -236,75 +233,6 @@ class TestGbmOracle:
             base = oracle.intersection_mass(t, x, s, y)
             scaled = oracle.intersection_mass(t, 2.0 * x, s, 2.0 * y)
             assert abs(scaled - base / 2.0) * 2.0 / base < 1e-12
-
-
-class TestCanonicalMetric:
-    def test_same_time_hand_value(self):
-        # beta = 0, x = 1, y = 2 at the same time: d^2 = (1 - 1/2) = 1/2
-        oracle = MeasureOracle.moving_max()
-        d = canonical_metric(oracle, 0.0, (0.5, 1.0), (0.5, 2.0))
-        assert d == pytest.approx(math.sqrt(0.5), rel=1e-12)
-
-    def test_zero_distance_to_itself(self):
-        oracle = MeasureOracle.pareto_gbm()
-        assert canonical_metric(oracle, 0.25, (0.3, 2.0), (0.3, 2.0)) == pytest.approx(
-            0.0, abs=1e-9
-        )
-
-    def test_symmetry(self):
-        oracle = MeasureOracle.moving_max()
-        p, q = (0.2, 1.0), (0.8, 2.5)
-        assert canonical_metric(oracle, 0.25, p, q) == pytest.approx(
-            canonical_metric(oracle, 0.25, q, p), rel=1e-9
-        )
-
-    def test_triangle_inequality_sampled(self):
-        oracle = MeasureOracle.pareto_gbm()
-        cells = [(0.0, 1.0), (0.4, 2.0), (0.7, 0.7), (1.0, 3.0)]
-        for p, q, r in itertools.permutations(cells, 3):
-            dpr = canonical_metric(oracle, 0.25, p, r)
-            dpq = canonical_metric(oracle, 0.25, p, q)
-            dqr = canonical_metric(oracle, 0.25, q, r)
-            assert dpr <= dpq + dqr + 1e-9
-
-    @pytest.mark.parametrize("name", ["double-exp", "gbm"])
-    @settings(max_examples=100, deadline=None)
-    @given(
-        cells=st.lists(
-            st.tuples(st.floats(0.0, 1.0), st.floats(-5.0, 5.0).map(math.exp)),
-            min_size=3,
-            max_size=3,
-        ),
-        beta=st.floats(0.0, 0.49),
-    )
-    def test_triangle_inequality(self, name, cells, beta):
-        p, q, r = cells
-
-        def d(a, b):
-            return canonical_metric(ORACLES[name], beta, a, b)
-
-        assert d(p, q) <= (d(p, r) + d(r, q)) * (1.0 + 1e-12)
-
-    def test_beta_validated(self):
-        oracle = MeasureOracle.moving_max()
-        with pytest.raises(DataError):
-            canonical_metric(oracle, 0.5, (0.0, 1.0), (1.0, 1.0))
-
-    def test_inconsistent_oracle_detected(self):
-        class BadOracle:
-            def intersection_mass(self, t, x, s, y):
-                return 2.0 * min(1.0 / x, 1.0 / y)
-
-        with pytest.raises(InconsistentMeasureError):
-            canonical_metric(BadOracle(), 0.25, (0.0, 1.0), (1.0, 2.0))
-
-    def test_negative_mass_detected(self):
-        class NegativeOracle:
-            def intersection_mass(self, t, x, s, y):
-                return -0.5
-
-        with pytest.raises(InconsistentMeasureError):
-            canonical_metric(NegativeOracle(), 0.25, (0.0, 1.0), (1.0, 2.0))
 
 
 def reference_covariance(oracle, times, levels):

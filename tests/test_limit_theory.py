@@ -31,6 +31,19 @@ def brute_force_bias(g, rho, x):
     return val
 
 
+def reference_tail_coef_moment2(g, x_max):
+    """2 x_max int_{x_max}^inf ((x**g - 1)/g) x**(g-2) dx by quadrature,
+    via w = log(x/x_max)."""
+    L = math.log(x_max)
+
+    def f(w):
+        kern = L + w if g == 0.0 else math.expm1(g * (L + w)) / g
+        return math.exp((g - 1.0) * w) * kern
+
+    val, _ = integrate.quad(f, 0.0, math.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return 2.0 * x_max ** g * val
+
+
 def reference_limit_field(oracle, t_grid, x_grid, draws, seed):
     """simulate_limit_field's values from one (draws x cells) matrix of
     normals multiplied by the factor in a single product."""
@@ -91,13 +104,13 @@ class TestLimitParams:
 
     def test_sign_constraints(self):
         with pytest.raises(DataError):
-            LimitParams(np.array([-0.5]), np.array([0.0]), np.array([-1.0]))
+            LimitParams(np.array([-0.5]), np.array([0.0]))
         with pytest.raises(DataError):
-            LimitParams(np.array([0.0]), np.array([0.5]), np.array([-1.0]))
+            LimitParams(np.array([0.0]), np.array([0.5]))
 
     def test_parts_cannot_both_be_nonzero(self):
         with pytest.raises(DataError):
-            LimitParams(np.array([1.0]), np.array([-1.0]), np.array([-1.0]))
+            LimitParams(np.array([1.0]), np.array([-1.0]))
 
 
 class TestTrueFunctions:
@@ -107,7 +120,6 @@ class TestTrueFunctions:
         assert truth.scale(0.0, 2.0) == truth.location(0.0, 2.0)
         assert truth.bias_amplitude(0.0, 10.0) == pytest.approx(0.05)
         assert truth.remainder_target(4.0) == pytest.approx(0.75)
-        assert truth.rho == -1.0
 
     def test_gbm_location_inverts_marginal(self):
         truth = true_functions("pareto-gbm")
@@ -130,7 +142,6 @@ class TestTrueFunctions:
     def test_gbm_targets(self):
         truth = true_functions("pareto-gbm")
         assert truth.remainder_target(3.0) == 0.0
-        assert truth.rho == -math.inf
         assert truth.bias_amplitude(0.2, 100.0) == pytest.approx(1e-3)
 
     def test_v_must_exceed_one(self):
@@ -239,7 +250,7 @@ class TestLimitFunctionals:
         x = functional_x_grid(x_max=1e4, n=512)
         vals = np.broadcast_to(1.0 / x, (2, 1, x.size)).copy()
         field = self.field_from_values(x, vals)
-        params = LimitParams(np.array([gp]), np.array([gm]), np.array([-1.0]))
+        params = LimitParams(np.array([gp]), np.array([gm]))
         out = limit_functionals(field, params)
         assert np.abs(out.moment1).max() < 1e-3
         assert np.abs(out.moment2).max() < 1e-3
@@ -278,6 +289,13 @@ class TestLimitFunctionals:
         assert np.var(out.index[:, 0]) == pytest.approx(ref.var_index, rel=0.1)
         assert np.var(out.location[:, 0]) == pytest.approx(ref.var_location, rel=0.1)
         assert np.var(out.scale[:, 0]) == pytest.approx(ref.var_scale, rel=0.1)
+
+    @pytest.mark.parametrize("g", [0.0, -1e-12, -1e-3, -0.25, -0.5, -1.0, -3.0])
+    @pytest.mark.parametrize("x_max", [10.0, 1e4, 1e8])
+    def test_tail_coefficient_matches_quadrature(self, g, x_max):
+        want = reference_tail_coef_moment2(g, x_max)
+        got = limit_theory._tail_coef_moment2(g, x_max)
+        assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_grid_must_start_at_one(self):
         x = np.array([2.0, 4.0, 8.0])

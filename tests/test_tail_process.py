@@ -23,7 +23,6 @@ from funcevt.tail_process import (
     build_tail_field,
     oscillation_diagnostic,
     tail_quantile_stat,
-    weighted_sup_distance,
 )
 
 
@@ -122,24 +121,14 @@ class TestTailField:
         paths = ParetoPaths(make_grid(m=1), 1.0 / (1.0 - rng.random((20, 1))))
         with pytest.raises(DataError):
             build_tail_field(paths, 19, c=2.0)
+        # the lower end of the grid must be a positive, finite level
+        for c in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DataError):
+                build_tail_field(paths, 4, c=c)
 
     def test_field_shape_validation(self):
         with pytest.raises(DataError):
             TailField(make_grid(m=2), np.array([1.0, 2.0]), np.zeros((3, 2)), 10, 2)
-
-    def test_weighted_sup_hand_value(self):
-        field = TailField(
-            make_grid(m=1), np.array([1.0, 4.0]), np.array([[1.0, -2.0]]), 10, 2, beta=0.25
-        )
-        assert weighted_sup_distance(field, np.zeros((1, 2))) == pytest.approx(
-            2.0 * 4.0 ** 0.25
-        )
-        assert weighted_sup_distance(field, field.values) == 0.0
-
-    def test_weighted_sup_shape_mismatch(self):
-        field = TailField(make_grid(m=1), np.array([1.0]), np.zeros((1, 1)), 10, 2)
-        with pytest.raises(DataError):
-            weighted_sup_distance(field, np.zeros((2, 1)))
 
     def test_unweighted_sup_shrinks_with_sample_size(self):
         # the uncentred fraction (n/k) S(x n/k) converges to 1/x; its sup

@@ -27,8 +27,7 @@ from funcevt.limit_theory import (
     DegenerateCovarianceError,
     LimitParams,
     functional_x_grid,
-    limit_functionals,
-    simulate_limit_field,
+    simulate_limit_functionals,
 )
 from funcevt.path_model import (
     MOVING_MAX,
@@ -168,12 +167,10 @@ def _cmd_limit(args) -> int:
         oracle = MeasureOracle.pareto_gbm()
     t_grid = make_grid(m=args.tgrid)
     x_grid = functional_x_grid(args.xmax, args.xgrid)
-    field = simulate_limit_field(oracle, t_grid, x_grid, args.draws, args.seed)
-    # on stderr, not in the JSON, so the output file stays reproducible bytes
-    print(f"clipped eigenvalues: {field.clipped}", file=sys.stderr)
     params = LimitParams.constant(t_grid.m, 1.0, 0.0)
-    fn = limit_functionals(field, params)
-    del field  # the functionals are all that is written; free the draws
+    fn = simulate_limit_functionals(
+        oracle, t_grid, x_grid, args.draws, args.seed, params
+    )
     names = ("moment1", "moment2", "index", "location", "scale")
     doc = {
         "t": t_grid.points.tolist(),

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, stdtrit
 
 from funcevt.path_model import MOVING_MAX, PARETO_GBM, DataError
 from funcevt.process_sim import DOUBLE_EXP, KernelSpec
@@ -45,9 +45,7 @@ def _tail_radius(kernel, mass):
         return 0.0
     if kernel.shape == DOUBLE_EXP:
         return math.log(0.5 / mass) / kernel.rate
-    from scipy.stats import t as student
-
-    return float(student.isf(mass, kernel.df)) / kernel.rate
+    return -float(stdtrit(kernel.df, mass)) / kernel.rate
 
 
 def _crossings(kernel, times, inv):

@@ -43,6 +43,7 @@ from itertools import repeat
 from typing import Callable
 
 import numpy as np
+from scipy.special import kolmogi, ndtr
 
 from funcevt.estimators import estimate_curves
 from funcevt.exponent_measure import MeasureOracle
@@ -353,9 +354,7 @@ def _report(cfg, statistic, t, mean, var, var_limit, used, flagged, ks=None, ext
 
 def ks_critical(count, alpha=0.01) -> float:
     """Asymptotic two-sided Kolmogorov-Smirnov critical value."""
-    from scipy import stats  # here, not at module level: it is slow to import
-
-    return float(stats.kstwobign.isf(alpha)) / math.sqrt(count)
+    return float(kolmogi(alpha)) / math.sqrt(count)
 
 
 def summarize(t, errors, var_limit, cfg, statistic, used, flagged, extra=None):
@@ -370,12 +369,15 @@ def summarize(t, errors, var_limit, cfg, statistic, used, flagged, extra=None):
     var = errors.var(axis=0, ddof=1) if errors.shape[0] > 1 else np.full(t.size, np.nan)
     vl = np.broadcast_to(np.asarray(var_limit, dtype=float), t.shape)
     ks = np.full(t.size, np.nan)
+    n = errors.shape[0]
     for j in range(t.size):
-        if vl[j] > 0.0 and errors.shape[0] > 1:
-            from scipy import stats
-
-            sigma = math.sqrt(vl[j])
-            ks[j] = stats.kstest(errors[:, j], "norm", args=(0.0, sigma)).statistic
+        if vl[j] > 0.0 and n > 1:
+            # the larger one-sided distance of the empirical cdf from the
+            # N(0, var_limit) cdf at the sorted errors
+            cdf = ndtr(np.sort(errors[:, j]) / math.sqrt(vl[j]))
+            above = (np.arange(1.0, n + 1) / n - cdf).max()
+            below = (cdf - np.arange(0.0, n) / n).max()
+            ks[j] = above if above > below else below
     return _report(cfg, statistic, t, mean, var, vl.copy(), used, flagged, ks, extra)
 
 

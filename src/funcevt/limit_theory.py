@@ -16,7 +16,9 @@ g for the negative part of the index and W_1(t) = W(C_{t,1}),
 
 (at g = 0 the kernel (x**g - 1)/g reads as log x).  The integrals are
 evaluated on the field's level grid with a conditional-mean correction
-for the tail beyond the largest level.
+for the tail beyond the largest level.  moment1, moment2 and location
+are linear in the field, so `simulate_limit_functionals` draws them from
+their own 3 m_t-dimensional Gaussian law without building the field.
 
 This module also carries the second-order machinery: the bias shape
 function H(g, rho, x) = int_1^x y**(g-1) int_1^y u**(rho-1) du dy, the
@@ -44,13 +46,14 @@ from funcevt.exponent_measure import covariance_matrix
 # relative size of the negative covariance eigenvalues taken as rounding
 _CLIP_TOL = 1e-8
 
-# normals drawn per block of limit-field draws (1 MB of float64), which
-# bounds what `simulate_limit_field` holds beside the field itself
+# normals drawn per block of limit-field or limit-functional draws (1 MB
+# of float64), which bounds what the samplers hold beside their draws
 _DRAW_BLOCK_VALUES = 1 << 17
 
 
 class DegenerateCovarianceError(RuntimeError):
-    """Covariance matrix fails positive semi-definiteness beyond tolerance."""
+    """Covariance matrix fails positive semi-definiteness beyond tolerance,
+    or the limit functionals' covariance fails its Cholesky factorisation."""
 
 
 def _powm1_over(a, logx):
@@ -249,6 +252,25 @@ class LimitField:
         return self.values.shape[0]
 
 
+def _block_draws(factor, draws, seed) -> np.ndarray:
+    """(draws x width) Gaussian draws z @ factor' for a (width x width) factor.
+
+    The normals are drawn and multiplied in blocks of
+    max(1, _DRAW_BLOCK_VALUES // width) rows, the last one drawn full size
+    and cut, so every product has the same shape: draw i depends on the
+    seed, i and the factor only, and the first N draws of a larger run
+    are the draws of a run of N.
+    """
+    draws, width = int(draws), factor.shape[0]
+    rows = max(1, _DRAW_BLOCK_VALUES // width)
+    rng = np.random.default_rng(seed)
+    vals = np.empty((-(-draws // rows) * rows, width))
+    for start in range(0, vals.shape[0], rows):
+        z = rng.standard_normal((rows, width))
+        np.matmul(z, factor.T, out=vals[start : start + rows])
+    return vals[:draws]
+
+
 def simulate_limit_field(oracle, t_grid, x_grid, draws, seed=0) -> LimitField:
     """Draw the limit field on a cell grid from its oracle covariance.
 
@@ -256,11 +278,8 @@ def simulate_limit_field(oracle, t_grid, x_grid, draws, seed=0) -> LimitField:
     eigenvalues in [-_CLIP_TOL * max_eig, 0) are clipped to 0 (their count
     is `LimitField.clipped`), anything lower raises DegenerateCovarianceError.
 
-    The normals are drawn and multiplied in blocks of
-    max(1, _DRAW_BLOCK_VALUES // cells) rows, the last one drawn full size
-    and cut, so every product has the same shape: draw i depends on the
-    seed, i and the grid only, and the first N draws of a larger run are
-    the draws of a run of N.
+    The normals are drawn by `_block_draws`, so the first N draws of a
+    larger run are the draws of a run of N.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     cov = covariance_matrix(oracle, t_grid, x_grid)
@@ -275,20 +294,13 @@ def simulate_limit_field(oracle, t_grid, x_grid, draws, seed=0) -> LimitField:
         )
     clipped = int(np.count_nonzero(evals < 0.0))
     factor *= np.sqrt(np.clip(evals, 0.0, None))[None, :]
-    draws, cells = int(draws), cov.shape[0]
-    rows = max(1, _DRAW_BLOCK_VALUES // cells)
-    rng = np.random.default_rng(seed)
-    vals = np.empty((-(-draws // rows) * rows, cells))
-    for start in range(0, vals.shape[0], rows):
-        z = rng.standard_normal((rows, cells))
-        np.matmul(z, factor.T, out=vals[start : start + rows])
-    vals = vals[:draws].reshape(draws, t_grid.m, x_grid.size)
+    vals = _block_draws(factor, draws, seed).reshape(-1, t_grid.m, x_grid.size)
     return LimitField(t_grid, x_grid, cov, vals, seed, clipped)
 
 
 @dataclass(frozen=True)
 class LimitFunctionals:
-    """Functionals of limit-field draws, each of shape (draws, m_t).
+    """Draws of the limit functionals, each of shape (draws, m_t).
 
     moment1 and moment2 are the limits of the normalised first and
     second log-excess moment statistics; index, location and scale are
@@ -311,20 +323,21 @@ def _tail_coef_moment2(g, x_max):
     return 2.0 * x_max ** g * ((1.0 - g) * powm1 + 1.0) / ((1.0 - g) * (1.0 - 2.0 * g))
 
 
-def limit_functionals(field, params) -> LimitFunctionals:
-    """Evaluate the five limit functionals on every draw of a field.
+def _functional_weights(x_grid, gamma_minus) -> np.ndarray:
+    """(cells x 3 m_t) weights taking a field draw to its moment1, moment2
+    and location values, in that order, each block of m_t columns by time.
 
-    The field's level grid must start at 1; integrals over [1, x_max]
-    use the trapezoid rule on the grid, plus the conditional-mean tail
-    correction E[W(C_{t,x}) | W(C_{t,x_max})] = (x_max/x) W(C_{t,x_max})
-    integrated beyond x_max.
+    The level grid must start at 1; integrals over [1, x_max] use the
+    trapezoid rule on the grid, plus the conditional-mean tail correction
+    E[W(C_{t,x}) | W(C_{t,x_max})] = (x_max/x) W(C_{t,x_max}) integrated
+    beyond x_max.  Cells are row-major in (time, level), as in
+    `covariance_matrix`.
     """
-    x = field.x_grid
+    x = np.asarray(x_grid, dtype=float)
     if abs(x[0] - 1.0) > 1e-9:
         raise DataError("field level grid must start at 1")
-    mt = field.t_grid.m
-    gp = np.broadcast_to(params.gamma_plus, (mt,))
-    gm = np.broadcast_to(params.gamma_minus, (mt,))
+    gm = np.asarray(gamma_minus, dtype=float)
+    mt, mx = gm.size, x.size
     logx = np.log(x)
     xm = float(x[-1])
 
@@ -334,35 +347,77 @@ def limit_functionals(field, params) -> LimitFunctionals:
     tw[:-1] += 0.5 * dx
     tw[1:] += 0.5 * dx
 
+    W = np.zeros((mt, mx, 3, mt))
+    for j, g in enumerate(gm.tolist()):
+        v1 = W[j, :, 0, j]
+        v1[:] = tw * x ** (g - 1.0)
+        v1[-1] += xm ** g / (1.0 - g)
+        v1[0] -= 1.0 / (1.0 - g)
+        v2 = W[j, :, 1, j]
+        v2[:] = 2.0 * tw * _powm1_over(g, logx) * x ** (g - 1.0)
+        v2[-1] += _tail_coef_moment2(g, xm)
+        v2[0] -= 2.0 / ((1.0 - g) * (1.0 - 2.0 * g))
+        W[j, 0, 2, j] = 1.0
+    return W.reshape(mt * mx, 3 * mt)
+
+
+def _functionals_from_moments(t_grid, params, vals) -> LimitFunctionals:
+    """The five functionals from the (draws x 3 m_t) moment1 (P), moment2
+    (Q) and location (U) values laid out as the `_functional_weights`
+    columns: index and scale are linear in P, Q and U."""
+    mt = t_grid.m
+    P, Q, U = (np.ascontiguousarray(vals[:, i * mt : (i + 1) * mt]) for i in range(3))
+    gp = np.broadcast_to(params.gamma_plus, (mt,))
+    g = np.broadcast_to(params.gamma_minus, (mt,))
+    G = (gp - 2.0 * (1 - g) ** 2 * (1 - 2 * g)) * P + 0.5 * (
+        1 - g
+    ) ** 2 * (1 - 2 * g) ** 2 * Q
+    A = (
+        (gp + g) * U
+        + (3.0 - 4.0 * g) * (1.0 - g) * P
+        - 0.5 * (1.0 - g) * (1.0 - 2.0 * g) ** 2 * Q
+    )
+    return LimitFunctionals(t_grid, P, Q, G, U, A)
+
+
+def limit_functionals(field, params) -> LimitFunctionals:
+    """Evaluate the five limit functionals on every draw of a field."""
+    mt = field.t_grid.m
+    W = _functional_weights(
+        field.x_grid, np.broadcast_to(params.gamma_minus, (mt,))
+    )
     draws = field.values.shape[0]
-    P = np.empty((draws, mt))
-    Q = np.empty((draws, mt))
-    G = np.empty((draws, mt))
-    U = np.empty((draws, mt))
-    A = np.empty((draws, mt))
-    for j in range(mt):
-        g = float(gm[j])
-        W = field.values[:, j, :]
-        w1 = W[:, 0]
-        wend = W[:, -1]
-        v1 = tw * x ** (g - 1.0)
-        P[:, j] = W @ v1 + wend * xm ** g / (1.0 - g) - w1 / (1.0 - g)
-        v2 = tw * _powm1_over(g, logx) * x ** (g - 1.0)
-        Q[:, j] = (
-            2.0 * (W @ v2)
-            + wend * _tail_coef_moment2(g, xm)
-            - 2.0 * w1 / ((1.0 - g) * (1.0 - 2.0 * g))
-        )
-        G[:, j] = (gp[j] - 2.0 * (1 - g) ** 2 * (1 - 2 * g)) * P[:, j] + 0.5 * (
-            1 - g
-        ) ** 2 * (1 - 2 * g) ** 2 * Q[:, j]
-        U[:, j] = w1
-        A[:, j] = (
-            (gp[j] + g) * w1
-            + (3.0 - 4.0 * g) * (1.0 - g) * P[:, j]
-            - 0.5 * (1.0 - g) * (1.0 - 2.0 * g) ** 2 * Q[:, j]
-        )
-    return LimitFunctionals(field.t_grid, P, Q, G, U, A)
+    return _functionals_from_moments(
+        field.t_grid, params, field.values.reshape(draws, -1) @ W
+    )
+
+
+def simulate_limit_functionals(
+    oracle, t_grid, x_grid, draws, seed, params
+) -> LimitFunctionals:
+    """Draw the limit functionals from their own Gaussian law, no field.
+
+    moment1, moment2 and location are linear in the field, so they are
+    jointly Gaussian with covariance C = W' S W, where S is the oracle
+    covariance of the cells and W the `_functional_weights`; C is only
+    3 m_t square.  It is factored by Cholesky, which is unique and
+    continuous in C, so a tiny change of S moves the draws by a tiny
+    amount; a C that Cholesky rejects raises DegenerateCovarianceError.
+    The normals are drawn by `_block_draws`, so the first N draws of a
+    larger run are the draws of a run of N.
+    """
+    x_grid = np.asarray(x_grid, dtype=float)
+    mt = t_grid.m
+    W = _functional_weights(x_grid, np.broadcast_to(params.gamma_minus, (mt,)))
+    cov = W.T @ (covariance_matrix(oracle, t_grid, x_grid) @ W)
+    try:
+        factor = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise DegenerateCovarianceError(
+            f"covariance of the limit functionals on the {mt} x {x_grid.size} "
+            f"(time x level) grid, x_max {x_grid[-1]:g}, is not positive definite"
+        ) from None
+    return _functionals_from_moments(t_grid, params, _block_draws(factor, draws, seed))
 
 
 @dataclass(frozen=True)

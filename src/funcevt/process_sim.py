@@ -89,9 +89,7 @@ class KernelSpec:
         """P{X > L} for the kernel density."""
         if self.shape == DOUBLE_EXP:
             return 0.5 * math.exp(-self.rate * L)
-        from scipy.stats import t as student
-
-        return float(student.sf(self.rate * L, self.df))
+        return float(special.stdtr(self.df, -(self.rate * L)))
 
     def half_width(self, trunc_tol) -> float:
         """Smallest window half-width L meeting the truncation tolerance.
@@ -107,9 +105,7 @@ class KernelSpec:
             exact = math.log(1.0 / eps ** 2) / self.rate
             generous = math.log(2.0 / (self.rate * eps ** 2)) / self.rate
             return max(exact, generous)
-        from scipy.stats import t as student
-
-        return float(student.isf(0.5 * eps ** 2, self.df)) / self.rate
+        return -float(special.stdtrit(self.df, 0.5 * eps ** 2)) / self.rate
 
     @property
     def log_lipschitz(self) -> float:

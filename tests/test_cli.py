@@ -319,18 +319,29 @@ class TestLimit:
             tracemalloc.stop()
         assert peak < 3e6
 
-    def test_clipped_count_on_stderr_only(self, tmp_path, capsys):
-        # the cell grid of a 3-time, 128-level moving-max run: its
-        # covariance needs no eigenvalue clipping
+    def test_success_writes_nothing_to_stderr(self, tmp_path, capsys):
         out_path = tmp_path / "limit.json"
         rc = main(["limit", "--family", "moving-max", "--tgrid", "3",
                    "--xgrid", "128", "--xmax", "1e4", "--draws", "4",
                    "--seed", "1", "--out", str(out_path)])
-        captured = capsys.readouterr()
         assert rc == 0
-        assert captured.err == "clipped eigenvalues: 0\n"
-        assert "eigenvalues" not in captured.out
-        assert "eigenvalues" not in out_path.read_text()
+        assert capsys.readouterr().err == ""
+
+    def test_indefinite_covariance_exits_one(self, tmp_path, capsys, monkeypatch):
+        import funcevt.limit_theory
+
+        monkeypatch.setattr(
+            funcevt.limit_theory, "covariance_matrix",
+            lambda oracle, t, x: -np.eye(len(t) * x.size),
+        )
+        out_path = tmp_path / "limit.json"
+        rc = main(["limit", "--family", "pareto-gbm", "--tgrid", "3",
+                   "--xgrid", "16", "--draws", "4", "--out", str(out_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "3 x 16" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
 
 
 # configs that must end in "error: ..." and exit 1, never a traceback
@@ -443,8 +454,10 @@ class TestExperiment:
 
 
 def test_cli_import_leaves_slow_scipy_modules_unloaded(tmp_path):
-    # and so does `funcevt limit` for the two closed-form oracles: the
-    # limit functionals' tail coefficient is a closed form too
+    # and so do `funcevt limit` for the two closed-form oracles (the limit
+    # functionals' tail coefficient is a closed form too) and a checked
+    # normality experiment (its KS statistic and critical value come from
+    # scipy.special)
     loaded = (
         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
         "'scipy.stats') if m in sys.modules)); "
@@ -454,12 +467,19 @@ def test_cli_import_leaves_slow_scipy_modules_unloaded(tmp_path):
         f"'--xgrid', '16', '--draws', '4', '--out', {str(tmp_path / 'l.json')!r}]); "
         for family in ("moving-max", "pareto-gbm")
     )
-    code = "import sys, funcevt.cli; " + loaded + limit + loaded
+    cfg_path = str(tmp_path / "cfg.json")
+    save_config(ExperimentConfig(kind="normality", family="moving-max", n=500, k=50,
+                                 reps=10, seed=3, m=3), cfg_path)
+    experiment = (
+        f"funcevt.cli.main(['experiment', '--config', {cfg_path!r}, "
+        "'--workers', '1', '--check']); "
+    )
+    code = "import sys, funcevt.cli; " + loaded + limit + loaded + experiment + loaded
     env = {**os.environ, "PYTHONPATH": str(Path(funcevt.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, timeout=120, env=env,
     )
-    lines = out.stdout.splitlines()
-    assert lines[0] == "[]"  # after the import
-    assert lines[-1] == "[]"  # after both limit runs
+    lines = [line for line in out.stdout.splitlines() if line.startswith("[")]
+    assert lines == ["[]", "[]", "[]"]  # after the import, the limit runs, the experiment
+    assert "PASS " in out.stdout or "FAIL " in out.stdout  # --check ran

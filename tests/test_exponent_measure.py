@@ -62,6 +62,14 @@ class TestSupIntegral:
             warnings.simplefilter("error")
             assert oracle.intersection_mass(0.0, 1.0, 1.0, y) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("df", [1.0, 3.0, 30.0])
+    def test_student_tail_radius_equals_scipy_stats(self, df):
+        # scipy.stats.t is the reference for the scipy.special form
+        kernel = KernelSpec("student-t", rate=0.5, df=df)
+        for mass in (0.49, 1e-3, 5e-13):
+            want = float(stats.t.isf(mass, df)) / 0.5
+            assert exponent_measure._tail_radius(kernel, mass) == want
+
     def test_input_validation(self):
         k = KernelSpec()
         with pytest.raises(DataError):

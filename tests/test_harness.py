@@ -235,8 +235,23 @@ class TestSummarize:
         errors = rng.standard_normal((400, 1))
         rep = summarize(np.array([0.0]), errors, 1.0, cfg, "hill", 400, 0)
         want = stats.kstest(errors[:, 0], "norm").statistic
-        assert rep.ks[0] == pytest.approx(want)
+        assert rep.ks[0] == want
         assert rep.ks[0] < ks_critical(400)
+
+    @pytest.mark.parametrize("n", [2, 3, 57, 1000])
+    def test_ks_column_equals_scipy_kstest_bitwise(self, n):
+        # scipy.stats.kstest is the reference for summarize's two
+        # one-sided maxima, on ties, scaled limits and a NaN column too
+        cfg = small_normality(reps=5)
+        rng = np.random.default_rng(n)
+        errors = rng.standard_normal((n, 4)) * 1.7
+        errors[: n // 2, 1] = errors[0, 1]
+        errors[-1, 3] = np.nan
+        var_limit = np.array([1.0, 0.3, 2.89, 1.0])
+        rep = summarize(np.arange(4.0), errors, var_limit, cfg, "hill", n, 0)
+        for j in range(4):
+            want = stats.kstest(errors[:, j], "norm", args=(0.0, math.sqrt(var_limit[j])))
+            assert np.float64(rep.ks[j]).tobytes() == np.float64(want.statistic).tobytes()
 
     def test_zero_var_limit_gives_nan_ks(self):
         cfg = small_normality(reps=5)
@@ -248,6 +263,8 @@ class TestSummarize:
     def test_ks_critical_value(self):
         # kstwobign upper 1% point is about 1.628
         assert ks_critical(100) == pytest.approx(0.1628, abs=2e-3)
+        for alpha in (0.001, 0.01, 0.05):
+            assert ks_critical(100, alpha) == float(stats.kstwobign.isf(alpha)) / 10.0
 
 
 class TestExportLoad:

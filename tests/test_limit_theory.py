@@ -17,6 +17,7 @@ from funcevt.limit_theory import (
     second_order_bias,
     second_order_check,
     simulate_limit_field,
+    simulate_limit_functionals,
     true_functions,
 )
 from funcevt.path_model import DataError, make_grid
@@ -52,6 +53,46 @@ def reference_limit_field(oracle, t_grid, x_grid, draws, seed):
     factor = evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
     z = np.random.default_rng(seed).standard_normal((draws, cov.shape[0]))
     return (z @ factor.T).reshape(draws, t_grid.m, len(x_grid))
+
+
+def reference_limit_functionals(field, params):
+    """moment1, moment2 and location of every draw by one loop over the
+    times, each a dot product with its level weights plus the tail terms."""
+    x = field.x_grid
+    mt = field.t_grid.m
+    gm = np.broadcast_to(params.gamma_minus, (mt,))
+    tw = np.zeros_like(x)
+    tw[:-1] += 0.5 * np.diff(x)
+    tw[1:] += 0.5 * np.diff(x)
+    out = np.empty((3, field.values.shape[0], mt))
+    for j in range(mt):
+        g = float(gm[j])
+        W = field.values[:, j, :]
+        w1, wend = W[:, 0], W[:, -1]
+        out[0, :, j] = W @ (tw * x ** (g - 1.0)) + wend * x[-1] ** g / (1.0 - g) - w1 / (1.0 - g)
+        kern = np.log(x) if g == 0.0 else np.expm1(g * np.log(x)) / g
+        out[1, :, j] = (
+            2.0 * (W @ (tw * kern * x ** (g - 1.0)))
+            + wend * reference_tail_coef_moment2(g, x[-1])
+            - 2.0 * w1 / ((1.0 - g) * (1.0 - 2.0 * g))
+        )
+        out[2, :, j] = w1
+    return out
+
+
+def functional_covariance(oracle, t_grid, x_grid, gamma_minus):
+    """C = W' S W, the law simulate_limit_functionals draws from."""
+    weights = limit_theory._functional_weights(x_grid, gamma_minus)
+    return weights.T @ covariance_matrix(oracle, t_grid, x_grid) @ weights
+
+
+def assert_covariance_near(fn, C):
+    """The sample covariance of moment1, moment2 and location draws is C
+    up to 5 standard errors in every entry."""
+    draws = fn.moment1.shape[0]
+    emp = np.cov(np.hstack([fn.moment1, fn.moment2, fn.location]), rowvar=False)
+    se = np.sqrt((np.outer(np.diag(C), np.diag(C)) + C ** 2) / draws)
+    assert np.all(np.abs(emp - C) < 5.0 * se)
 
 
 FIELD_ORACLES = {"double-exp": MeasureOracle.moving_max(), "gbm": MeasureOracle.pareto_gbm()}
@@ -290,6 +331,19 @@ class TestLimitFunctionals:
         assert np.var(out.location[:, 0]) == pytest.approx(ref.var_location, rel=0.1)
         assert np.var(out.scale[:, 0]) == pytest.approx(ref.var_scale, rel=0.1)
 
+    @pytest.mark.parametrize("gm", [(0.0, 0.0), (-0.5, -1e-3)], ids=["gm0", "negative"])
+    def test_weights_match_the_loop_reference(self, gm):
+        # one matmul with the weights sums in another order than the
+        # per-time loop: equal to a few ulps of the largest value
+        rng = np.random.default_rng(11)
+        x = functional_x_grid(x_max=1e4, n=256)
+        field = self.field_from_values(x, rng.standard_normal((7, 2, x.size)))
+        params = LimitParams(np.zeros(2), np.array(gm))
+        out = limit_functionals(field, params)
+        want = reference_limit_functionals(field, params)
+        for got, ref in zip((out.moment1, out.moment2, out.location), want):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
     @pytest.mark.parametrize("g", [0.0, -1e-12, -1e-3, -0.25, -0.5, -1.0, -3.0])
     @pytest.mark.parametrize("x_max", [10.0, 1e4, 1e8])
     def test_tail_coefficient_matches_quadrature(self, g, x_max):
@@ -302,6 +356,95 @@ class TestLimitFunctionals:
         field = self.field_from_values(x, np.zeros((2, 1, 3)))
         with pytest.raises(DataError):
             limit_functionals(field, LimitParams.constant(1))
+
+
+class TestSimulateLimitFunctionals:
+    @pytest.mark.parametrize("levels", [128, 512])
+    @pytest.mark.parametrize("name", FIELD_ORACLES)
+    def test_exact_law_matches_gm0_closed_forms(self, name, levels):
+        # the law itself, no draws: at gamma_minus = 0 each time's block of
+        # C holds the closed-form (co)variances up to the level-grid error
+        g = make_grid(m=3)
+        x = functional_x_grid(1e4, levels)
+        C = functional_covariance(FIELD_ORACLES[name], g, x, np.zeros(3))
+        ref = limit_variances_gm0(1.0)
+        for j in range(3):
+            p, q, u = j, 3 + j, 6 + j
+            assert C[p, p] == pytest.approx(ref.var_moment1, rel=0.01)
+            assert C[q, q] == pytest.approx(ref.var_moment2, rel=0.01)
+            assert C[p, q] == pytest.approx(ref.cov_moments, rel=0.01)
+            assert C[u, u] == pytest.approx(ref.var_location, rel=0.01)
+            assert abs(C[p, u]) < 0.01 and abs(C[q, u]) < 0.01 * math.sqrt(20.0)
+
+    def test_field_route_agrees_in_law(self):
+        # functionals of field draws have the covariance C the direct
+        # route draws from: each entry within 5 standard errors
+        oracle = MeasureOracle.pareto_gbm()
+        g = make_grid(m=2)
+        x = functional_x_grid(1e3, 32)
+        params = LimitParams(np.zeros(2), np.array([0.0, -0.5]))
+        field = simulate_limit_field(oracle, g, x, 20_000, seed=12)
+        fn = limit_functionals(field, params)
+        assert_covariance_near(fn, functional_covariance(oracle, g, x, params.gamma_minus))
+
+    def test_draws_have_the_law_and_the_field_combinations(self):
+        oracle = MeasureOracle.moving_max()
+        g = make_grid(m=2)
+        x = functional_x_grid(1e3, 32)
+        params = LimitParams.constant(2, gamma_plus=1.0)
+        fn = simulate_limit_functionals(oracle, g, x, 20_000, 13, params)
+        assert_covariance_near(fn, functional_covariance(oracle, g, x, params.gamma_minus))
+        np.testing.assert_allclose(fn.index, -fn.moment1 + 0.5 * fn.moment2, atol=1e-12)
+        np.testing.assert_allclose(
+            fn.scale, fn.location + 3.0 * fn.moment1 - 0.5 * fn.moment2, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("block_values", [None, 5 * 6])
+    def test_draws_are_prefix_stable(self, monkeypatch, block_values):
+        if block_values is not None:
+            monkeypatch.setattr(limit_theory, "_DRAW_BLOCK_VALUES", block_values)
+        oracle = MeasureOracle.moving_max()
+        g = make_grid(m=2)
+        x = functional_x_grid(16.0, 8)
+        params = LimitParams.constant(2)
+        rows = limit_theory._DRAW_BLOCK_VALUES // 6
+        names = ("moment1", "moment2", "index", "location", "scale")
+
+        def run(n):
+            fn = simulate_limit_functionals(oracle, g, x, n, 9, params)
+            return [getattr(fn, name) for name in names]
+
+        big = run(3 * rows + 2)
+        for n in (1, 2, 3, rows - 1, rows, rows + 1, 2 * rows + 3):
+            for got, want in zip(run(n), big):
+                assert got.tobytes() == want[:n].tobytes(), n
+
+    def test_tiny_covariance_change_moves_draws_tiny(self, monkeypatch):
+        # the README default pareto-gbm grid, where ulp-level covariance
+        # changes once flipped eigenvector signs and moved draws by 0.088
+        g = make_grid(m=3)
+        x = functional_x_grid(1e4, 512)
+        cov = covariance_matrix(MeasureOracle.pareto_gbm(), g, x)
+        noise = np.random.default_rng(14).standard_normal(cov.shape)
+        params = LimitParams.constant(3)
+
+        def draws(matrix):
+            monkeypatch.setattr(limit_theory, "covariance_matrix", lambda *a: matrix)
+            return simulate_limit_functionals(None, g, x, 1000, 0, params)
+
+        a = draws(cov)
+        b = draws(cov + 0.5e-18 * (noise + noise.T))
+        for name in ("moment1", "moment2", "location"):
+            assert np.abs(getattr(a, name) - getattr(b, name)).max() < 1e-12
+
+    def test_indefinite_law_rejected_naming_the_grid(self, monkeypatch):
+        g = make_grid(m=2)
+        x = functional_x_grid(100.0, 8)
+        monkeypatch.setattr(
+            limit_theory, "covariance_matrix", lambda o, t, x: -np.eye(2 * x.size)
+        )
+        with pytest.raises(DegenerateCovarianceError, match="2 x 8"):
+            simulate_limit_functionals(None, g, x, 10, 0, LimitParams.constant(2))
 
 
 class TestGm0Variances:

@@ -43,6 +43,15 @@ class TestKernelSpec:
             tol = 1e-4
             assert k.tail_mass(k.half_width(tol)) <= 0.5 * tol**2 * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize("df", [1.0, 2.5, 3.0, 30.0])
+    def test_student_tails_equal_scipy_stats(self, df):
+        # scipy.stats.t is the reference for the scipy.special forms
+        k = KernelSpec("student-t", rate=2.0, df=df)
+        for L in (0.0, 0.4, 7.0, 1e3):
+            assert k.tail_mass(L) == float(stats.t.sf(2.0 * L, df))
+        for tol in (0.5, 1e-3, 1e-6):
+            assert k.half_width(tol) == float(stats.t.isf(0.5 * tol**2, df)) / 2.0
+
     def test_bad_shape_rejected(self):
         with pytest.raises(SimulationError):
             KernelSpec("box")

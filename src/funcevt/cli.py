@@ -121,7 +121,9 @@ def _cmd_nu(args) -> int:
         oracle = MeasureOracle.moving_max(_kernel(args))
     else:
         oracle = MeasureOracle.pareto_gbm()
-    if args.s is None or args.y is None:
+    if (args.s is None) != (args.y is None):
+        raise DataError("--s and --y go together: give both for an intersection, or neither")
+    if args.s is None:
         mass = oracle.rect_mass(args.t, args.x)
     else:
         mass = oracle.intersection_mass(args.t, args.x, args.s, args.y)

@@ -9,9 +9,10 @@ evaluate those intersection masses:
 * moving-max family: nu(C_{t,x} n C_{s,y}) = integral of
   min(f(t+u)/x, f(s+u)/y) du.  For the double-exponential kernel the
   integrand is a single exponential on each of four pieces of the line,
-  so the mass is exact in closed form (see `_double_exp_mass`).  The
-  student-t kernel goes through `sup_integral`, segmented adaptive
-  quadrature of the envelope max(f(t+u)/x, f(s+u)/y).
+  so the mass is exact in closed form (see `_double_exp_mass`).  Two
+  student-t curves cross at most twice, at the roots of one quadratic,
+  and between crossings the min is one curve, so the mass is a sum of at
+  most three t-CDF differences (see `_student_t_mass`).
 * pareto-gbm family: nu(C_{t,x} n C_{s,y}) = E[min(B(t)/x, B(s)/y)].
   Writing B(t) = B(s) R with R = exp(W(t)-W(s) - (t-s)/2) independent
   of B(s), the factor B(s) slips out of the min with unit expectation,
@@ -29,108 +30,28 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, stdtrit
+from scipy.special import ndtr, stdtr
 
 from funcevt.path_model import MOVING_MAX, PARETO_GBM, DataError
 from funcevt.process_sim import DOUBLE_EXP, KernelSpec
 
 
-# absolute tolerance of the student-t kernel's union quadrature
-_QUAD_TOL = 1e-11
+def _student_t_crossings(df, alpha, beta, log_ratio):
+    """Both roots z of exp(log_ratio) t_df(alpha + z) = t_df(beta + z).
 
-
-def _tail_radius(kernel, mass):
-    """Radius R with kernel tail mass beyond R at most `mass`."""
-    if mass >= 0.5:
-        return 0.0
-    if kernel.shape == DOUBLE_EXP:
-        return math.log(0.5 / mass) / kernel.rate
-    return -float(stdtrit(kernel.df, mass)) / kernel.rate
-
-
-def _crossings(kernel, times, inv):
-    """Points u where two curves inv_j f(t_j + u) meet, over all pairs.
-
-    Both kernel shapes meet a second curve in closed form: the
-    double-exp log-densities are piecewise linear, so two curves cross
-    at most once between their peaks, and for the student-t kernel the
-    ratio of the two curves is a power of a ratio of quadratics, so
-    they meet at the roots of one quadratic.
+    The ratio of two shifted t densities is a power of a ratio of
+    quadratics, so two weighted curves meet at the roots of
+    nu + (alpha + z)^2 = k (nu + (beta + z)^2), k = exp(log_ratio)^(2/(nu+1)).
+    Broadcasts over its arguments; the roots are stacked on a new first
+    axis and are not finite where the quadratic has no real root.
     """
-    a, b = np.triu_indices(len(times), k=1)
-    ta, tb = times[a], times[b]
-    log_ratio = np.log(inv[a]) - np.log(inv[b])
-    if kernel.shape == DOUBLE_EXP:
-        # |t_a + u| - |t_b + u| = log(inv_a / inv_b) / rate between the peaks
-        d = log_ratio / kernel.rate
-        inside = np.abs(d) < np.abs(tb - ta)
-        return -0.5 * (ta + tb + d * np.sign(tb - ta))[inside]
-    # with z = rate u: nu + (alpha + z)^2 = k (nu + (beta + z)^2)
-    nu = kernel.df
-    alpha, beta = kernel.rate * ta, kernel.rate * tb
-    k = np.exp(log_ratio / (0.5 * (nu + 1.0)))
+    k = np.exp(log_ratio / (0.5 * (df + 1.0)))
     qa = 1.0 - k
     qb = 2.0 * (alpha - k * beta)
-    qc = alpha * alpha - k * beta * beta + nu * qa
-    disc = qb * qb - 4.0 * qa * qc
-    real = disc >= 0.0
-    qa, qb, qc = qa[real], qb[real], qc[real]
-    q = -0.5 * (qb + np.copysign(np.sqrt(disc[real]), qb))
+    qc = alpha * alpha - k * beta * beta + df * qa
     with np.errstate(divide="ignore", invalid="ignore"):
-        roots = np.concatenate([q / qa, qc / q])
-    return roots[np.isfinite(roots)] / kernel.rate
-
-
-def sup_integral(kernel, times, levels, tol=1e-10):
-    """integral over u of max_j f(t_j + u) / x_j du.
-
-    Splits the line at kernel peaks and at the points where two curves
-    cross on the envelope (found in closed form by `_crossings`), then
-    applies adaptive quadrature per smooth segment.  Kinks in the far
-    tails, where every curve has mass below tol / 20, are left inside
-    the outer two segments, which run to infinity: quad does not
-    converge on a heavy-tailed kernel's mass at one end of a segment
-    cut far out.
-    """
-    # here, not at module level: it is slow to import
-    from scipy import integrate
-
-    times = np.asarray(times, dtype=float)
-    levels = np.asarray(levels, dtype=float)
-    if times.shape != levels.shape or times.ndim != 1:
-        raise DataError("times and levels must be matching 1-d arrays")
-    if np.any(levels <= 0.0):
-        raise DataError("levels must be positive")
-
-    inv = 1.0 / levels
-
-    def curves(u):
-        return inv[:, None] * kernel.density(times[:, None] + np.atleast_1d(u)[None, :])
-
-    def envelope(u):
-        return np.max(curves(u), axis=0).reshape(np.shape(u))
-
-    # a crossing is a kink only where the two curves it joins are the
-    # envelope; a third curve above both leaves the envelope smooth there
-    cross = _crossings(kernel, times, inv)
-    vals = curves(cross)
-    top = np.sort(vals, axis=0)[-2:]
-    kinks = cross[top[0] >= top[-1] * (1.0 - 1e-9)]
-
-    radius = _tail_radius(kernel, tol * float(levels.min()) / 20.0)
-    lo = -radius - float(times.max())
-    hi = radius - float(times.min())
-    breaks = set(float(-t) for t in times) | set(kinks.tolist())
-    edges = sorted(b for b in breaks if lo < b < hi)
-    cuts = [-math.inf] + edges + [math.inf]
-    total = 0.0
-    eps = tol / (4.0 * max(len(cuts) - 1, 1))
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        val, _ = integrate.quad(
-            lambda u: float(envelope(u)), a, b, epsabs=eps, epsrel=1e-12, limit=200
-        )
-        total += val
-    return total
+        q = -0.5 * (qb + np.copysign(np.sqrt(qb * qb - 4.0 * qa * qc), qb))
+        return np.stack([q / qa, qc / q])
 
 
 def _double_exp_mass(rate, h, x, y):
@@ -160,6 +81,29 @@ def _gbm_mass(h, x, y):
     return ndtr(zstar - r) / x + ndtr(-zstar) / y
 
 
+def _student_t_mass(kernel, h, x, y):
+    """nu(C_{t,x} n C_{t+h,y}) for f(u) = rate t_df(rate u), h > 0.
+
+    In z = rate (t + u) the two curves are t_df(z)/x and t_df(z + b)/y,
+    b = rate h.  Between consecutive crossings (at most two, from
+    `_student_t_crossings`) one curve lies below the other, so the integral
+    of the min there is the smaller of the two t-CDF differences.  Each
+    difference is taken in the tail its segment lies in.  Broadcasts
+    over x and y.
+    """
+    df, b = kernel.df, kernel.rate * h
+    roots = _student_t_crossings(df, 0.0, b, np.log(y) - np.log(x))
+    cuts = np.sort(np.where(np.isfinite(roots), roots, np.inf), axis=0)
+    ends = np.full((1,) + cuts.shape[1:], np.inf)
+    lo, hi = np.concatenate([-ends, cuts]), np.concatenate([cuts, ends])
+
+    def cdf_diff(lo, hi):
+        flip = lo > -hi  # midpoint right of the mode
+        return stdtr(df, np.where(flip, -lo, hi)) - stdtr(df, np.where(flip, -hi, lo))
+
+    return np.minimum(cdf_diff(lo, hi) / x, cdf_diff(lo + b, hi + b) / y).sum(axis=0)
+
+
 @dataclass(frozen=True)
 class MeasureOracle:
     """Evaluates exceedance-set masses of the exponent measure.
@@ -184,8 +128,10 @@ class MeasureOracle:
     def _check_point(self, t, x):
         if not 0.0 <= t <= 1.0:
             raise DataError("time must be in [0, 1]")
-        if not np.all(np.asarray(x) > 0.0):
-            raise DataError("level must be positive")
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", over="ignore"):
+            if not np.all((x > 0.0) & np.isfinite(x) & np.isfinite(1.0 / x)):
+                raise DataError("level must be positive and finite, with a finite reciprocal")
 
     def rect_mass(self, t, x) -> float:
         """nu(C_{t,x}) = 1/x."""
@@ -198,7 +144,7 @@ class MeasureOracle:
         Returns a float for scalar levels and an array otherwise.  Every
         mass is capped at min(1/x, 1/y), which it equals exactly once one
         cell contains the other: where one nearly contains the other the
-        formulas and the quadrature round a few ulps above it.
+        formulas round a few ulps above it.
         """
         self._check_point(t, x)
         self._check_point(s, y)
@@ -214,18 +160,9 @@ class MeasureOracle:
         elif self.family == PARETO_GBM:
             out = _gbm_mass(h, x, y)
         else:
-            out = np.array(
-                [self._scalar_mass(t, xi, s, yi) for xi, yi in zip(x.flat, y.flat)]
-            ).reshape(x.shape)
+            out = _student_t_mass(self.kernel, h, x, y)
         out = np.minimum(out, cap)
         return float(out) if out.ndim == 0 else out
-
-    def _scalar_mass(self, t, x, s, y) -> float:
-        """One mass by quadrature of the union (student-t kernel), t < s."""
-        union = sup_integral(
-            self.kernel, np.array([t, s]), np.array([x, y]), tol=_QUAD_TOL
-        )
-        return 1.0 / x + 1.0 / y - union
 
 
 def covariance_matrix(oracle, t_grid, x_grid) -> np.ndarray:

@@ -328,10 +328,10 @@ def _functional_weights(x_grid, gamma_minus) -> np.ndarray:
     and location values, in that order, each block of m_t columns by time.
 
     The level grid must start at 1; integrals over [1, x_max] use the
-    trapezoid rule on the grid, plus the conditional-mean tail correction
-    E[W(C_{t,x}) | W(C_{t,x_max})] = (x_max/x) W(C_{t,x_max}) integrated
-    beyond x_max.  Cells are row-major in (time, level), as in
-    `covariance_matrix`.
+    trapezoid rule on the grid, plus the integral beyond x_max of the
+    conditional-mean tail correction
+    E[W(C_{t,x}) | W(C_{t,x_max})] = (x_max/x) W(C_{t,x_max}).  Cells
+    are row-major in (time, level), as in `covariance_matrix`.
     """
     x = np.asarray(x_grid, dtype=float)
     if abs(x[0] - 1.0) > 1e-9:

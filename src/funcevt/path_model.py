@@ -10,7 +10,7 @@ Two families are supported:
 
 * ``moving-max``: a moving-maximum Poisson process whose one-dimensional
   marginals are standard Frechet, F_t(x) = exp(-1/x), for any smoothing
-  kernel that integrates to one.
+  kernel of unit mass.
 * ``pareto-gbm``: xi(t) = Y * B(t) with Y standard Pareto and B a
   geometric Brownian motion with unit drift correction, B(t) =
   exp(W(t) - t/2).  The marginal tail is E[min(B(t)/x, 1)]; splitting

@@ -2,8 +2,8 @@
 
 Moving-maximum Poisson process
     xi(t) = sup_j f(t + X_j) / Y_j over points (X_j, Y_j) of a unit-rate
-    Poisson process on R x (0, inf), with a smoothing kernel f that
-    integrates to one.  Marginals are standard Frechet.  Simulation
+    Poisson process on R x (0, inf), with a smoothing kernel f of unit
+    mass.  Marginals are standard Frechet.  Simulation
     truncates the point set to a window X in [-(L+1), L] and Y in
     (0, y_max]; both cut-offs are derived from the truncation tolerance
     so that every simulated value above a documented floor is exact.
@@ -84,12 +84,6 @@ class KernelSpec:
     @property
     def peak_height(self) -> float:
         return float(self.density(0.0))
-
-    def tail_mass(self, L):
-        """P{X > L} for the kernel density."""
-        if self.shape == DOUBLE_EXP:
-            return 0.5 * math.exp(-self.rate * L)
-        return float(special.stdtr(self.df, -(self.rate * L)))
 
     def half_width(self, trunc_tol) -> float:
         """Smallest window half-width L meeting the truncation tolerance.

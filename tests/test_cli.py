@@ -252,6 +252,39 @@ class TestNu:
         assert rc == 0
         assert float(out) == pytest.approx(2.0 * ndtr(-0.5), rel=1e-10)
 
+    def test_student_t_intersection(self, capsys):
+        # f(u + 0.5)/2 < f(u) for the t_3 kernel, so C_{0.5,2} lies inside
+        # C_{0,1} and the intersection carries its mass 1/2
+        rc, out = run(capsys, ["nu", "--family", "moving-max", "--kernel", "t",
+                               "--t", "0", "--x", "1", "--s", "0.5", "--y", "2"])
+        assert rc == 0
+        assert out.strip() == "0.5"
+
+    @pytest.mark.parametrize("kernel", ["dexp", "t"])
+    @pytest.mark.parametrize(
+        "levels",
+        [("1", "1e-320"), ("1e-320", "1"), ("inf", "1")],
+        ids=["subnormal-y", "subnormal-x", "infinite-x"],
+    )
+    def test_unrepresentable_level_exits_one(self, capsys, kernel, levels):
+        # 1/1e-320 overflows and 1/inf is 0: these printed nan, inf and 0
+        x, y = levels
+        rc = main(["nu", "--family", "moving-max", "--kernel", kernel, "--t", "0",
+                   "--x", x, "--s", "0.5", "--y", y])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: level must be")
+
+    @pytest.mark.parametrize("half", [["--s", "0.5"], ["--y", "2"]], ids=["s-only", "y-only"])
+    def test_half_an_intersection_exits_one(self, capsys, half):
+        # one of --s/--y used to be dropped, printing the single-cell mass
+        rc = main(["nu", "--family", "pareto-gbm", "--t", "0", "--x", "2", *half])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "--s and --y" in captured.err
+
 
 class TestLimit:
     def test_json_document(self, tmp_path, capsys):
@@ -454,18 +487,23 @@ class TestExperiment:
 
 
 def test_cli_import_leaves_slow_scipy_modules_unloaded(tmp_path):
-    # and so do `funcevt limit` for the two closed-form oracles (the limit
-    # functionals' tail coefficient is a closed form too) and a checked
-    # normality experiment (its KS statistic and critical value come from
-    # scipy.special)
+    # and so do `funcevt nu` and `funcevt limit` for every oracle, all of
+    # them closed forms (the limit functionals' tail coefficient is a
+    # closed form too), and a checked normality experiment (its KS
+    # statistic and critical value come from scipy.special)
     loaded = (
         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
         "'scipy.stats') if m in sys.modules)); "
     )
+    student = "'--kernel', 't', "
     limit = "".join(
-        f"funcevt.cli.main(['limit', '--family', {family!r}, '--tgrid', '2', "
+        f"funcevt.cli.main(['limit', '--family', {family!r}, {kernel}'--tgrid', '2', "
         f"'--xgrid', '16', '--draws', '4', '--out', {str(tmp_path / 'l.json')!r}]); "
-        for family in ("moving-max", "pareto-gbm")
+        for family, kernel in (("moving-max", ""), ("moving-max", student), ("pareto-gbm", ""))
+    )
+    limit += (
+        f"funcevt.cli.main(['nu', '--family', 'moving-max', {student}'--t', '0', "
+        "'--x', '1', '--s', '0.5', '--y', '2']); "
     )
     cfg_path = str(tmp_path / "cfg.json")
     save_config(ExperimentConfig(kind="normality", family="moving-max", n=500, k=50,
@@ -481,5 +519,5 @@ def test_cli_import_leaves_slow_scipy_modules_unloaded(tmp_path):
         check=True, timeout=120, env=env,
     )
     lines = [line for line in out.stdout.splitlines() if line.startswith("[")]
-    assert lines == ["[]", "[]", "[]"]  # after the import, the limit runs, the experiment
+    assert lines == ["[]", "[]", "[]"]  # after the import, the limit and nu runs, the experiment
     assert "PASS " in out.stdout or "FAIL " in out.stdout  # --check ran

@@ -47,6 +47,8 @@ from funcevt.limit_theory import (
     simulate_limit_field,
     LimitFunctionals,
     limit_functionals,
+    simulate_limit_functionals,
+    DegenerateCovarianceError,
     Gm0Variances,
     limit_variances_gm0,
     second_order_check,

@@ -60,7 +60,7 @@ def _double_exp_mass(rate, h, x, y):
     With a = 1/x, b = 1/y and e = exp(-rate h), the integrand
     min(a f(v), b f(v+h)) is a single exponential on each of v < -h,
     (-h, c), (c, 0) and v > 0, where c is the crossing point
-    (log(x/y) - rate h)/(2 rate) clipped to [-h, 0].  Broadcasts over x
+    (log(x/y) - rate h)/(2 rate) clamped to [-h, 0].  Broadcasts over x
     and y.
     """
     a, b = 1.0 / x, 1.0 / y

@@ -19,6 +19,8 @@ evaluated on the field's level grid with a conditional-mean correction
 for the tail beyond the largest level.  moment1, moment2 and location
 are linear in the field, so `simulate_limit_functionals` draws them from
 their own 3 m_t-dimensional Gaussian law without building the field.
+It and `simulate_limit_field` draw through the Cholesky factor of
+their covariance, and take the same level-grid check.
 
 This module also carries the second-order machinery: the bias shape
 function H(g, rho, x) = int_1^x y**(g-1) int_1^y u**(rho-1) du dy, the
@@ -43,17 +45,15 @@ from funcevt.path_model import (
 from funcevt.exponent_measure import covariance_matrix
 
 
-# relative size of the negative covariance eigenvalues taken as rounding
-_CLIP_TOL = 1e-8
-
 # normals drawn per block of limit-field or limit-functional draws (1 MB
 # of float64), which bounds what the samplers hold beside their draws
 _DRAW_BLOCK_VALUES = 1 << 17
 
 
 class DegenerateCovarianceError(RuntimeError):
-    """Covariance matrix fails positive semi-definiteness beyond tolerance,
-    or the limit functionals' covariance fails its Cholesky factorisation."""
+    """A limit covariance fails its Cholesky factorisation: the cell
+    covariance of `simulate_limit_field` or the functionals' law of
+    `simulate_limit_functionals` is not positive definite on its grid."""
 
 
 def _powm1_over(a, logx):
@@ -245,22 +245,40 @@ class LimitField:
     cov: np.ndarray
     values: np.ndarray  # (draws, m_t, m_x)
     seed: int
-    clipped: int
 
     @property
     def n_draws(self) -> int:
         return self.values.shape[0]
 
 
-def _block_draws(factor, draws, seed) -> np.ndarray:
-    """(draws x width) Gaussian draws z @ factor' for a (width x width) factor.
+def _check_levels(x_grid) -> np.ndarray:
+    """The level grid as a float array, or DataError unless it is 1-D,
+    non-empty, finite and strictly increasing."""
+    x = np.asarray(x_grid, dtype=float)
+    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0.0):
+        raise DataError("level grid must be 1-D, non-empty, finite and strictly increasing")
+    return x
 
-    The normals are drawn and multiplied in blocks of
-    max(1, _DRAW_BLOCK_VALUES // width) rows, the last one drawn full size
-    and cut, so every product has the same shape: draw i depends on the
-    seed, i and the factor only, and the first N draws of a larger run
-    are the draws of a run of N.
+
+def _cholesky_draws(cov, draws, seed, t_grid, x_grid) -> np.ndarray:
+    """(draws x width) Gaussian draws z @ L' for the Cholesky factor L of
+    the (width x width) covariance of a limit law on a (time x level) grid.
+
+    L is unique and continuous in cov, so a tiny change of cov moves the
+    draws by a tiny amount; a cov that Cholesky rejects raises
+    DegenerateCovarianceError naming the grid.  The normals are drawn and
+    multiplied in blocks of max(1, _DRAW_BLOCK_VALUES // width) rows, the
+    last one drawn full size and cut, so every product has the same shape:
+    draw i depends on the seed, i and L only, and the first N draws of a
+    larger run are the draws of a run of N.
     """
+    try:
+        factor = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise DegenerateCovarianceError(
+            f"limit covariance on the {t_grid.m} x {x_grid.size} (time x level) "
+            f"grid, x_max {x_grid[-1]:g}, is not positive definite"
+        ) from None
     draws, width = int(draws), factor.shape[0]
     rows = max(1, _DRAW_BLOCK_VALUES // width)
     rng = np.random.default_rng(seed)
@@ -274,28 +292,14 @@ def _block_draws(factor, draws, seed) -> np.ndarray:
 def simulate_limit_field(oracle, t_grid, x_grid, draws, seed=0) -> LimitField:
     """Draw the limit field on a cell grid from its oracle covariance.
 
-    The covariance is factored by symmetric eigendecomposition;
-    eigenvalues in [-_CLIP_TOL * max_eig, 0) are clipped to 0 (their count
-    is `LimitField.clipped`), anything lower raises DegenerateCovarianceError.
-
-    The normals are drawn by `_block_draws`, so the first N draws of a
-    larger run are the draws of a run of N.
+    The draws are `_cholesky_draws` of the covariance, so the first N
+    draws of a larger run are the draws of a run of N; a covariance that
+    Cholesky rejects raises DegenerateCovarianceError.
     """
-    x_grid = np.asarray(x_grid, dtype=float)
+    x_grid = _check_levels(x_grid)
     cov = covariance_matrix(oracle, t_grid, x_grid)
-    evals, factor = np.linalg.eigh(cov)
-    top = float(evals.max())
-    if top <= 0.0:
-        raise DegenerateCovarianceError("covariance has no positive eigenvalue")
-    if float(evals.min()) < -_CLIP_TOL * top:
-        raise DegenerateCovarianceError(
-            f"most negative eigenvalue {evals.min():.3e} is beyond "
-            f"clip tolerance {_CLIP_TOL:g} * {top:.3e}"
-        )
-    clipped = int(np.count_nonzero(evals < 0.0))
-    factor *= np.sqrt(np.clip(evals, 0.0, None))[None, :]
-    vals = _block_draws(factor, draws, seed).reshape(-1, t_grid.m, x_grid.size)
-    return LimitField(t_grid, x_grid, cov, vals, seed, clipped)
+    vals = _cholesky_draws(cov, draws, seed, t_grid, x_grid)
+    return LimitField(t_grid, x_grid, cov, vals.reshape(-1, t_grid.m, x_grid.size), seed)
 
 
 @dataclass(frozen=True)
@@ -400,24 +404,15 @@ def simulate_limit_functionals(
     moment1, moment2 and location are linear in the field, so they are
     jointly Gaussian with covariance C = W' S W, where S is the oracle
     covariance of the cells and W the `_functional_weights`; C is only
-    3 m_t square.  It is factored by Cholesky, which is unique and
-    continuous in C, so a tiny change of S moves the draws by a tiny
-    amount; a C that Cholesky rejects raises DegenerateCovarianceError.
-    The normals are drawn by `_block_draws`, so the first N draws of a
-    larger run are the draws of a run of N.
+    3 m_t square.  The draws are `_cholesky_draws` of C, so a tiny change
+    of S moves them by a tiny amount, and the first N draws of a larger
+    run are the draws of a run of N.
     """
-    x_grid = np.asarray(x_grid, dtype=float)
-    mt = t_grid.m
-    W = _functional_weights(x_grid, np.broadcast_to(params.gamma_minus, (mt,)))
+    x_grid = _check_levels(x_grid)
+    W = _functional_weights(x_grid, np.broadcast_to(params.gamma_minus, (t_grid.m,)))
     cov = W.T @ (covariance_matrix(oracle, t_grid, x_grid) @ W)
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise DegenerateCovarianceError(
-            f"covariance of the limit functionals on the {mt} x {x_grid.size} "
-            f"(time x level) grid, x_max {x_grid[-1]:g}, is not positive definite"
-        ) from None
-    return _functionals_from_moments(t_grid, params, _block_draws(factor, draws, seed))
+    vals = _cholesky_draws(cov, draws, seed, t_grid, x_grid)
+    return _functionals_from_moments(t_grid, params, vals)
 
 
 @dataclass(frozen=True)

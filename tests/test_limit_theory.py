@@ -47,11 +47,9 @@ def reference_tail_coef_moment2(g, x_max):
 
 def reference_limit_field(oracle, t_grid, x_grid, draws, seed):
     """simulate_limit_field's values from one (draws x cells) matrix of
-    normals multiplied by the factor in a single product."""
-    cov = covariance_matrix(oracle, t_grid, x_grid)
-    evals, evecs = np.linalg.eigh(cov)
-    factor = evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
-    z = np.random.default_rng(seed).standard_normal((draws, cov.shape[0]))
+    normals multiplied by the Cholesky factor in a single product."""
+    factor = np.linalg.cholesky(covariance_matrix(oracle, t_grid, x_grid))
+    z = np.random.default_rng(seed).standard_normal((draws, factor.shape[0]))
     return (z @ factor.T).reshape(draws, t_grid.m, len(x_grid))
 
 
@@ -267,7 +265,7 @@ class TestSimulateLimitField:
                 return -5.0
 
         g = make_grid(points=[0.0, 1.0])
-        with pytest.raises(DegenerateCovarianceError):
+        with pytest.raises(DegenerateCovarianceError, match=r"2 x 1 \(time x level\)"):
             simulate_limit_field(BrokenOracle(), g, np.array([1.0]), draws=10)
 
 
@@ -275,7 +273,7 @@ class TestLimitFunctionals:
     @staticmethod
     def field_from_values(x, values):
         g = make_grid(m=values.shape[1])
-        return LimitField(g, x, np.eye(x.size), values, 0, 0)
+        return LimitField(g, x, np.eye(x.size), values, 0)
 
     def test_zero_field_gives_zero(self):
         x = functional_x_grid(x_max=1e4, n=256)
@@ -421,7 +419,8 @@ class TestSimulateLimitFunctionals:
 
     def test_tiny_covariance_change_moves_draws_tiny(self, monkeypatch):
         # the README default pareto-gbm grid, where ulp-level covariance
-        # changes once flipped eigenvector signs and moved draws by 0.088
+        # changes once flipped eigenvector signs and moved draws by 0.088;
+        # both samplers, the functionals and the field
         g = make_grid(m=3)
         x = functional_x_grid(1e4, 512)
         cov = covariance_matrix(MeasureOracle.pareto_gbm(), g, x)
@@ -430,12 +429,14 @@ class TestSimulateLimitFunctionals:
 
         def draws(matrix):
             monkeypatch.setattr(limit_theory, "covariance_matrix", lambda *a: matrix)
-            return simulate_limit_functionals(None, g, x, 1000, 0, params)
+            fn = simulate_limit_functionals(None, g, x, 1000, 0, params)
+            field = simulate_limit_field(None, g, x, 100, 0)
+            return fn.moment1, fn.moment2, fn.location, field.values
 
         a = draws(cov)
         b = draws(cov + 0.5e-18 * (noise + noise.T))
-        for name in ("moment1", "moment2", "location"):
-            assert np.abs(getattr(a, name) - getattr(b, name)).max() < 1e-12
+        for got, want in zip(b, a):
+            assert np.abs(got - want).max() < 1e-12
 
     def test_indefinite_law_rejected_naming_the_grid(self, monkeypatch):
         g = make_grid(m=2)
@@ -445,6 +446,29 @@ class TestSimulateLimitFunctionals:
         )
         with pytest.raises(DegenerateCovarianceError, match="2 x 8"):
             simulate_limit_functionals(None, g, x, 10, 0, LimitParams.constant(2))
+
+
+SAMPLERS = {
+    "field": lambda x: simulate_limit_field(MeasureOracle.moving_max(), make_grid(m=2), x, 10),
+    "functionals": lambda x: simulate_limit_functionals(
+        MeasureOracle.moving_max(), make_grid(m=2), x, 10, 0, LimitParams.constant(2)
+    ),
+}
+
+
+class TestLevelGridCheck:
+    # a repeated level makes the cell covariance singular, a decreasing
+    # grid makes the trapezoid weights negative; no grid may warn first
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "x",
+        [[1.0, 2.0, 2.0], [1.0, 0.5, 0.25], [], [[1.0, 2.0], [4.0, 8.0]], [1.0, math.inf]],
+        ids=["duplicate", "decreasing", "empty", "2-D", "infinite"],
+    )
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    def test_rejected(self, sampler, x):
+        with pytest.raises(DataError, match="level grid"):
+            SAMPLERS[sampler](np.array(x))
 
 
 class TestGm0Variances:
@@ -497,3 +521,11 @@ class TestSecondOrderCheck:
         n, k, amp = r.schedule[0]
         assert (n, k) == (500, 22)
         assert amp == pytest.approx(math.sqrt(22) * 22 / 1000.0, rel=1e-12)
+
+
+def test_package_exports_both_samplers_and_their_error():
+    import funcevt
+
+    assert funcevt.simulate_limit_field is simulate_limit_field
+    assert funcevt.simulate_limit_functionals is simulate_limit_functionals
+    assert funcevt.DegenerateCovarianceError is DegenerateCovarianceError

@@ -117,10 +117,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_nu(args) -> int:
-    if args.family == MOVING_MAX:
-        oracle = MeasureOracle.moving_max(_kernel(args))
-    else:
-        oracle = MeasureOracle.pareto_gbm()
+    oracle = MeasureOracle(args.family, _kernel(args))
     if (args.s is None) != (args.y is None):
         raise DataError("--s and --y go together: give both for an intersection, or neither")
     if args.s is None:
@@ -163,10 +160,7 @@ def _write_limit_json(doc, fh):
 
 
 def _cmd_limit(args) -> int:
-    if args.family == MOVING_MAX:
-        oracle = MeasureOracle.moving_max(_kernel(args))
-    else:
-        oracle = MeasureOracle.pareto_gbm()
+    oracle = MeasureOracle(args.family, _kernel(args))
     t_grid = make_grid(m=args.tgrid)
     x_grid = functional_x_grid(args.xmax, args.xgrid)
     params = LimitParams.constant(t_grid.m, 1.0, 0.0)
@@ -278,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a configured experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="default: FUNCEVT_WORKERS or 1")
+    p.add_argument("--workers", type=int, default=None, help="default: 1")
     p.add_argument("--check", action="store_true",
                    help="exit 2 if acceptance thresholds are violated")
     p.set_defaults(func=_cmd_experiment)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, stdtr
 
-from funcevt.path_model import MOVING_MAX, PARETO_GBM, DataError
+from funcevt.path_model import FAMILIES, MOVING_MAX, PARETO_GBM, DataError
 from funcevt.process_sim import DOUBLE_EXP, KernelSpec
 
 
@@ -108,18 +108,25 @@ def _student_t_mass(kernel, h, x, y):
 class MeasureOracle:
     """Evaluates exceedance-set masses of the exponent measure.
 
-    Build with `MeasureOracle.moving_max(kernel)` or
-    `MeasureOracle.pareto_gbm()`.
+    `MeasureOracle(family, kernel)` takes the moving-max kernel, by
+    default `KernelSpec()`; pareto-gbm has none and drops a kernel given
+    to it.
     """
 
     family: str
     kernel: object = None
 
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise DataError(f"unknown family {self.family!r}")
+        if self.family == PARETO_GBM:
+            object.__setattr__(self, "kernel", None)
+        elif self.kernel is None:
+            object.__setattr__(self, "kernel", KernelSpec())
+
     @classmethod
     def moving_max(cls, kernel=None):
-        if kernel is None:
-            kernel = KernelSpec()
-        return cls(MOVING_MAX, kernel=kernel)
+        return cls(MOVING_MAX, kernel)
 
     @classmethod
     def pareto_gbm(cls):

@@ -62,6 +62,7 @@ from funcevt.path_model import (
 from funcevt.process_sim import (
     KernelSpec,
     SimConfig,
+    SimulationError,
     simulate_moving_max,
     simulate_pareto_gbm,
 )
@@ -84,8 +85,8 @@ class ExperimentConfig:
     """Complete, hashable description of one experiment.
 
     Field values are checked, never coerced: int fields take integers,
-    float fields integers or floats (neither takes a bool), times is a
-    list of numbers and pairs/schedule are lists of number pairs
+    float fields finite integers or floats (neither takes a bool), times
+    is a list of numbers and pairs/schedule are lists of number pairs
     (integer pairs for schedule).  The kind's own rules come last.
     """
 
@@ -123,6 +124,8 @@ class ExperimentConfig:
                 isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type])
             ):
                 raise DataError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise DataError(f"{f.name} must be finite, got {value!r}")
         spec = _spec(self.kind)
         if self.family not in FAMILIES:
             raise DataError(f"unknown family {self.family!r}")
@@ -134,6 +137,12 @@ class ExperimentConfig:
             raise DataError("reps must be >= 1")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
+        if self.value_floor < 0.0:
+            raise DataError("value_floor must be >= 0 (0 means the kind's default)")
+        try:
+            kernel_for(self)  # a bad kernel fails here, not after the replications
+        except SimulationError as exc:
+            raise DataError(str(exc)) from None
         object.__setattr__(self, "times", _numbers(self.times, "times"))
         object.__setattr__(
             self, "schedule", _pairs(self.schedule, "schedule", integer=True)
@@ -226,28 +235,17 @@ class ReplicationSet:
     arrays: dict
     flagged: np.ndarray
 
-    @property
-    def reps(self) -> int:
-        return self.flagged.size
+    def kept(self, key) -> np.ndarray:
+        """arrays[key] without the flagged replications."""
+        return self.arrays[key][~self.flagged]
 
 
-def worker_count(workers=None, reps=None) -> int:
-    """Explicit argument, else FUNCEVT_WORKERS, else 1.
-
-    Given the replication count, the result is the pool size: also
-    capped at reps and at os.cpu_count(), beyond which workers idle.
-    """
-    if workers is None:
-        env = os.environ.get("FUNCEVT_WORKERS", "").strip()
-        try:
-            workers = int(env) if env else 1
-        except ValueError:
-            raise DataError(f"FUNCEVT_WORKERS must be an integer, got {env!r}") from None
-    workers = int(workers)
+def worker_count(workers, reps) -> int:
+    """The pool size for reps replications: workers (None means 1),
+    capped at reps and at os.cpu_count(), beyond which workers idle."""
+    workers = 1 if workers is None else int(workers)
     if workers < 1:
         raise DataError(f"worker count must be at least 1, got {workers}")
-    if reps is None:
-        return workers
     return min(workers, int(reps), os.cpu_count() or 1)
 
 
@@ -286,8 +284,6 @@ class StandardizedErrors:
     index: np.ndarray
     location: np.ndarray
     scale: np.ndarray
-    n: int
-    k: int
     used: int
     flagged: int
 
@@ -303,20 +299,18 @@ def standardize(repset, truth) -> StandardizedErrors:
         raise DataError("standardize applies to normality replication sets")
     cfg = repset.config
     grid = grid_for(cfg)
-    keep = ~repset.flagged
+    hill, index, location, scale = map(repset.kept, STATISTICS)
     v = cfg.n / cfg.k
     u = np.array([truth.location(t, v) for t in grid.points])
     a = u * truth.gamma_plus()
     rk = math.sqrt(cfg.k)
     return StandardizedErrors(
         grid.points,
-        rk * (repset.arrays["hill"][keep] - truth.gamma_plus()),
-        rk * (repset.arrays["index"][keep] - truth.gamma()),
-        rk * (repset.arrays["location"][keep] - u[None, :]) / a[None, :],
-        rk * (repset.arrays["scale"][keep] / a[None, :] - 1.0),
-        cfg.n,
-        cfg.k,
-        int(keep.sum()),
+        rk * (hill - truth.gamma_plus()),
+        rk * (index - truth.gamma()),
+        rk * (location - u[None, :]) / a[None, :],
+        rk * (scale / a[None, :] - 1.0),
+        len(hill),
         int(repset.flagged.sum()),
     )
 
@@ -341,13 +335,16 @@ class StatsReport:
     schema: int = 2
 
 
-def _report(cfg, statistic, t, mean, var, var_limit, used, flagged, ks=None, extra=None):
-    """The StatsReport of a run of cfg; the ks column is NaN unless given."""
+def _report(repset, t, mean, var, var_limit, ks=None, extra=None):
+    """The StatsReport of a replication set; the ks column is NaN unless
+    given."""
+    cfg = repset.config
+    flagged = int(repset.flagged.sum())
     t = np.asarray(t, dtype=float)
     cols = [np.asarray(c, dtype=float) for c in (mean, var, var_limit)]
     ks = np.full(t.size, np.nan) if ks is None else ks
     return StatsReport(
-        cfg.kind, statistic, t, *cols, ks, cfg.reps, used, flagged,
+        cfg.kind, cfg.statistic, t, *cols, ks, cfg.reps, cfg.reps - flagged, flagged,
         cfg.to_dict(), config_hash(cfg), extra or {},
     )
 
@@ -357,28 +354,30 @@ def ks_critical(count, alpha=0.01) -> float:
     return float(kolmogi(alpha)) / math.sqrt(count)
 
 
-def summarize(t, errors, var_limit, cfg, statistic, used, flagged, extra=None):
-    """Per-column mean/variance and KS distance to N(0, var_limit).
+def summarize(repset, t, errors, var_limit, extra=None):
+    """Per-column mean/variance and KS distance to N(0, var_limit) of the
+    errors of repset's unflagged replications, one row each.
 
     The ks column holds the KS statistic itself (NaN where var_limit is
     not positive); compare against ks_critical(used) at the chosen level.
+    Columns a statistic needs more rows for are NaN.
     """
     t = np.asarray(t, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    mean = errors.mean(axis=0)
-    var = errors.var(axis=0, ddof=1) if errors.shape[0] > 1 else np.full(t.size, np.nan)
-    vl = np.broadcast_to(np.asarray(var_limit, dtype=float), t.shape)
-    ks = np.full(t.size, np.nan)
     n = errors.shape[0]
-    for j in range(t.size):
-        if vl[j] > 0.0 and n > 1:
-            # the larger one-sided distance of the empirical cdf from the
-            # N(0, var_limit) cdf at the sorted errors
-            cdf = ndtr(np.sort(errors[:, j]) / math.sqrt(vl[j]))
-            above = (np.arange(1.0, n + 1) / n - cdf).max()
-            below = (cdf - np.arange(0.0, n) / n).max()
-            ks[j] = above if above > below else below
-    return _report(cfg, statistic, t, mean, var, vl.copy(), used, flagged, ks, extra)
+    mean = errors.mean(axis=0) if n else np.full(t.size, np.nan)
+    var = errors.var(axis=0, ddof=1) if n > 1 else np.full(t.size, np.nan)
+    vl = np.broadcast_to(np.asarray(var_limit, dtype=float), t.shape).copy()
+    ks = np.full(t.size, np.nan)
+    cols = vl > 0.0
+    if n > 1 and cols.any():
+        # the larger one-sided distance of the empirical cdf from the
+        # N(0, var_limit) cdf at the sorted errors
+        cdf = ndtr(np.sort(errors[:, cols], axis=0) / np.sqrt(vl[cols]))
+        above = (np.arange(1.0, n + 1)[:, None] / n - cdf).max(axis=0)
+        below = (cdf - np.arange(0.0, n)[:, None] / n).max(axis=0)
+        ks[cols] = np.where(above > below, above, below)
+    return _report(repset, t, mean, var, vl, ks, extra)
 
 
 def run_experiment(cfg, workers=None) -> StatsReport:
@@ -388,7 +387,13 @@ def run_experiment(cfg, workers=None) -> StatsReport:
 
 
 def check_report(report):
-    """Pass/fail rules per kind; returns (ok, list of messages)."""
+    """Pass/fail rules per kind; returns (ok, list of messages).
+
+    A run whose every replication was flagged has nothing to check and
+    fails.
+    """
+    if report.used == 0 and report.flagged:
+        return False, [f"all {report.flagged} replications flagged, none to check"]
     msgs = _spec(report.kind).check(report)
     return (False, msgs) if msgs else (True, ["all checks passed"])
 
@@ -570,9 +575,9 @@ def _normality_summary(cfg, grid, repset):
     truth = true_functions(cfg.family, bound_exponent=cfg.bound_exponent)
     limits = limit_variances_gm0(truth.gamma())
     std = standardize(repset, truth)
-    errors = getattr(std, cfg.statistic)
-    var_limit = getattr(limits, "var_" + cfg.statistic)
-    return summarize(std.t, errors, var_limit, cfg, cfg.statistic, std.used, std.flagged)
+    return summarize(
+        repset, std.t, getattr(std, cfg.statistic), getattr(limits, "var_" + cfg.statistic)
+    )
 
 
 def _normality_check(report):
@@ -633,18 +638,11 @@ def _consistency_replicate(cfg, grid, u, seed):
 
 
 def _consistency_summary(cfg, grid, repset):
-    keep = ~repset.flagged
-    sups = repset.arrays["sup_errors"][keep][:, :, STATISTICS.index(cfg.statistic)]
+    sups = repset.kept("sup_errors")[:, :, STATISTICS.index(cfg.statistic)]
     ns = [n for n, _ in cfg.schedule]
-    extra = {
-        "n": ns,
-        "k": [k for _, k in cfg.schedule],
-        "median_sup": np.median(sups, axis=0).tolist(),
-    }
-    return summarize(
-        ns, sups, math.nan, cfg, cfg.statistic,
-        int(keep.sum()), int(repset.flagged.sum()), extra,
-    )
+    median = np.median(sups, axis=0) if len(sups) else np.full(len(ns), np.nan)
+    extra = {"n": ns, "k": [k for _, k in cfg.schedule], "median_sup": median.tolist()}
+    return summarize(repset, ns, sups, math.nan, extra)
 
 
 def _consistency_check(report):
@@ -670,10 +668,7 @@ def _tailcov_replicate(cfg, grid, context, seed):
 
 
 def _tailcov_summary(cfg, grid, repset):
-    if cfg.family == MOVING_MAX:
-        oracle = MeasureOracle.moving_max(kernel_for(cfg))
-    else:
-        oracle = MeasureOracle.pareto_gbm()
+    oracle = MeasureOracle(cfg.family, kernel_for(cfg))
     w = repset.arrays["w_at_one"]
     gaps, emp, se2, nu = [], [], [], []
     for t, s in cfg.pairs:
@@ -683,10 +678,7 @@ def _tailcov_summary(cfg, grid, repset):
         emp.append(float(np.cov(a, b, ddof=1)[0, 1]))
         se2.append(float(prod.var(ddof=1)) / w.shape[0])
         nu.append(oracle.intersection_mass(t, 1.0, s, 1.0))
-    return _report(
-        cfg, cfg.statistic, gaps, emp, se2, nu, cfg.reps, 0,
-        extra={"pairs": [list(p) for p in cfg.pairs]},
-    )
+    return _report(repset, gaps, emp, se2, nu, extra={"pairs": [list(p) for p in cfg.pairs]})
 
 
 def _tailcov_check(report):
@@ -698,6 +690,12 @@ def _tailcov_check(report):
     return msgs
 
 
+def _quantile_validate(cfg):
+    _need_k_below_n(cfg)
+    if cfg.alpha == 0.0:
+        raise DataError("quantile kind needs a nonzero alpha")
+
+
 def _quantile_replicate(cfg, grid, context, seed):
     top = _pareto_top(cfg, grid, seed)[:, -cfg.k - 1]
     q = quantile_stat_from_order_stats(top, cfg.n, cfg.k, cfg.alpha)
@@ -705,11 +703,8 @@ def _quantile_replicate(cfg, grid, context, seed):
 
 
 def _quantile_summary(cfg, grid, repset):
-    keep = ~repset.flagged
-    q = repset.arrays["quantile_stat"][keep]
-    var_limit = cfg.alpha ** 2  # alpha**2 Var W(C_{t,1}) with Var = 1
-    used, flagged = int(keep.sum()), int(repset.flagged.sum())
-    return summarize(grid.points, q, var_limit, cfg, cfg.statistic, used, flagged)
+    # the limit variance alpha**2 Var W(C_{t,1}), with Var = 1
+    return summarize(repset, grid.points, repset.kept("quantile_stat"), cfg.alpha ** 2)
 
 
 def _quantile_check(report):
@@ -742,9 +737,7 @@ def _oscillation_summary(cfg, grid, repset):
     osc = _oscillation_config(cfg)
     extra = {"n_conditioning": n_cond, "n_exceed": n_exc,
              "threshold": osc.threshold, "reference_bound": osc.reference_bound}
-    return _report(
-        cfg, cfg.statistic, [cfg.s], [estimate], [se2], [bound], cfg.reps, 0, extra=extra
-    )
+    return _report(repset, [cfg.s], [estimate], [se2], [bound], extra=extra)
 
 
 def _oscillation_check(report):
@@ -761,31 +754,29 @@ class KindSpec:
     `replicate` by name.
     """
 
-    validate: Callable  # (cfg) -> None; raises DataError
     replicate: Callable  # (cfg, grid, context, seed) -> (payload arrays, flagged)
     summarize: Callable  # (cfg, grid, repset) -> StatsReport
     check: Callable  # (report) -> failure messages, empty when it passes
+    validate: Callable = _need_k_below_n  # (cfg) -> None; raises DataError
     grid: Callable = _listed_grid  # (cfg) -> TimeGrid
     context: Callable = _no_context  # (cfg, grid) -> shared input, built once
 
 
 KIND_SPECS = {
-    "normality": KindSpec(
-        _need_k_below_n, _normality_replicate, _normality_summary, _normality_check
-    ),
+    "normality": KindSpec(_normality_replicate, _normality_summary, _normality_check),
     "consistency": KindSpec(
-        _consistency_validate, _consistency_replicate, _consistency_summary,
-        _consistency_check, context=_consistency_context,
+        _consistency_replicate, _consistency_summary, _consistency_check,
+        validate=_consistency_validate, context=_consistency_context,
     ),
     "tailcov": KindSpec(
-        _tailcov_validate, _tailcov_replicate, _tailcov_summary, _tailcov_check,
-        grid=_pair_grid,
+        _tailcov_replicate, _tailcov_summary, _tailcov_check,
+        validate=_tailcov_validate, grid=_pair_grid,
     ),
     "quantile": KindSpec(
-        _need_k_below_n, _quantile_replicate, _quantile_summary, _quantile_check
+        _quantile_replicate, _quantile_summary, _quantile_check,
+        validate=_quantile_validate,
     ),
     "oscillation": KindSpec(
-        _need_k_below_n, _oscillation_replicate, _oscillation_summary,
-        _oscillation_check,
+        _oscillation_replicate, _oscillation_summary, _oscillation_check
     ),
 }

@@ -390,6 +390,25 @@ BAD_CONFIGS = {
     "string-in-schedule": '{"kind": "consistency", "family": "moving-max", "schedule": [[100, "10"]]}',
     "missing-family": '{"kind": "quantile", "n": 200, "k": 20}',
     "negative-seed": '{"kind": "quantile", "family": "pareto-gbm", "n": 200, "k": 20, "seed": -1}',
+    "negative-floor": '{"kind": "normality", "family": "moving-max", "n": 200, "k": 20, "value_floor": -3}',
+    "nan-floor": '{"kind": "normality", "family": "moving-max", "n": 200, "k": 20, "value_floor": NaN}',
+    "zero-alpha": '{"kind": "quantile", "family": "pareto-gbm", "n": 200, "k": 20, "alpha": 0}',
+    "nan-alpha": '{"kind": "quantile", "family": "pareto-gbm", "n": 200, "k": 20, "alpha": NaN}',
+    "nan-bound-exponent": '{"kind": "normality", "family": "pareto-gbm", "n": 200, "k": 20, "bound_exponent": NaN}',
+    "infinite-bound-exponent": '{"kind": "quantile", "family": "moving-max", "n": 200, "k": 20, "bound_exponent": Infinity}',
+    "gbm-bad-kernel": '{"kind": "tailcov", "family": "pareto-gbm", "n": 200, "k": 20, "pairs": [[0, 1]], "kernel_rate": -1}',
+}
+
+# configs whose every replication is flagged: k = 1 leaves the estimators
+# no second order statistic
+ALL_FLAGGED_CONFIGS = {
+    "normality-k1": ExperimentConfig(
+        kind="normality", family="pareto-gbm", n=100, k=1, reps=4, seed=1, m=3
+    ),
+    "consistency-k1": ExperimentConfig(
+        kind="consistency", family="pareto-gbm", reps=4, seed=1, m=3,
+        schedule=((200, 1), (400, 1)),
+    ),
 }
 
 
@@ -439,13 +458,25 @@ class TestExperiment:
         assert rc == 2
         assert "FAIL" in out
 
-    def test_bad_worker_env_exits_one(self, tmp_path, capsys, monkeypatch):
+    def test_worker_env_is_ignored(self, tmp_path, capsys, monkeypatch):
         cfg_path = str(tmp_path / "cfg.json")
         save_config(self._oscillation_cfg(1e-3), cfg_path)
         monkeypatch.setenv("FUNCEVT_WORKERS", "abc")
         rc = main(["experiment", "--config", cfg_path])
-        assert rc == 1
-        assert "FUNCEVT_WORKERS" in capsys.readouterr().err
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ALL_FLAGGED_CONFIGS)
+    def test_all_flagged_run_fails_its_check(self, tmp_path, capsys, name):
+        cfg_path = str(tmp_path / "cfg.json")
+        save_config(ALL_FLAGGED_CONFIGS[name], cfg_path)
+        rc = main(["experiment", "--config", cfg_path, "--workers", "1", "--check"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert "FAIL all 4 replications flagged" in out
+        assert "PASS" not in out
+        assert "Traceback" not in out + err
 
     @pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
     def test_bad_config_exits_one(self, tmp_path, capsys, text):

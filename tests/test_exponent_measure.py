@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from funcevt.exponent_measure import MeasureOracle, covariance_matrix
-from funcevt.path_model import DataError, make_grid
+from funcevt.path_model import MOVING_MAX, PARETO_GBM, DataError, make_grid
 from funcevt.process_sim import KernelSpec
 from measure_reference import _tail_radius, sup_integral
 
@@ -127,6 +127,26 @@ def random_cells(seed, count):
         t, s = rng.uniform(0.0, 1.0, 2)
         x, y = np.exp(rng.uniform(-2.0, 2.0, 2))
         yield float(t), float(x), float(s), float(y)
+
+
+class TestOracleConstructor:
+    @pytest.mark.parametrize("family", ["moving max", "gbm", ""])
+    def test_unknown_family_is_a_data_error(self, family):
+        with pytest.raises(DataError, match="unknown family"):
+            MeasureOracle(family, KernelSpec())
+
+    def test_moving_max_kernel_defaults_to_double_exp(self):
+        oracle = MeasureOracle(MOVING_MAX)
+        assert oracle == MeasureOracle.moving_max() == MeasureOracle(MOVING_MAX, KernelSpec())
+        # two double-exp cells at level 1, half a time unit apart: exp(-1/4)
+        mass = oracle.intersection_mass(0.0, 1.0, 0.5, 1.0)
+        assert mass == pytest.approx(math.exp(-0.25), abs=1e-12)
+
+    def test_pareto_gbm_drops_a_kernel(self):
+        assert MeasureOracle(PARETO_GBM, KernelSpec()) == MeasureOracle.pareto_gbm()
+        oracle = MeasureOracle(PARETO_GBM, KernelSpec("student-t", rate=2.0, df=4.0))
+        assert oracle == MeasureOracle.pareto_gbm()
+        assert oracle.kernel is None
 
 
 class TestDoubleExpClosedForm:

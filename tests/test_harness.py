@@ -16,6 +16,7 @@ from funcevt.estimators import estimate_curves
 from funcevt.harness import (
     CSV_HEADER,
     ExperimentConfig,
+    ReplicationSet,
     StatsReport,
     check_report,
     config_hash,
@@ -129,35 +130,30 @@ class TestConfig:
 
 class TestWorkers:
     def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("FUNCEVT_WORKERS", "7")
-        assert worker_count(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("FUNCEVT_WORKERS", "5")
-        assert worker_count() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert worker_count(2, 1000) == 2
 
     def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("FUNCEVT_WORKERS", raising=False)
-        assert worker_count() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert worker_count(None, 1000) == 1
 
     @pytest.mark.parametrize("env", ["abc", "2.5", "0", "-3"])
-    def test_bad_env_is_a_data_error(self, monkeypatch, env):
+    def test_environment_is_not_read(self, monkeypatch, env):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("FUNCEVT_WORKERS", env)
-        with pytest.raises(DataError):
-            worker_count()
+        assert worker_count(None, 1000) == 1
+        assert worker_count(2, 1000) == 2
 
     def test_nonpositive_argument_is_a_data_error(self):
-        with pytest.raises(DataError):
-            worker_count(0)
+        for workers in (0, -3):
+            with pytest.raises(DataError):
+                worker_count(workers, 10)
 
     def test_pool_capped_at_reps_and_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assert worker_count(64, reps=1000) == 4
         assert worker_count(64, reps=3) == 3
         assert worker_count(2, reps=1000) == 2
-        monkeypatch.setenv("FUNCEVT_WORKERS", "500")
-        assert worker_count(reps=1000) == 4
-        assert worker_count() == 500
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert worker_count(8, reps=10) == 1
 
@@ -217,13 +213,18 @@ class TestStandardize:
             standardize(repset, true_functions("pareto-gbm"))
 
 
+def unflagged(cfg, rows):
+    """A replication set of cfg with rows unflagged replications and no arrays."""
+    return ReplicationSet(cfg, {}, np.zeros(rows, dtype=bool))
+
+
 class TestSummarize:
     def test_columns_match_numpy(self):
         cfg = small_normality(reps=5)
         rng = np.random.default_rng(0)
         errors = rng.standard_normal((5, 3))
         t = np.array([0.0, 0.5, 1.0])
-        rep = summarize(t, errors, 1.0, cfg, "hill", 5, 0)
+        rep = summarize(unflagged(cfg, 5), t, errors, 1.0)
         np.testing.assert_allclose(rep.mean, errors.mean(axis=0))
         np.testing.assert_allclose(rep.var, errors.var(axis=0, ddof=1))
         np.testing.assert_allclose(rep.var_limit, 1.0)
@@ -233,7 +234,7 @@ class TestSummarize:
         cfg = small_normality(reps=5)
         rng = np.random.default_rng(1)
         errors = rng.standard_normal((400, 1))
-        rep = summarize(np.array([0.0]), errors, 1.0, cfg, "hill", 400, 0)
+        rep = summarize(unflagged(cfg, 400), np.array([0.0]), errors, 1.0)
         want = stats.kstest(errors[:, 0], "norm").statistic
         assert rep.ks[0] == want
         assert rep.ks[0] < ks_critical(400)
@@ -241,22 +242,26 @@ class TestSummarize:
     @pytest.mark.parametrize("n", [2, 3, 57, 1000])
     def test_ks_column_equals_scipy_kstest_bitwise(self, n):
         # scipy.stats.kstest is the reference for summarize's two
-        # one-sided maxima, on ties, scaled limits and a NaN column too
+        # one-sided maxima, on ties, scaled limits and a NaN column too;
+        # where the limit is not positive the column is NaN
         cfg = small_normality(reps=5)
         rng = np.random.default_rng(n)
         errors = rng.standard_normal((n, 4)) * 1.7
         errors[: n // 2, 1] = errors[0, 1]
         errors[-1, 3] = np.nan
-        var_limit = np.array([1.0, 0.3, 2.89, 1.0])
-        rep = summarize(np.arange(4.0), errors, var_limit, cfg, "hill", n, 0)
-        for j in range(4):
-            want = stats.kstest(errors[:, j], "norm", args=(0.0, math.sqrt(var_limit[j])))
-            assert np.float64(rep.ks[j]).tobytes() == np.float64(want.statistic).tobytes()
+        for var_limit in ([1.0, 0.3, 2.89, 1.0], [1.0, 0.0, -1.0, 2.89]):
+            rep = summarize(unflagged(cfg, n), np.arange(4.0), errors, np.array(var_limit))
+            for j, vl in enumerate(var_limit):
+                if vl <= 0.0:
+                    assert math.isnan(rep.ks[j])
+                    continue
+                want = stats.kstest(errors[:, j], "norm", args=(0.0, math.sqrt(vl)))
+                assert np.float64(rep.ks[j]).tobytes() == np.float64(want.statistic).tobytes()
 
     def test_zero_var_limit_gives_nan_ks(self):
         cfg = small_normality(reps=5)
         errors = np.zeros((10, 1))
-        rep = summarize(np.array([0.0]), errors, 0.0, cfg, "hill", 10, 0)
+        rep = summarize(unflagged(cfg, 10), np.array([0.0]), errors, 0.0)
         assert math.isnan(rep.ks[0])
         assert rep.var[0] == 0.0
 

@@ -436,23 +436,45 @@ def export_report(report, path, fmt=None):
         fh.write("\n")
 
 
+_JSON_KEYS = ("kind", "statistic", "rows", "reps", "used", "flagged", "config", "config_hash")
+
+
 def load_report(path, fmt=None) -> StatsReport:
-    """Read back an exported report (CSV loses config context)."""
+    """Read back an exported report (CSV loses config context); DataError
+    unless the CSV has the 5-column header and rows, or the JSON is an
+    object with every key `export_report` writes."""
     fmt = fmt or ("json" if str(path).endswith(".json") else "csv")
-    if fmt == "csv":
-        with warnings.catch_warnings():
-            # a header-only file is a valid empty report
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.size == 0:
-            data = data.reshape(0, 5)
-        return StatsReport("", "", *data.T, 0, 0, 0, {}, "")
     with open(path) as fh:
-        doc = json.load(fh)
+        if fmt == "csv":
+            if fh.readline().rstrip("\n") != CSV_HEADER:
+                raise DataError(f"report {path} does not start with the header {CSV_HEADER}")
+            with warnings.catch_warnings():
+                # a header-only file is a valid empty report
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                except ValueError as exc:
+                    raise DataError(f"report {path}: {exc}") from None
+            if data.size == 0:
+                data = data.reshape(0, 5)
+            if data.shape[1] != 5:
+                raise DataError(f"report {path} rows must have 5 columns, not {data.shape[1]}")
+            return StatsReport("", "", *data.T, 0, 0, 0, {}, "")
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"report {path} is not valid JSON: {exc}") from None
+    rows = doc.get("rows") if isinstance(doc, dict) else None
+    if not isinstance(rows, dict):
+        raise DataError(f"report {path} is not a JSON object with rows")
+    missing = [key for key in _JSON_KEYS if key not in doc]
+    missing += [f"rows.{name}" for name in _COLUMNS if name not in rows]
+    if missing:
+        raise DataError(f"report {path} lacks {', '.join(missing)}")
     return StatsReport(
         doc["kind"],
         doc["statistic"],
-        *(np.array(doc["rows"][name], dtype=float) for name in _COLUMNS),
+        *(np.array(rows[name], dtype=float) for name in _COLUMNS),
         doc["reps"],
         doc["used"],
         doc["flagged"],

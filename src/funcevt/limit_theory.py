@@ -41,6 +41,7 @@ from funcevt.path_model import (
     DataError,
     MarginalModel,
     TimeGrid,
+    check_levels,
 )
 from funcevt.exponent_measure import covariance_matrix
 
@@ -251,15 +252,6 @@ class LimitField:
         return self.values.shape[0]
 
 
-def _check_levels(x_grid) -> np.ndarray:
-    """The level grid as a float array, or DataError unless it is 1-D,
-    non-empty, finite and strictly increasing."""
-    x = np.asarray(x_grid, dtype=float)
-    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)) or np.any(np.diff(x) <= 0.0):
-        raise DataError("level grid must be 1-D, non-empty, finite and strictly increasing")
-    return x
-
-
 def _cholesky_draws(cov, draws, seed, t_grid, x_grid) -> np.ndarray:
     """(draws x width) Gaussian draws z @ L' for the Cholesky factor L of
     the (width x width) covariance of a limit law on a (time x level) grid.
@@ -296,7 +288,7 @@ def simulate_limit_field(oracle, t_grid, x_grid, draws, seed=0) -> LimitField:
     draws of a larger run are the draws of a run of N; a covariance that
     Cholesky rejects raises DegenerateCovarianceError.
     """
-    x_grid = _check_levels(x_grid)
+    x_grid = check_levels(x_grid)
     cov = covariance_matrix(oracle, t_grid, x_grid)
     vals = _cholesky_draws(cov, draws, seed, t_grid, x_grid)
     return LimitField(t_grid, x_grid, cov, vals.reshape(-1, t_grid.m, x_grid.size), seed)
@@ -408,7 +400,7 @@ def simulate_limit_functionals(
     of S moves them by a tiny amount, and the first N draws of a larger
     run are the draws of a run of N.
     """
-    x_grid = _check_levels(x_grid)
+    x_grid = check_levels(x_grid)
     W = _functional_weights(x_grid, np.broadcast_to(params.gamma_minus, (t_grid.m,)))
     cov = W.T @ (covariance_matrix(oracle, t_grid, x_grid) @ W)
     vals = _cholesky_draws(cov, draws, seed, t_grid, x_grid)

@@ -46,6 +46,18 @@ def check_k(k, n) -> int:
     return k
 
 
+def check_levels(x_grid) -> np.ndarray:
+    """The level grid as a float array; DataError unless it is 1-D,
+    non-empty, finite, positive and strictly increasing."""
+    x = np.asarray(x_grid, dtype=float)
+    if (x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x))
+            or x[0] <= 0.0 or np.any(np.diff(x) <= 0.0)):
+        raise DataError(
+            "level grid must be 1-D, non-empty, finite, positive and strictly increasing"
+        )
+    return x
+
+
 def partition_columns(values, k):
     """(neg, check_k(k, n)): the negated columns of values (n x m) as the
     rows of a new C-contiguous array, each partitioned so that its k + 1

@@ -9,7 +9,8 @@ Moving-maximum Poisson process
     so that every simulated value above a documented floor is exact.
     Both kernels are unimodal at 0, so one density value per point shows
     whether the point can lift any path value above the floor; only the
-    points that can are evaluated on the whole grid.
+    points that can are evaluated on the whole grid, one block of grid
+    times at a time.
 
 Pareto times geometric Brownian motion
     xi(t) = Y * exp(W(t) - t/2) with Y standard Pareto independent of
@@ -17,9 +18,10 @@ Pareto times geometric Brownian motion
 
 Both simulators are deterministic functions of (config, grid): draws
 come from a single numpy Generator seeded by the config, in a fixed
-order that does not depend on internal chunking.  Replication-level
-parallelism is the harness's job; per-replication streams there are
-split from the master seed with numpy's SeedSequence spawning.
+order that does not depend on the size of the moving-max time blocks.
+Replication-level parallelism is the harness's job; per-replication
+streams there are split from the master seed with numpy's SeedSequence
+spawning.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ DOUBLE_EXP = "double-exp"
 STUDENT_T = "student-t"
 
 
-# density values per chunk of `simulate_moving_max` (32 MB of float64)
-_CHUNK_VALUES = 4_000_000
+# density values per block of grid times in `simulate_moving_max` (16 MB
+# of float64), or the kept points of one time when they are more
+_CHUNK_VALUES = 2_000_000
 
 # relative margin below the floor within which `simulate_moving_max`
 # keeps a point whose peak value on the grid would drop it
@@ -177,6 +180,11 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     path value is the floor or a max over its points, and a max is exact,
     so the sample is the same floats as evaluating every point.  The
     draws and their order do not change.
+
+    The kept points are evaluated one block of consecutive grid times at
+    a time, with as many times per block as fit in `_CHUNK_VALUES`
+    density values, and at least one; each path's max is taken along its
+    contiguous run of kept points in every row.
     """
     n = int(cfg.n)
     m = grid.m
@@ -197,36 +205,17 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     # (rounding keeps the sign of t + x), or 0 inside the span
     near = np.maximum(np.maximum(grid.points[0] + xs, -(grid.points[-1] + xs)), 0.0)
     keep = kernel.density(near) / ys >= float(floor) * (1.0 - _PREFILTER_MARGIN)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    kept = np.zeros(xs.size + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept[1:])
-    starts = kept[offsets]  # the survivors' offsets per path
-    counts = np.diff(starts)
-    total = int(starts[-1])
+    pid = np.repeat(np.arange(n), counts)[keep]  # the path of each kept point
     xs, ys = xs[keep], ys[keep]
+    first = np.flatnonzero(np.diff(pid, prepend=-1))  # where each non-empty path starts
 
     vals = np.full((m, n), float(floor))  # one row per time: column-major paths
-
-    # Chunks of consecutive non-empty paths hold at most `budget` points,
-    # unless one path alone holds more.  Cutting at every multiple of
-    # budget/2 of the point offsets, and around every path of more than
-    # budget/2 points, leaves chunks that are one such path or whose path
-    # starts span < budget/2 and whose last path holds <= budget/2.
-    budget = max(1, _CHUNK_VALUES // max(m, 1))
-    nz = np.flatnonzero(counts)
-    first = starts[nz]
-    big = np.flatnonzero(2 * counts[nz] > budget)
-    cuts = np.unique(np.concatenate((
-        [0, nz.size], big, big + 1,
-        np.searchsorted(2 * first, np.arange(budget, 2 * total, budget)),
-    )))
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        sl = slice(first[a], starts[nz[b - 1] + 1])
-        dens = kernel.density(grid.points[None, :] + xs[sl, None])
-        dens /= ys[sl, None]
-        red = np.maximum.reduceat(dens, first[a:b] - first[a], axis=0)
-        vals[:, nz[a:b]] = np.maximum(red, floor).T
+    step = max(1, _CHUNK_VALUES // max(xs.size, 1))
+    for j in range(0, m if xs.size else 0, step):
+        dens = kernel.density(grid.points[j : j + step, None] + xs)
+        dens /= ys
+        red = np.maximum.reduceat(dens, first, axis=1)
+        vals[j : j + step, pid[first]] = np.maximum(red, floor)
     return PathSample(grid, vals.T, MOVING_MAX)
 
 

@@ -22,40 +22,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from funcevt.path_model import DataError, TimeGrid, check_k, partition_columns
+from funcevt.path_model import DataError, TimeGrid, check_k, check_levels, partition_columns
 
 
 def _exceedance_counts(values, x):
     """#{i : values[i, j] >= x_l} as an (m, x.size) integer array: one sort per
     column (a straight copy for column-major values, as samples store them),
-    then one binary search of all (j, l) cells for the values below x_l."""
+    then one search of the sorted column for all levels."""
     cols = np.array(values.T, order="C")  # a copy, sorted in place
     cols.sort(axis=1)
-    m, n = cols.shape
-    flat, row = cols.ravel(), np.arange(m)[:, None] * n - 1
-    below = np.zeros((m, x.size), dtype=np.intp)  # all n for a nan level
-    step = (1 << n.bit_length()) >> 1  # the largest power of two <= n
-    while step:
-        probe = np.minimum(below + step, n)
-        below = np.where(flat[row + probe] >= x, below, probe)
-        step >>= 1
-    return n - below
+    return cols.shape[1] - np.array([np.searchsorted(col, x) for col in cols])
 
 
 def tail_process_from_counts(counts, x, n, k):
     """w_n(t, x) = sqrt(k)((n/k) S - 1/x) with S = counts/n, where counts
     holds the number of the n values at or above x n/k; broadcasts."""
     return math.sqrt(k) * ((n / k) * (counts / n) - 1.0 / x)
-
-
-def _tail_process(values, x, k):
-    """w_n at every column of values (rows) and every level of x (columns)."""
-    x = np.asarray(x, dtype=float).ravel()
-    if np.any(x <= 0.0):
-        raise DataError("x must be positive")
-    n = values.shape[0]
-    k = check_k(k, n)
-    return tail_process_from_counts(_exceedance_counts(values, x * (n / k)), x, n, k)
 
 
 @dataclass(frozen=True)
@@ -69,9 +51,7 @@ class TailField:
     k: int
 
     def __post_init__(self):
-        x = np.asarray(self.x_grid, dtype=float)
-        if x.ndim != 1 or np.any(x <= 0.0) or np.any(np.diff(x) <= 0.0):
-            raise DataError("x_grid must be positive and strictly increasing")
+        x = check_levels(self.x_grid)
         object.__setattr__(self, "x_grid", x)
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.t_grid.m, x.size):
@@ -82,7 +62,9 @@ class TailField:
 def build_tail_field(paths, k, x_grid=None, n_x=64, c=1.0) -> TailField:
     """Evaluate w_n on the full time grid and a geometric level grid.
 
-    The default level grid is geometric from c to n/k with n_x points.
+    The default level grid is geometric from c to n/k with n_x points;
+    a given one must be 1-D, non-empty, finite, positive and strictly
+    increasing.
     """
     n = paths.n
     k = check_k(k, n)
@@ -93,9 +75,9 @@ def build_tail_field(paths, k, x_grid=None, n_x=64, c=1.0) -> TailField:
                 f"need 0 < c < n/k = {hi:g} for the default level grid, got c={c!r}"
             )
         x_grid = np.exp(np.linspace(math.log(c), math.log(hi), int(n_x)))
-    x_grid = np.asarray(x_grid, dtype=float)
-    vals = _tail_process(paths.values, x_grid, k)
-    return TailField(paths.grid, x_grid, vals, n, k)
+    x = check_levels(x_grid)
+    counts = _exceedance_counts(paths.values, x * (n / k))
+    return TailField(paths.grid, x, tail_process_from_counts(counts, x, n, k), n, k)
 
 
 def tail_quantile_stat(paths, k, alpha):

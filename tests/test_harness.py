@@ -272,6 +272,24 @@ class TestSummarize:
             assert ks_critical(100, alpha) == float(stats.kstwobign.isf(alpha)) / 10.0
 
 
+ROW = "0.5,0.1,1.2,1,0.03"
+# (format, file text for csv or an edit of a valid report document for json)
+MALFORMED_REPORTS = {
+    "csv-three-columns": ("csv", "t,mean,var\n0.5,0.1,1.2\n"),
+    "csv-no-header": ("csv", ROW + "\n"),
+    "csv-empty-file": ("csv", ""),
+    "csv-short-row": ("csv", f"{CSV_HEADER}\n{ROW}\n0.5,0.1,1.2,1\n"),
+    "csv-three-column-rows": ("csv", f"{CSV_HEADER}\n0.5,0.1,1.2\n0.6,0.1,1.1\n"),
+    "csv-text-cell": ("csv", f"{CSV_HEADER}\n0.5,0.1,x,1,0.03\n"),
+    "json-list": ("json", lambda doc: [doc]),
+    "json-no-statistic": ("json", lambda doc: {k: v for k, v in doc.items() if k != "statistic"}),
+    "json-no-ks-column": ("json", lambda doc: {**doc, "rows": {
+        k: v for k, v in doc["rows"].items() if k != "ks"}}),
+    "json-rows-a-list": ("json", lambda doc: {**doc, "rows": list(doc["rows"].values())}),
+    "json-invalid": ("json", lambda doc: "not json"),
+}
+
+
 class TestExportLoad:
     def test_csv_round_trip(self, tmp_path):
         report = run_experiment(small_normality(reps=3))
@@ -302,6 +320,20 @@ class TestExportLoad:
         export_report(report, p)
         back = load_report(p)
         assert back.t.size == 0
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+    def test_malformed_file_is_a_data_error(self, case, tmp_path):
+        fmt, bad = MALFORMED_REPORTS[case]
+        p = tmp_path / f"report.{fmt}"
+        if fmt == "csv":
+            p.write_text(bad)
+        else:
+            one_row = [np.array([v]) for v in (0.5, 0.1, 1.2, 1.0, 0.03)]
+            export_report(StatsReport("normality", "hill", *one_row, 3, 3, 0, {}, ""), p)
+            doc = bad(json.loads(p.read_text()))
+            p.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        with pytest.raises(DataError, match="report"):
+            load_report(p)
 
     def test_json_round_trip(self, tmp_path):
         report = run_experiment(small_normality(reps=3))

@@ -208,26 +208,27 @@ def reference_moving_max(kernel, grid, cfg):
     return vals, counts
 
 
-def survivor_counts(kernel, grid, cfg):
+def survivors(kernel, grid, cfg):
     """Per path, the drawn points the simulator's density blocks should
-    hold: those whose largest value over the whole grid reaches the floor
-    less the prefilter's margin, and those with -x within the grid's span,
-    which the prefilter keeps unseen."""
+    hold, and the x of each such point in draw order: those whose largest
+    value over the whole grid reaches the floor less the prefilter's
+    margin, and those with -x within the grid's span, which the prefilter
+    keeps unseen."""
     floor, counts, xs, ys = _draws(kernel, grid, cfg)
     peak = (kernel.density(grid.points[None, :] + xs[:, None]) / ys[:, None]).max(axis=1)
     inside = (grid.points[0] <= -xs) & (-xs <= grid.points[-1])
     keep = inside | (peak >= float(floor) * (1.0 - process_sim._PREFILTER_MARGIN))
-    return np.bincount(np.repeat(np.arange(cfg.n), counts)[keep], minlength=cfg.n)
+    return np.bincount(np.repeat(np.arange(cfg.n), counts)[keep], minlength=cfg.n), xs[keep]
 
 
-# (kernel, m, n, value_floor, seed, density values per chunk or None); the
-# chunk sizes are small because only ~5% of the points survive the prefilter
+# (kernel, m, n, value_floor, seed, density values per time block or None);
+# the blocks are small because only ~5% of the points survive the prefilter
 CHUNK_CASES = {
     "tailcov-size": ("double-exp", 4, 5000, 6.25, 11, None),
     "default-floor-m51": ("double-exp", 51, 500, None, 12, 51 * 4000),
     "student-t-raised-floor": ("student-t", 21, 800, 20.0, 13, 21 * 20),
     "mostly-empty-paths": ("double-exp", 4, 3000, 60.0, 14, None),
-    "paths-over-budget": ("double-exp", 4, 400, 0.5, 15, 4 * 6),
+    "points-over-budget": ("double-exp", 4, 400, 0.5, 15, 4 * 6),
 }
 
 
@@ -240,39 +241,43 @@ class TestMovingMaxChunks:
         kernel, grid = KernelSpec(shape), make_grid(m=m)
         cfg = SimConfig(n=n, seed=seed, value_floor=floor)
         want, _ = reference_moving_max(kernel, grid, cfg)
-        kept = survivor_counts(kernel, grid, cfg)
-        budget = max(1, process_sim._CHUNK_VALUES // m)
+        kept, _ = survivors(kernel, grid, cfg)
+        step = max(1, process_sim._CHUNK_VALUES // kept.sum())  # times per block
         if case in ("default-floor-m51", "student-t-raised-floor"):
-            assert kept.sum() > 2 * budget  # at least three chunks
+            assert -(-m // step) >= 3  # at least three time blocks
         if case == "mostly-empty-paths":
             assert np.mean(kept == 0) > 0.5
-        if case == "paths-over-budget":
-            assert np.any(kept > budget) and np.any((kept > 0) & (kept <= budget // 2))
+        if case == "points-over-budget":
+            assert kept.sum() > process_sim._CHUNK_VALUES  # one time per block
         got = simulate_moving_max(kernel, grid, cfg).values
         assert got.tobytes() == want.tobytes()
 
-    def test_chunks_stay_within_budget(self, monkeypatch):
-        # a small budget makes paths below, between and above budget/2 and
-        # budget; at floor 0.25 about six points per path survive the prefilter
-        monkeypatch.setattr(process_sim, "_CHUNK_VALUES", 4 * 9)
-        kernel, grid = KernelSpec(), make_grid(m=4)
-        cfg = SimConfig(n=3000, seed=16, value_floor=0.25)
-        kept = survivor_counts(kernel, grid, cfg)
-        budget = 9
-        assert np.any(kept > budget)
-        rows = []
+    @pytest.mark.parametrize("times", [1, 4])
+    def test_time_blocks_stay_within_budget(self, times, monkeypatch):
+        # at floor 0.25 about six points per path survive the prefilter; a
+        # budget of one value fewer than the kept points gives one time per
+        # block, one more than four times them gives blocks of four times
+        # and a last block of one
+        kernel, grid = KernelSpec(), make_grid(m=21)
+        cfg = SimConfig(n=1000, seed=16, value_floor=0.25)
+        _, xs = survivors(kernel, grid, cfg)
+        budget = xs.size - 1 if times == 1 else times * xs.size + 1
+        monkeypatch.setattr(process_sim, "_CHUNK_VALUES", budget)
+        blocks = []
         density = KernelSpec.density
 
         def recording(self, u):
             if np.ndim(u) == 2:
-                rows.append(np.shape(u)[0])
+                blocks.append(np.array(u))
             return density(self, u)
 
         monkeypatch.setattr(KernelSpec, "density", recording)
         simulate_moving_max(kernel, grid, cfg)
-        assert sum(rows) == kept.sum()
-        oversized = sorted(r for r in rows if r > budget)
-        assert oversized == sorted(kept[kept > budget])
+        assert [b.shape[0] for b in blocks] == [times] * (20 // times) + [1]
+        assert all(b.size <= max(budget, xs.size) for b in blocks)
+        # every grid time once, in order, against every kept point
+        want = grid.points[:, None] + xs
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -130,6 +130,25 @@ class TestTailField:
         with pytest.raises(DataError):
             TailField(make_grid(m=2), np.array([1.0, 2.0]), np.zeros((3, 2)), 10, 2)
 
+    # level grids both routes once took silently: a nan or zero column, or
+    # an empty field
+    BAD_LEVELS = {
+        "nan": [1.0, math.nan],
+        "nan-only": [math.nan],
+        "inf": [0.5, math.inf],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_LEVELS))
+    @pytest.mark.parametrize("route", ["build_tail_field", "TailField"])
+    def test_bad_level_grid_rejected(self, case, route):
+        x = np.array(self.BAD_LEVELS[case], dtype=float)
+        with pytest.raises(DataError, match="level grid"):
+            if route == "build_tail_field":
+                build_tail_field(HAND, 2, x_grid=x)
+            else:
+                TailField(HAND.grid, x, np.zeros((1, x.size)), HAND.n, 2)
+
     def test_unweighted_sup_shrinks_with_sample_size(self):
         # the uncentred fraction (n/k) S(x n/k) converges to 1/x; its sup
         # distance should drop as k grows

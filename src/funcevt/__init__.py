@@ -41,7 +41,6 @@ from funcevt.limit_theory import (
     second_order_bias,
     LimitParams,
     TrueFunctions,
-    true_functions,
     LimitField,
     functional_x_grid,
     simulate_limit_field,

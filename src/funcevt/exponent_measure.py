@@ -124,14 +124,6 @@ class MeasureOracle:
         elif self.kernel is None:
             object.__setattr__(self, "kernel", KernelSpec())
 
-    @classmethod
-    def moving_max(cls, kernel=None):
-        return cls(MOVING_MAX, kernel)
-
-    @classmethod
-    def pareto_gbm(cls):
-        return cls(PARETO_GBM)
-
     def _check_point(self, t, x):
         if not 0.0 <= t <= 1.0:
             raise DataError("time must be in [0, 1]")

@@ -47,7 +47,7 @@ from scipy.special import kolmogi, ndtr
 
 from funcevt.estimators import estimate_curves
 from funcevt.exponent_measure import MeasureOracle
-from funcevt.limit_theory import limit_variances_gm0, true_functions
+from funcevt.limit_theory import TrueFunctions, limit_variances_gm0
 from funcevt.path_model import (
     FAMILIES,
     MOVING_MAX,
@@ -108,7 +108,6 @@ class ExperimentConfig:
     kernel_df: float = 3.0
     trunc_tol: float = 1e-6
     value_floor: float = 0.0  # 0 means per-kind default
-    bound_exponent: float = 1.5
     s: float = 0.5  # oscillation window start
     delta: float = 0.018315638888734179  # e**-4
     v: float = 50.0
@@ -332,7 +331,7 @@ class StatsReport:
     config: dict
     config_hash: str
     extra: dict = field(default_factory=dict)
-    schema: int = 2
+    schema: int = 3
 
 
 def _report(repset, t, mean, var, var_limit, ks=None, extra=None):
@@ -436,7 +435,8 @@ def export_report(report, path, fmt=None):
         fh.write("\n")
 
 
-_JSON_KEYS = ("kind", "statistic", "rows", "reps", "used", "flagged", "config", "config_hash")
+_JSON_KEYS = ("schema", "kind", "statistic", "rows", "reps", "used", "flagged", "config",
+              "config_hash")
 
 
 def load_report(path, fmt=None) -> StatsReport:
@@ -481,7 +481,7 @@ def load_report(path, fmt=None) -> StatsReport:
         doc["config"],
         doc["config_hash"],
         doc.get("extra", {}),
-        doc.get("schema", 1),
+        doc["schema"],
     )
 
 
@@ -521,8 +521,7 @@ def _simulate(cfg, grid, n, seed, floor):
 
 def _pareto_sample(cfg, grid, seed, floor):
     sample = _simulate(cfg, grid, cfg.n, seed, floor)
-    model = marginal_model_for(sample, bound_exponent=cfg.bound_exponent)
-    return pareto_transform(sample, model)
+    return pareto_transform(sample, marginal_model_for(sample))
 
 
 # relative margin by which the Pareto-scale value of the lowest raw value
@@ -544,7 +543,7 @@ def _pareto_top(cfg, grid, seed):
     the largest values, so each is counted once either way.
     """
     sample = _simulate(cfg, grid, cfg.n, seed, _tail_floor(cfg.n, cfg.k))
-    model = marginal_model_for(sample, bound_exponent=cfg.bound_exponent)
+    model = marginal_model_for(sample)
     n, k = cfg.n, cfg.k
     neg, big = partition_columns(sample.values, min(2 * k, n - 1))
 
@@ -594,7 +593,7 @@ def _normality_replicate(cfg, grid, context, seed):
 
 
 def _normality_summary(cfg, grid, repset):
-    truth = true_functions(cfg.family, bound_exponent=cfg.bound_exponent)
+    truth = TrueFunctions(cfg.family)
     limits = limit_variances_gm0(truth.gamma())
     std = standardize(repset, truth)
     return summarize(
@@ -636,7 +635,7 @@ def _consistency_validate(cfg):
 
 def _consistency_context(cfg, grid):
     """True locations U_t(n/k), one row per schedule entry."""
-    truth = true_functions(cfg.family, bound_exponent=cfg.bound_exponent)
+    truth = TrueFunctions(cfg.family)
     u = np.empty((len(cfg.schedule), grid.m))
     for i, (n, k) in enumerate(cfg.schedule):
         u[i] = [truth.location(t, n / k) for t in grid.points]
@@ -742,6 +741,11 @@ def _oscillation_config(cfg):
     return OscillationConfig(cfg.s, cfg.delta, cfg.v, cfg.K, cfg.beta, cfg.variant)
 
 
+def _oscillation_validate(cfg):
+    _need_k_below_n(cfg)
+    _oscillation_config(cfg)
+
+
 def _oscillation_replicate(cfg, grid, context, seed):
     zeta = _pareto_sample(cfg, grid, seed, max(1.0, cfg.v / 8.0))
     report = oscillation_diagnostic(zeta, _oscillation_config(cfg))
@@ -799,6 +803,7 @@ KIND_SPECS = {
         validate=_quantile_validate,
     ),
     "oscillation": KindSpec(
-        _oscillation_replicate, _oscillation_summary, _oscillation_check
+        _oscillation_replicate, _oscillation_summary, _oscillation_check,
+        validate=_oscillation_validate,
     ),
 }

@@ -149,14 +149,18 @@ class TrueFunctions:
     For the pareto-gbm family U_t solves 1 - F_t(U) = 1/v numerically;
     the remainder target is 0 with amplitude A(v) = v**-M (rho = -inf),
     and U obeys the bracket v >= U_t(v) >= v - v**-M for large v.
+    bound_exponent is that M, a constant of the second-order condition
+    with 1 < M < inf; the moving-max family does not read it.
     """
 
     family: str
-    marginal: MarginalModel = None
+    bound_exponent: float = 1.5
 
     def __post_init__(self):
         if self.family not in (MOVING_MAX, PARETO_GBM):
             raise DataError(f"unknown family {self.family!r}")
+        if not 1.0 < self.bound_exponent < math.inf:
+            raise DataError(f"need 1 < bound_exponent < inf, got {self.bound_exponent!r}")
 
     def gamma_plus(self, t=None) -> float:
         return 1.0
@@ -187,9 +191,10 @@ class TrueFunctions:
         from scipy.optimize import brentq
 
         target = 1.0 / v
+        marginal = MarginalModel(PARETO_GBM)
 
         def f(u):
-            return float(self.marginal.tail(t, u)) - target
+            return float(marginal.tail(t, u)) - target
 
         lo, hi = 0.9 * v, v * (1.0 + 1e-7)
         tries = 0
@@ -210,7 +215,7 @@ class TrueFunctions:
         if self.family == MOVING_MAX:
             out = 0.5 / v
         else:
-            out = v ** -self.marginal.bound_exponent
+            out = v ** -self.bound_exponent
         return out if out.ndim else float(out)
 
     def remainder_target(self, x):
@@ -221,13 +226,6 @@ class TrueFunctions:
         else:
             out = np.zeros_like(x)
         return out if out.ndim else float(out)
-
-
-def true_functions(family, marginal=None, bound_exponent=1.5) -> TrueFunctions:
-    """Exact normalising functions of a built-in family."""
-    if family == PARETO_GBM and marginal is None:
-        marginal = MarginalModel(PARETO_GBM, bound_exponent=bound_exponent)
-    return TrueFunctions(family, marginal)
 
 
 def functional_x_grid(x_max=1e4, n=512) -> np.ndarray:
@@ -499,7 +497,7 @@ def second_order_check(
     if truth.family == PARETO_GBM:
         bracket_ok = True
         bound_ok = True
-        M = truth.marginal.bound_exponent
+        M = truth.bound_exponent
     for iv, v in enumerate(v_grid):
         for t in times:
             u_v = truth.location(t, v)

@@ -233,27 +233,14 @@ class ParetoPaths:
 
 @dataclass
 class MarginalModel:
-    """Per-time marginal distribution of a process family.
-
-    Parameters
-    ----------
-    family : str
-        "moving-max" (standard Frechet for any unit-mass kernel) or
-        "pareto-gbm".
-    bound_exponent : float
-        Exponent M > 1 in the documented tail bracket of the
-        pareto-gbm family: for large u,
-        u <= 1/(1 - F_t(u)) <= u / (1 - u**-(M+2)).
-    """
+    """Per-time marginal distribution of a process family: standard
+    Frechet for "moving-max" (any unit-mass kernel), or "pareto-gbm"."""
 
     family: str
-    bound_exponent: float = 1.5
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DataError(f"unknown family {self.family!r}")
-        if self.family == PARETO_GBM and self.bound_exponent <= 1.0:
-            raise DataError("bound_exponent must be > 1")
 
     def tail(self, t, x):
         """Upper tail 1 - F_t(x), vectorised over x.
@@ -278,15 +265,6 @@ class MarginalModel:
             out = np.maximum(out, TAIL_FLOOR)
         return out if out.ndim else float(out)
 
-    def cdf(self, t, x):
-        x = np.asarray(x, dtype=float)
-        if self.family == MOVING_MAX:
-            with np.errstate(divide="ignore"):
-                out = np.where(x > 0.0, np.exp(-1.0 / np.maximum(x, TAIL_FLOOR)), 0.0)
-            return out if out.ndim else float(out)
-        out = np.where(x > 0.0, 1.0 - self._gbm_tail(float(t), np.maximum(x, TAIL_FLOOR)), 0.0)
-        return out if out.ndim else float(out)
-
     def _gbm_tail(self, t, x):
         # 1 - F_t(x) = E[min(B(t)/x, 1)] with B(t) = exp(sqrt(t) Z - t/2).
         # Split at B = x: P(B >= x) + E[B/x; B < x], each a normal cdf.
@@ -299,13 +277,13 @@ class MarginalModel:
         return ndtr(-z) + ndtr(z - s) / x
 
 
-def marginal_model_for(sample, **kwargs) -> MarginalModel:
+def marginal_model_for(sample) -> MarginalModel:
     """Marginal model matching a simulated sample's family."""
     if sample.family not in FAMILIES:
         raise DataError(
             f"sample family {sample.family!r} has no built-in marginal model"
         )
-    return MarginalModel(sample.family, **kwargs)
+    return MarginalModel(sample.family)
 
 
 def pareto_scale(model, t, x):

@@ -26,15 +26,15 @@ from funcevt.harness import (
 )
 from funcevt.limit_theory import (
     LimitParams,
+    TrueFunctions,
     functional_x_grid,
     limit_functionals,
     limit_variances_gm0,
     second_order_bias,
     second_order_check,
     simulate_limit_field,
-    true_functions,
 )
-from funcevt.path_model import PathSample, make_grid
+from funcevt.path_model import MOVING_MAX, PARETO_GBM, PathSample, make_grid
 from funcevt.process_sim import KernelSpec
 
 DELTA = math.exp(-4.0)
@@ -73,7 +73,7 @@ def gbm_errors():
         m=1,
     )
     repset = run_replications(cfg)
-    return standardize(repset, true_functions("pareto-gbm"))
+    return standardize(repset, TrueFunctions("pareto-gbm"))
 
 
 def test_02_hill_normality(gbm_errors):
@@ -165,8 +165,8 @@ def test_08_limit_field_matches_oracle():
     levels = np.array([1.0, 2.0, 4.0, 8.0])
     fro = {}
     for family, oracle, seed in (
-        ("moving-max", MeasureOracle.moving_max(KernelSpec()), 40),
-        ("pareto-gbm", MeasureOracle.pareto_gbm(), 41),
+        ("moving-max", MeasureOracle(MOVING_MAX, KernelSpec()), 40),
+        ("pareto-gbm", MeasureOracle(PARETO_GBM), 41),
     ):
         field = simulate_limit_field(oracle, grid, levels, 10_000, seed)
         flat = field.values.reshape(field.values.shape[0], -1)
@@ -178,7 +178,7 @@ def test_08_limit_field_matches_oracle():
     # functional variances at a single time against the closed forms
     lim = limit_variances_gm0(1.0)
     field = simulate_limit_field(
-        MeasureOracle.moving_max(KernelSpec()),
+        MeasureOracle(MOVING_MAX, KernelSpec()),
         make_grid(m=1),
         functional_x_grid(1e4, 512),
         10_000,
@@ -228,7 +228,7 @@ def test_09_bias_function_vs_quadrature():
 
 
 def test_10_location_bracket_and_log_bound():
-    truth = true_functions("pareto-gbm")
+    truth = TrueFunctions("pareto-gbm")
     rep = second_order_check(
         truth,
         v_grid=np.array([1e2, 1e3, 1e4]),

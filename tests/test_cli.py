@@ -394,8 +394,8 @@ BAD_CONFIGS = {
     "nan-floor": '{"kind": "normality", "family": "moving-max", "n": 200, "k": 20, "value_floor": NaN}',
     "zero-alpha": '{"kind": "quantile", "family": "pareto-gbm", "n": 200, "k": 20, "alpha": 0}',
     "nan-alpha": '{"kind": "quantile", "family": "pareto-gbm", "n": 200, "k": 20, "alpha": NaN}',
-    "nan-bound-exponent": '{"kind": "normality", "family": "pareto-gbm", "n": 200, "k": 20, "bound_exponent": NaN}',
-    "infinite-bound-exponent": '{"kind": "quantile", "family": "moving-max", "n": 200, "k": 20, "bound_exponent": Infinity}',
+    "nan-beta": '{"kind": "normality", "family": "pareto-gbm", "n": 200, "k": 20, "beta": NaN}',
+    "infinite-beta": '{"kind": "quantile", "family": "moving-max", "n": 200, "k": 20, "beta": Infinity}',
     "gbm-bad-kernel": '{"kind": "tailcov", "family": "pareto-gbm", "n": 200, "k": 20, "pairs": [[0, 1]], "kernel_rate": -1}',
 }
 
@@ -487,6 +487,16 @@ class TestExperiment:
         assert rc == 1
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_bound_exponent_is_not_a_config_key(self, tmp_path, capsys):
+        # the pareto-gbm bound exponent is a constant of the second-order
+        # condition, not an experiment setting
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"kind": "normality", "family": "pareto-gbm", "n": 200, '
+                            '"k": 20, "bound_exponent": 4.0}')
+        rc = main(["experiment", "--config", str(cfg_path), "--workers", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown config keys: bound_exponent\n"
 
     def test_printed_table_is_the_exported_csv(self, tmp_path, capsys):
         out_path = tmp_path / "report.csv"

@@ -12,7 +12,7 @@ from funcevt.estimators import EstimatorCurves, _log_excess_moments, estimate_cu
 from funcevt.harness import _tail_floor
 from funcevt.path_model import DataError, PathSample, make_grid
 from funcevt.process_sim import KernelSpec, SimConfig, simulate_moving_max, simulate_pareto_gbm
-from funcevt.limit_theory import true_functions
+from funcevt.limit_theory import TrueFunctions
 
 
 def curves_of(values, k):
@@ -194,7 +194,7 @@ class TestOnSimulatedFamilies:
         n, k = 8000, 200
         sample = simulate_pareto_gbm(g, SimConfig(n=n, seed=14))
         curves = estimate_curves(sample, k)
-        truth = true_functions("pareto-gbm")
+        truth = TrueFunctions("pareto-gbm")
         a = np.array([truth.scale(t, n / k) for t in g.points])
         assert not curves.flag.any()
         assert np.max(np.abs(curves.a_hat / a - 1.0)) < 0.5

@@ -54,7 +54,7 @@ class TestSupIntegral:
         # --xgrid 8 --xmax 1e2) f(u + 1)/y >= f(u) everywhere, so
         # C_{0,1} lies inside C_{1,y} and the intersection mass is 1/x = 1,
         # with no warning on the way
-        oracle = MeasureOracle.moving_max(KernelSpec("student-t", rate=1.0, df=3.0))
+        oracle = MeasureOracle(MOVING_MAX, KernelSpec("student-t", rate=1.0, df=3.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert oracle.intersection_mass(0.0, 1.0, 1.0, y) == pytest.approx(1.0, abs=1e-10)
@@ -77,7 +77,7 @@ class TestSupIntegral:
 
 class TestMovingMaxOracle:
     def test_rect_mass(self):
-        oracle = MeasureOracle.moving_max()
+        oracle = MeasureOracle(MOVING_MAX)
         assert oracle.rect_mass(0.5, 4.0) == pytest.approx(0.25)
         with pytest.raises(DataError):
             oracle.rect_mass(1.5, 1.0)
@@ -85,34 +85,34 @@ class TestMovingMaxOracle:
             oracle.rect_mass(0.5, 0.0)
 
     def test_same_time_intersection_is_min(self):
-        oracle = MeasureOracle.moving_max()
+        oracle = MeasureOracle(MOVING_MAX)
         assert oracle.intersection_mass(0.3, 2.0, 0.3, 5.0) == pytest.approx(0.2)
 
     def test_analytic_value_at_half_gap(self):
-        oracle = MeasureOracle.moving_max()
+        oracle = MeasureOracle(MOVING_MAX)
         got = oracle.intersection_mass(0.25, 1.0, 0.75, 1.0)
         assert got == pytest.approx(math.exp(-0.25), abs=1e-9)
 
     def test_symmetry_in_cells(self):
-        oracle = MeasureOracle.moving_max()
+        oracle = MeasureOracle(MOVING_MAX)
         a = oracle.intersection_mass(0.2, 1.5, 0.9, 3.0)
         b = oracle.intersection_mass(0.9, 3.0, 0.2, 1.5)
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_intersection_strictly_below_marginals(self):
-        oracle = MeasureOracle.moving_max()
+        oracle = MeasureOracle(MOVING_MAX)
         got = oracle.intersection_mass(0.0, 2.0, 1.0, 1.0)
         assert 0.0 < got < min(0.5, 1.0) - 1e-3
 
     def test_containment_hits_min_marginal(self):
         # at level ratio 4 > e**gap the higher cell swallows the lower one,
         # so the intersection carries the full smaller mass
-        oracle = MeasureOracle.moving_max()
+        oracle = MeasureOracle(MOVING_MAX)
         got = oracle.intersection_mass(0.0, 2.0, 1.0, 0.5)
         assert got == pytest.approx(0.5, abs=1e-9)
 
     def test_homogeneity(self):
-        oracle = MeasureOracle.moving_max()
+        oracle = MeasureOracle(MOVING_MAX)
         for t, x, s, y in ((0.0, 1.0, 0.5, 1.0), (0.1, 2.0, 0.7, 0.8)):
             base = oracle.intersection_mass(t, x, s, y)
             for r in (1.0, 2.0):
@@ -137,15 +137,15 @@ class TestOracleConstructor:
 
     def test_moving_max_kernel_defaults_to_double_exp(self):
         oracle = MeasureOracle(MOVING_MAX)
-        assert oracle == MeasureOracle.moving_max() == MeasureOracle(MOVING_MAX, KernelSpec())
+        assert oracle == MeasureOracle(MOVING_MAX, KernelSpec())
         # two double-exp cells at level 1, half a time unit apart: exp(-1/4)
         mass = oracle.intersection_mass(0.0, 1.0, 0.5, 1.0)
         assert mass == pytest.approx(math.exp(-0.25), abs=1e-12)
 
     def test_pareto_gbm_drops_a_kernel(self):
-        assert MeasureOracle(PARETO_GBM, KernelSpec()) == MeasureOracle.pareto_gbm()
+        assert MeasureOracle(PARETO_GBM, KernelSpec()) == MeasureOracle(PARETO_GBM)
         oracle = MeasureOracle(PARETO_GBM, KernelSpec("student-t", rate=2.0, df=4.0))
-        assert oracle == MeasureOracle.pareto_gbm()
+        assert oracle == MeasureOracle(PARETO_GBM)
         assert oracle.kernel is None
 
 
@@ -153,7 +153,7 @@ class TestDoubleExpClosedForm:
     @pytest.mark.parametrize("rate", [0.5, 1.0, 3.0])
     def test_matches_quadrature(self, rate):
         k = KernelSpec("double-exp", rate=rate)
-        oracle = MeasureOracle.moving_max(k)
+        oracle = MeasureOracle(MOVING_MAX, k)
         for t, x, s, y in random_cells(int(10 * rate), 40):
             union = sup_integral(k, np.array([t, s]), np.array([x, y]), tol=1e-11)
             want = 1.0 / x + 1.0 / y - union
@@ -161,7 +161,7 @@ class TestDoubleExpClosedForm:
 
     @pytest.mark.parametrize("rate", [0.5, 1.0, 3.0])
     def test_homogeneity_and_symmetry(self, rate):
-        oracle = MeasureOracle.moving_max(KernelSpec("double-exp", rate=rate))
+        oracle = MeasureOracle(MOVING_MAX, KernelSpec("double-exp", rate=rate))
         cells = list(random_cells(7, 50))
         for r in (0.3, 2.0, 17.0):
             for t, x, s, y in cells:
@@ -175,7 +175,7 @@ class TestDoubleExpClosedForm:
 
     @pytest.mark.parametrize("rate", [0.5, 1.0, 3.0])
     def test_bounded_by_marginals_and_containment(self, rate):
-        oracle = MeasureOracle.moving_max(KernelSpec("double-exp", rate=rate))
+        oracle = MeasureOracle(MOVING_MAX, KernelSpec("double-exp", rate=rate))
         for t, x, s, y in random_cells(11, 50):
             got = oracle.intersection_mass(t, x, s, y)
             assert 0.0 < got <= min(1.0 / x, 1.0 / y)
@@ -198,7 +198,7 @@ class TestStudentTClosedForm:
     @pytest.mark.parametrize("df,rate", STUDENT_KERNELS)
     def test_matches_quadrature(self, df, rate):
         k = KernelSpec("student-t", rate=rate, df=df)
-        oracle = MeasureOracle.moving_max(k)
+        oracle = MeasureOracle(MOVING_MAX, k)
         rng = np.random.default_rng(int(10 * df + rate))
         for _ in range(60):
             t, s = rng.uniform(0.0, 1.0, 2)
@@ -212,9 +212,9 @@ class TestBroadcasting:
     @pytest.mark.parametrize(
         "oracle",
         [
-            MeasureOracle.moving_max(),
-            MeasureOracle.moving_max(KernelSpec("student-t", rate=2.0, df=4.0)),
-            MeasureOracle.pareto_gbm(),
+            MeasureOracle(MOVING_MAX),
+            MeasureOracle(MOVING_MAX, KernelSpec("student-t", rate=2.0, df=4.0)),
+            MeasureOracle(PARETO_GBM),
         ],
         ids=["double-exp", "student-t", "gbm"],
     )
@@ -229,19 +229,19 @@ class TestBroadcasting:
 
     def test_nonpositive_level_in_array_rejected(self):
         with pytest.raises(DataError):
-            MeasureOracle.moving_max().intersection_mass(0.0, 1.0, 1.0, np.array([1.0, 0.0]))
+            MeasureOracle(MOVING_MAX).intersection_mass(0.0, 1.0, 1.0, np.array([1.0, 0.0]))
 
 
 class TestGbmOracle:
     def test_analytic_value_unit_gap(self):
-        oracle = MeasureOracle.pareto_gbm()
+        oracle = MeasureOracle(PARETO_GBM)
         got = oracle.intersection_mass(0.0, 1.0, 1.0, 1.0)
         assert got == pytest.approx(2.0 * stats.norm.cdf(-0.5), rel=1e-12)
 
     def test_analytic_vs_monte_carlo(self):
         # independent cross-check: E[min(B(t)/x, B(s)/y)] by seeded Monte
         # Carlo over the Brownian increments, t < s
-        analytic = MeasureOracle.pareto_gbm()
+        analytic = MeasureOracle(PARETO_GBM)
         for (t, x), (s, y) in [
             ((0.0, 1.0), (1.0, 1.0)),
             ((0.25, 2.0), (0.75, 1.0)),
@@ -256,7 +256,7 @@ class TestGbmOracle:
             assert analytic.intersection_mass(t, x, s, y) == pytest.approx(mc, abs=0.01)
 
     def test_homogeneity_exact(self):
-        oracle = MeasureOracle.pareto_gbm()
+        oracle = MeasureOracle(PARETO_GBM)
         for t, x, s, y in ((0.0, 1.0, 1.0, 1.0), (0.2, 3.0, 0.6, 1.5)):
             base = oracle.intersection_mass(t, x, s, y)
             scaled = oracle.intersection_mass(t, 2.0 * x, s, 2.0 * y)
@@ -290,13 +290,13 @@ class TestCovarianceMatrix:
     @pytest.mark.parametrize(
         "oracle,times,levels",
         [
-            (MeasureOracle.moving_max(), [0.0, 0.3, 0.5, 1.0], np.geomspace(1.0, 1e3, 9)),
+            (MeasureOracle(MOVING_MAX), [0.0, 0.3, 0.5, 1.0], np.geomspace(1.0, 1e3, 9)),
             (
-                MeasureOracle.moving_max(KernelSpec("student-t", rate=1.0, df=3.0)),
+                MeasureOracle(MOVING_MAX, KernelSpec("student-t", rate=1.0, df=3.0)),
                 [0.0, 0.5],
                 np.array([1.0, 2.5]),
             ),
-            (MeasureOracle.pareto_gbm(), [0.0, 0.3, 0.5, 1.0], np.geomspace(1.0, 1e3, 9)),
+            (MeasureOracle(PARETO_GBM), [0.0, 0.3, 0.5, 1.0], np.geomspace(1.0, 1e3, 9)),
             (ConstantOracle(), [0.0, 0.5, 1.0], np.array([1.0, 2.0, 8.0])),
         ],
         ids=["double-exp", "student-t", "gbm", "constant"],
@@ -309,7 +309,7 @@ class TestCovarianceMatrix:
 
 
     def test_structure_and_values(self):
-        oracle = MeasureOracle.pareto_gbm()
+        oracle = MeasureOracle(PARETO_GBM)
         t_grid = make_grid(points=[0.0, 0.5, 1.0])
         x_grid = np.array([1.0, 2.0])
         cov = covariance_matrix(oracle, t_grid, x_grid)
@@ -322,7 +322,7 @@ class TestCovarianceMatrix:
         assert cov[0, 3] == pytest.approx(want, rel=1e-9)
 
     def test_positive_semidefinite(self):
-        for oracle in (MeasureOracle.moving_max(), MeasureOracle.pareto_gbm()):
+        for oracle in (MeasureOracle(MOVING_MAX), MeasureOracle(PARETO_GBM)):
             cov = covariance_matrix(
                 oracle, make_grid(points=[0.0, 0.3, 0.9]), np.array([1.0, 2.0, 5.0])
             )
@@ -332,7 +332,7 @@ class TestCovarianceMatrix:
     def test_level_validation(self):
         with pytest.raises(DataError):
             covariance_matrix(
-                MeasureOracle.pareto_gbm(), make_grid(m=2), np.array([1.0, -2.0])
+                MeasureOracle(PARETO_GBM), make_grid(m=2), np.array([1.0, -2.0])
             )
 
 
@@ -340,10 +340,10 @@ class TestCovarianceMatrix:
 # 0 < nu <= min(1/x, 1/y) holds with no slack, also where one cell nearly
 # contains the other and the formulas round a few ulps above it.
 ORACLES = {
-    "double-exp": MeasureOracle.moving_max(),
-    "double-exp-rate-3": MeasureOracle.moving_max(KernelSpec("double-exp", rate=3.0)),
-    "gbm": MeasureOracle.pareto_gbm(),
-    "student-t": MeasureOracle.moving_max(KernelSpec("student-t", rate=1.0, df=3.0)),
+    "double-exp": MeasureOracle(MOVING_MAX),
+    "double-exp-rate-3": MeasureOracle(MOVING_MAX, KernelSpec("double-exp", rate=3.0)),
+    "gbm": MeasureOracle(PARETO_GBM),
+    "student-t": MeasureOracle(MOVING_MAX, KernelSpec("student-t", rate=1.0, df=3.0)),
 }
 
 

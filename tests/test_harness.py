@@ -32,7 +32,7 @@ from funcevt.harness import (
     summarize,
     worker_count,
 )
-from funcevt.limit_theory import true_functions
+from funcevt.limit_theory import TrueFunctions
 from funcevt.path_model import DataError
 from funcevt.process_sim import KernelSpec, SimConfig, simulate_pareto_gbm
 from funcevt.tail_process import build_tail_field, tail_quantile_stat
@@ -81,6 +81,16 @@ class TestConfig:
     def test_tailcov_needs_pairs(self):
         with pytest.raises(DataError):
             ExperimentConfig(kind="tailcov", family="moving-max", n=100, k=10)
+
+    @pytest.mark.parametrize("bad", [
+        dict(s=0.99), dict(delta=2.0), dict(v=1.0), dict(K=0.0), dict(beta=0.5),
+        dict(variant="x"),
+    ], ids=lambda bad: next(iter(bad)))
+    def test_bad_oscillation_window_fails_when_built(self, bad):
+        # not later, inside the first replicate
+        base = dict(kind="oscillation", family="moving-max", n=200, k=1, m=11, v=5.0)
+        with pytest.raises(DataError):
+            ExperimentConfig(**{**base, **bad})
 
     def test_dict_round_trip(self):
         cfg = ExperimentConfig(
@@ -192,7 +202,7 @@ class TestStandardize:
     def test_arithmetic(self):
         cfg = small_normality(reps=4)
         repset = run_replications(cfg)
-        truth = true_functions("pareto-gbm")
+        truth = TrueFunctions("pareto-gbm")
         std = standardize(repset, truth)
         rk = math.sqrt(cfg.k)
         v = cfg.n / cfg.k
@@ -210,7 +220,7 @@ class TestStandardize:
         )
         repset = run_replications(cfg)
         with pytest.raises(DataError):
-            standardize(repset, true_functions("pareto-gbm"))
+            standardize(repset, TrueFunctions("pareto-gbm"))
 
 
 def unflagged(cfg, rows):
@@ -283,6 +293,7 @@ MALFORMED_REPORTS = {
     "csv-text-cell": ("csv", f"{CSV_HEADER}\n0.5,0.1,x,1,0.03\n"),
     "json-list": ("json", lambda doc: [doc]),
     "json-no-statistic": ("json", lambda doc: {k: v for k, v in doc.items() if k != "statistic"}),
+    "json-no-schema": ("json", lambda doc: {k: v for k, v in doc.items() if k != "schema"}),
     "json-no-ks-column": ("json", lambda doc: {**doc, "rows": {
         k: v for k, v in doc["rows"].items() if k != "ks"}}),
     "json-rows-a-list": ("json", lambda doc: {**doc, "rows": list(doc["rows"].values())}),
@@ -346,20 +357,8 @@ class TestExportLoad:
         assert back.config_hash == report.config_hash
         np.testing.assert_allclose(back.var, report.var)
         assert back.config == report.config
-        assert doc["schema"] == back.schema == 2
-
-    def test_schema_one_report_still_loads(self, tmp_path):
-        # schema 1 echoed the config field c, which nothing read
-        report = run_experiment(small_normality(reps=3))
-        p = tmp_path / "report.json"
-        export_report(report, p)
-        doc = json.loads(p.read_text())
-        doc["schema"] = 1
-        doc["config"]["c"] = 1.0
-        p.write_text(json.dumps(doc))
-        back = load_report(p)
-        assert back.schema == 1 and back.config["c"] == 1.0
-        np.testing.assert_array_equal(back.mean, report.mean)
+        assert doc["schema"] == back.schema == 3
+        assert "bound_exponent" not in doc["config"]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @settings(max_examples=40, deadline=None)

@@ -3,14 +3,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
+from scipy.special import kolmogi
 
 from funcevt import limit_theory
 from funcevt.exponent_measure import MeasureOracle, covariance_matrix
+from funcevt.harness import ExperimentConfig, grid_for, run_replications, standardize
 from funcevt.limit_theory import (
     DegenerateCovarianceError,
     LimitField,
     LimitParams,
+    TrueFunctions,
     functional_x_grid,
     limit_functionals,
     limit_variances_gm0,
@@ -18,9 +21,8 @@ from funcevt.limit_theory import (
     second_order_check,
     simulate_limit_field,
     simulate_limit_functionals,
-    true_functions,
 )
-from funcevt.path_model import DataError, make_grid
+from funcevt.path_model import MOVING_MAX, PARETO_GBM, DataError, MarginalModel, make_grid
 
 
 def brute_force_bias(g, rho, x):
@@ -93,7 +95,7 @@ def assert_covariance_near(fn, C):
     assert np.all(np.abs(emp - C) < 5.0 * se)
 
 
-FIELD_ORACLES = {"double-exp": MeasureOracle.moving_max(), "gbm": MeasureOracle.pareto_gbm()}
+FIELD_ORACLES = {"double-exp": MeasureOracle(MOVING_MAX), "gbm": MeasureOracle(PARETO_GBM)}
 
 # (times, levels, draws, seed): the limit-mm bench workload, the README's
 # default `funcevt limit`, and the two fields of acceptance 08
@@ -154,39 +156,47 @@ class TestLimitParams:
 
 class TestTrueFunctions:
     def test_moving_max_location(self):
-        truth = true_functions("moving-max")
+        truth = TrueFunctions("moving-max")
         assert truth.location(0.0, 2.0) == pytest.approx(1.0 / math.log(2.0), rel=1e-12)
         assert truth.scale(0.0, 2.0) == truth.location(0.0, 2.0)
         assert truth.bias_amplitude(0.0, 10.0) == pytest.approx(0.05)
         assert truth.remainder_target(4.0) == pytest.approx(0.75)
 
     def test_gbm_location_inverts_marginal(self):
-        truth = true_functions("pareto-gbm")
+        truth = TrueFunctions("pareto-gbm")
+        marginal = MarginalModel("pareto-gbm")
         for t, v in ((0.5, 20.0), (1.0, 50.0)):
             u = truth.location(t, v)
-            assert float(truth.marginal.tail(t, u)) == pytest.approx(1.0 / v, rel=1e-9)
+            assert float(marginal.tail(t, u)) == pytest.approx(1.0 / v, rel=1e-9)
             assert u < v
 
     def test_gbm_location_bracket_for_large_v(self):
         # the bracket is asymptotic; it holds from about v = 100 on
-        truth = true_functions("pareto-gbm")
+        truth = TrueFunctions("pareto-gbm")
         for t, v in ((0.5, 100.0), (1.0, 200.0), (1.0, 1e4)):
             u = truth.location(t, v)
             assert v - v ** -1.5 <= u <= v
 
     def test_gbm_location_at_time_zero(self):
-        truth = true_functions("pareto-gbm")
+        truth = TrueFunctions("pareto-gbm")
         assert truth.location(0.0, 7.0) == 7.0
 
     def test_gbm_targets(self):
-        truth = true_functions("pareto-gbm")
+        truth = TrueFunctions("pareto-gbm")
         assert truth.remainder_target(3.0) == 0.0
         assert truth.bias_amplitude(0.2, 100.0) == pytest.approx(1e-3)
+        truth = TrueFunctions("pareto-gbm", bound_exponent=2.0)
+        assert truth.bias_amplitude(0.2, 100.0) == pytest.approx(1e-4)
 
     def test_v_must_exceed_one(self):
-        truth = true_functions("moving-max")
+        truth = TrueFunctions("moving-max")
         with pytest.raises(DataError):
             truth.location(0.0, 1.0)
+
+    @pytest.mark.parametrize("exponent", [1.0, 0.5, math.nan, math.inf])
+    def test_bound_exponent_outside_one_to_inf_is_a_data_error(self, exponent):
+        with pytest.raises(DataError, match="bound_exponent"):
+            TrueFunctions("pareto-gbm", bound_exponent=exponent)
 
 
 class TestFunctionalGrid:
@@ -205,7 +215,7 @@ class TestFunctionalGrid:
 
 class TestSimulateLimitField:
     def test_deterministic_and_zero_mean(self):
-        oracle = MeasureOracle.pareto_gbm()
+        oracle = MeasureOracle(PARETO_GBM)
         g = make_grid(points=[0.0, 1.0])
         x = np.array([1.0, 2.0])
         a = simulate_limit_field(oracle, g, x, draws=4000, seed=5)
@@ -215,7 +225,7 @@ class TestSimulateLimitField:
         assert np.abs(a.values.mean(axis=0)).max() < 4.0 / math.sqrt(4000)
 
     def test_covariance_recovered(self):
-        oracle = MeasureOracle.pareto_gbm()
+        oracle = MeasureOracle(PARETO_GBM)
         g = make_grid(points=[0.0, 0.5])
         x = np.array([1.0, 3.0])
         field = simulate_limit_field(oracle, g, x, draws=20_000, seed=6)
@@ -238,7 +248,7 @@ class TestSimulateLimitField:
     def test_draws_are_prefix_stable(self, monkeypatch, block_values):
         if block_values is not None:
             monkeypatch.setattr(limit_theory, "_DRAW_BLOCK_VALUES", block_values)
-        oracle = MeasureOracle.moving_max()
+        oracle = MeasureOracle(MOVING_MAX)
         g = make_grid(m=2)
         x = functional_x_grid(16.0, 8)
         rows = limit_theory._DRAW_BLOCK_VALUES // 16
@@ -248,7 +258,7 @@ class TestSimulateLimitField:
             assert small.tobytes() == big[:n].tobytes(), n
 
     def test_memory_is_the_field_and_one_block(self):
-        oracle = MeasureOracle.moving_max()
+        oracle = MeasureOracle(MOVING_MAX)
         g = make_grid(m=3)
         x = functional_x_grid(1e4, 128)
         tracemalloc.start()
@@ -315,7 +325,7 @@ class TestLimitFunctionals:
         )
 
     def test_variances_match_closed_forms(self):
-        oracle = MeasureOracle.pareto_gbm()
+        oracle = MeasureOracle(PARETO_GBM)
         g = make_grid(m=1)
         x = functional_x_grid(x_max=1e4, n=512)
         field = simulate_limit_field(oracle, g, x, draws=20_000, seed=8)
@@ -377,7 +387,7 @@ class TestSimulateLimitFunctionals:
     def test_field_route_agrees_in_law(self):
         # functionals of field draws have the covariance C the direct
         # route draws from: each entry within 5 standard errors
-        oracle = MeasureOracle.pareto_gbm()
+        oracle = MeasureOracle(PARETO_GBM)
         g = make_grid(m=2)
         x = functional_x_grid(1e3, 32)
         params = LimitParams(np.zeros(2), np.array([0.0, -0.5]))
@@ -386,7 +396,7 @@ class TestSimulateLimitFunctionals:
         assert_covariance_near(fn, functional_covariance(oracle, g, x, params.gamma_minus))
 
     def test_draws_have_the_law_and_the_field_combinations(self):
-        oracle = MeasureOracle.moving_max()
+        oracle = MeasureOracle(MOVING_MAX)
         g = make_grid(m=2)
         x = functional_x_grid(1e3, 32)
         params = LimitParams.constant(2, gamma_plus=1.0)
@@ -401,7 +411,7 @@ class TestSimulateLimitFunctionals:
     def test_draws_are_prefix_stable(self, monkeypatch, block_values):
         if block_values is not None:
             monkeypatch.setattr(limit_theory, "_DRAW_BLOCK_VALUES", block_values)
-        oracle = MeasureOracle.moving_max()
+        oracle = MeasureOracle(MOVING_MAX)
         g = make_grid(m=2)
         x = functional_x_grid(16.0, 8)
         params = LimitParams.constant(2)
@@ -423,7 +433,7 @@ class TestSimulateLimitFunctionals:
         # both samplers, the functionals and the field
         g = make_grid(m=3)
         x = functional_x_grid(1e4, 512)
-        cov = covariance_matrix(MeasureOracle.pareto_gbm(), g, x)
+        cov = covariance_matrix(MeasureOracle(PARETO_GBM), g, x)
         noise = np.random.default_rng(14).standard_normal(cov.shape)
         params = LimitParams.constant(3)
 
@@ -448,10 +458,37 @@ class TestSimulateLimitFunctionals:
             simulate_limit_functionals(None, g, x, 10, 0, LimitParams.constant(2))
 
 
+# each standardized estimator error and the limit functional it tends to
+ERROR_LIMITS = {"hill": "moment1", "index": "index", "location": "location", "scale": "scale"}
+
+
+class TestUniformInTime:
+    @pytest.mark.parametrize("family", [MOVING_MAX, PARETO_GBM])
+    def test_sup_over_time_of_the_errors_follows_the_limit_law(self, family):
+        # the limit is a Gaussian process on [0, 1], not only a Gaussian
+        # law at each time: the sup over 11 times of |error| must match the
+        # sup of |draw| of the joint law (two-sample KS at the 1% level)
+        cfg = ExperimentConfig(
+            kind="normality", family=family, n=5000, k=200, reps=1000, seed=2026, m=11
+        )
+        errors = standardize(run_replications(cfg, workers=2), TrueFunctions(family))
+        law = simulate_limit_functionals(
+            MeasureOracle(family), grid_for(cfg), functional_x_grid(n=256), 20_000, 2027,
+            LimitParams.constant(cfg.m),
+        )
+        draws = law.moment1.shape[0]
+        crit = float(kolmogi(0.01)) * math.sqrt((errors.used + draws) / (errors.used * draws))
+        for stat, functional in ERROR_LIMITS.items():
+            sup_error = np.abs(getattr(errors, stat)).max(axis=1)
+            sup_draw = np.abs(getattr(law, functional)).max(axis=1)
+            ks = stats.ks_2samp(sup_error, sup_draw).statistic
+            assert ks < crit, f"{stat}: KS {ks:.4f} >= {crit:.4f}"
+
+
 SAMPLERS = {
-    "field": lambda x: simulate_limit_field(MeasureOracle.moving_max(), make_grid(m=2), x, 10),
+    "field": lambda x: simulate_limit_field(MeasureOracle(MOVING_MAX), make_grid(m=2), x, 10),
     "functionals": lambda x: simulate_limit_functionals(
-        MeasureOracle.moving_max(), make_grid(m=2), x, 10, 0, LimitParams.constant(2)
+        MeasureOracle(MOVING_MAX), make_grid(m=2), x, 10, 0, LimitParams.constant(2)
     ),
 }
 
@@ -486,7 +523,7 @@ class TestGm0Variances:
 
 class TestSecondOrderCheck:
     def test_moving_max_deviation_shrinks(self):
-        truth = true_functions("moving-max")
+        truth = TrueFunctions("moving-max")
         r = second_order_check(
             truth,
             v_grid=np.array([1e2, 1e3, 1e4]),
@@ -497,7 +534,7 @@ class TestSecondOrderCheck:
         assert r.bracket_ok is None
 
     def test_gbm_time_zero_exact(self):
-        truth = true_functions("pareto-gbm")
+        truth = TrueFunctions("pareto-gbm")
         r = second_order_check(
             truth,
             v_grid=np.array([100.0]),
@@ -509,7 +546,7 @@ class TestSecondOrderCheck:
         assert r.bracket_ok and r.log_bound_ok
 
     def test_schedule_amplitude_decays(self):
-        truth = true_functions("moving-max")
+        truth = TrueFunctions("moving-max")
         r = second_order_check(
             truth,
             v_grid=np.array([100.0]),

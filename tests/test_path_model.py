@@ -57,17 +57,19 @@ class TestMakeGrid:
 
 class TestMarginalModel:
     def test_moving_max_cdf_at_one(self):
+        # F(1) = exp(-1)
         model = MarginalModel("moving-max")
-        assert model.cdf(0.3, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert model.tail(0.3, 1.0) == pytest.approx(-math.expm1(-1.0), rel=1e-14)
 
     def test_moving_max_tail_is_one_minus_cdf(self):
+        # F(x) = exp(-1/x)
         model = MarginalModel("moving-max")
         x = np.array([0.5, 1.0, 7.0])
-        np.testing.assert_allclose(model.tail(0.0, x) + model.cdf(0.0, x), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(model.tail(0.0, x), 1.0 - np.exp(-1.0 / x), rtol=1e-14)
 
     def test_gbm_t0_exact_pareto(self):
         model = MarginalModel("pareto-gbm")
-        assert model.cdf(0.0, 2.0) == pytest.approx(0.5, abs=1e-15)
+        assert model.tail(0.0, 2.0) == pytest.approx(0.5, abs=1e-15)
         assert model.tail(0.0, 0.5) == pytest.approx(1.0)
 
     def test_gbm_tail_vs_mc_oracle(self):
@@ -96,13 +98,13 @@ class TestMarginalModel:
                 assert float(model.tail(t, x)) == pytest.approx(lo + hi, rel=1e-9, abs=1e-13)
 
     def test_gbm_bracket_on_tail(self):
-        # x * tail(x) must sit just below 1 for large x
+        # x * tail(x) must sit just below 1 for large x, within 2 x**-M
+        # for the bound exponent M = 1.5
         model = MarginalModel("pareto-gbm")
-        m = model.bound_exponent
         for x in (100.0, 1000.0):
             xt = x * float(model.tail(1.0, x))
             assert xt <= 1.0 + 1e-12
-            assert xt >= 1.0 - 2.0 * x ** -(m)
+            assert xt >= 1.0 - 2.0 * x ** -1.5
 
     def test_negative_x_rejected(self):
         model = MarginalModel("moving-max")

@@ -1,7 +1,7 @@
 """Batch command line interface.
 
-Subcommands: simulate, estimate, tailproc, diagnose, nu, limit,
-experiment.  Everything is seeded and file-based; see README for the
+Subcommands: simulate, transform, estimate, tailproc, diagnose, nu,
+limit, experiment.  Everything is seeded and file-based; see README for the
 CSV schemas.
 """
 
@@ -33,9 +33,11 @@ from funcevt.path_model import (
     MOVING_MAX,
     PARETO_GBM,
     DataError,
+    MarginalModel,
     ParetoPaths,
     PathSample,
     make_grid,
+    pareto_transform,
 )
 from funcevt.process_sim import (
     DOUBLE_EXP,
@@ -75,6 +77,14 @@ def _cmd_simulate(args) -> int:
         sample = simulate_pareto_gbm(grid, cfg)
     sample.to_csv(args.out)
     print(f"wrote {sample.n} x {sample.m} {args.family} sample to {args.out}")
+    return 0
+
+
+def _cmd_transform(args) -> int:
+    sample = PathSample.from_csv(args.infile, args.family)
+    zeta = pareto_transform(sample, MarginalModel(args.family))
+    zeta.to_csv(args.out)
+    print(f"wrote {zeta.n} x {zeta.m} Pareto-scale sample to {args.out}")
     return 0
 
 
@@ -225,6 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="moving-max value floor (speed knob)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
+
+    p = sub.add_parser("transform", help="Pareto-scale a sample CSV for tailproc and diagnose")
+    p.add_argument("--family", choices=families, required=True)
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("estimate", help="estimator curves from a sample CSV")
     p.add_argument("--in", dest="infile", required=True)

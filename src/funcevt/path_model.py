@@ -19,7 +19,10 @@ Two families are supported:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,11 @@ from scipy.special import ndtr
 # Positive floor used when a numerically evaluated tail underflows to 0;
 # keeps zeta = 1/tail finite (about 1e292 at the floor).
 TAIL_FLOOR = 2.0 ** -970
+
+# An (m, n) per-time job of at least this many values (2 MB of float64) is
+# split over threads: numpy's ufuncs, ndtr, sort and partition release the
+# GIL, so the rows of different blocks are computed at the same time.
+_PAR_VALUES = 1 << 18
 
 MOVING_MAX = "moving-max"
 PARETO_GBM = "pareto-gbm"
@@ -58,6 +66,27 @@ def check_levels(x_grid) -> np.ndarray:
     return x
 
 
+def for_row_blocks(fn, m, n):
+    """[fn(lo, hi), ...] over contiguous blocks [lo, hi) of the m rows of an
+    (m, n) job, in row order.
+
+    The blocks run on min(os.cpu_count(), m, m n // _PAR_VALUES) threads,
+    all joined before this returns; a smaller job, or one in a process-pool
+    worker (whose pool already fills the cores), is one plain fn(0, m) call.
+    fn must write only rows lo to hi - 1 of arrays its caller allocated, so
+    every row's floats are the same for any split, and must not warn: a
+    warning raised in a thread would interleave differently from run to run.
+    An exception from a block is raised here.
+    """
+    parts = min(os.cpu_count() or 1, m, m * n // _PAR_VALUES)
+    if parts <= 1 or multiprocessing.parent_process() is not None:
+        return [fn(0, m)]
+    bounds = [m * i // parts for i in range(parts + 1)]
+    with ThreadPoolExecutor(parts) as pool:
+        futures = [pool.submit(fn, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        return [f.result() for f in futures]
+
+
 def partition_columns(values, k):
     """(neg, check_k(k, n)): the negated columns of values (n x m) as the
     rows of a new C-contiguous array, each partitioned so that its k + 1
@@ -65,10 +94,16 @@ def partition_columns(values, k):
     Contiguous rows partition faster, and negated ones much faster where
     the bottom of a column is one tied value, as the moving-max floor is;
     for column-major values, as samples store them, the negation is one
-    straight pass."""
-    k = check_k(k, values.shape[0])
-    neg = np.negative(values.T, order="C")  # always a copy: partitioned in place
-    neg.partition(k, axis=1)
+    straight pass.  Blocks of columns are split by `for_row_blocks`."""
+    n, m = values.shape
+    k = check_k(k, n)
+    neg = np.empty((m, n))
+
+    def block(lo, hi):
+        rows = np.negative(values.T[lo:hi], out=neg[lo:hi])
+        rows.partition(k, axis=1)
+
+    for_row_blocks(block, m, n)
     return neg, k
 
 
@@ -248,6 +283,14 @@ class MarginalModel:
         Underflowing values are clamped at a 2**-970 floor so the
         Pareto transform stays finite; a RuntimeWarning counts clamps.
         """
+        out, clamped = self._floored_tail(t, x)
+        if clamped:
+            _warn_clamped(clamped)
+        return out if out.ndim else float(out)
+
+    def _floored_tail(self, t, x):
+        """(tail, clamped): `tail`'s values as an array, and how many of
+        them were clamped at the floor, without a warning."""
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0.0):
             raise DataError("tail is defined for x > 0")
@@ -257,13 +300,8 @@ class MarginalModel:
             out = self._gbm_tail(float(t), x)
         clamped = int(np.count_nonzero(out < TAIL_FLOOR))
         if clamped:
-            warnings.warn(
-                f"clamped {clamped} tail values at the 2**-970 floor",
-                RuntimeWarning,
-                stacklevel=2,
-            )
             out = np.maximum(out, TAIL_FLOOR)
-        return out if out.ndim else float(out)
+        return out, clamped
 
     def _gbm_tail(self, t, x):
         # 1 - F_t(x) = E[min(B(t)/x, 1)] with B(t) = exp(sqrt(t) Z - t/2).
@@ -275,6 +313,16 @@ class MarginalModel:
         s = np.sqrt(t)
         z = (np.log(x) + 0.5 * t) / s
         return ndtr(-z) + ndtr(z - s) / x
+
+
+def _warn_clamped(clamped):
+    """The RuntimeWarning that counts tail clamps, attributed to the line
+    that called the caller."""
+    warnings.warn(
+        f"clamped {clamped} tail values at the 2**-970 floor",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 def marginal_model_for(sample) -> MarginalModel:
@@ -289,17 +337,35 @@ def marginal_model_for(sample) -> MarginalModel:
 def pareto_scale(model, t, x):
     """zeta = 1/(1 - F_t(x)) of the raw values x (an array) at time t, at
     least 1: floating point can land a hair under 1 when F is near 0."""
-    zeta = 1.0 / model.tail(t, x)
+    return _zeta_from_tail(model.tail(t, x))
+
+
+def _zeta_from_tail(tail, out=None):
+    zeta = np.divide(1.0, tail, out=out)
     return np.maximum(zeta, 1.0, out=zeta)
 
 
 def pareto_transform(sample, model) -> ParetoPaths:
     """Standardise a path sample to the Pareto scale.
 
-    Applies `pareto_scale` column by column using the marginal model.
-    Output values are >= 1.
+    Applies the `pareto_scale` formula column by column using the marginal
+    model, on blocks of columns split by `for_row_blocks`; the tail-clamp warnings
+    come after, in column order.  Output values are >= 1.
     """
-    out = np.empty((sample.m, sample.n))  # one contiguous row per time
-    for j, t in enumerate(sample.grid.points):
-        out[j] = pareto_scale(model, t, sample.values[:, j])
+    n, m = sample.values.shape
+    points = sample.grid.points
+    out = np.empty((m, n))  # one contiguous row per time
+
+    def block(lo, hi):
+        clamps = []
+        for j in range(lo, hi):
+            tail, clamped = model._floored_tail(points[j], sample.values[:, j])
+            _zeta_from_tail(tail, out=out[j])
+            clamps.append(clamped)
+        return clamps
+
+    for clamps in for_row_blocks(block, m, n):
+        for clamped in clamps:
+            if clamped:
+                _warn_clamped(clamped)
     return ParetoPaths(sample.grid, out.T)

@@ -22,16 +22,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from funcevt.path_model import DataError, TimeGrid, check_k, check_levels, partition_columns
+from funcevt.path_model import (
+    DataError,
+    TimeGrid,
+    check_k,
+    check_levels,
+    for_row_blocks,
+    partition_columns,
+)
 
 
 def _exceedance_counts(values, x):
     """#{i : values[i, j] >= x_l} as an (m, x.size) integer array: one sort per
     column (a straight copy for column-major values, as samples store them),
-    then one search of the sorted column for all levels."""
-    cols = np.array(values.T, order="C")  # a copy, sorted in place
-    cols.sort(axis=1)
-    return cols.shape[1] - np.array([np.searchsorted(col, x) for col in cols])
+    then one search of the sorted column for all levels; blocks of columns
+    are split by `for_row_blocks`."""
+    n, m = values.shape
+    cols = np.empty((m, n))  # a copy, sorted in place
+    counts = np.empty((m, x.size), dtype=np.intp)
+
+    def block(lo, hi):
+        rows = cols[lo:hi]
+        rows[...] = values.T[lo:hi]
+        rows.sort(axis=1)
+        for j in range(lo, hi):
+            counts[j] = n - np.searchsorted(cols[j], x)
+
+    for_row_blocks(block, m, n)
+    return counts
 
 
 def tail_process_from_counts(counts, x, n, k):

@@ -17,7 +17,7 @@ import funcevt
 from funcevt.cli import _write_limit_json, main
 from funcevt.estimators import EstimatorCurves
 from funcevt.harness import ExperimentConfig, save_config
-from funcevt.path_model import ParetoPaths, PathSample, make_grid
+from funcevt.path_model import MarginalModel, ParetoPaths, PathSample, make_grid, pareto_transform
 from funcevt.process_sim import KernelSpec
 from funcevt.tail_process import build_tail_field
 
@@ -205,6 +205,54 @@ class TestTailproc:
         rc = main(["tailproc", "--in", in_path, "--k", k, "--out", str(tmp_path / "f.csv")])
         assert rc == 1
         assert "k must be in [1, n-1]" in capsys.readouterr().err
+
+
+def _field_csv_text(field):
+    """The text `funcevt tailproc` writes for field."""
+    lines = ["t," + ",".join("%.17g" % x for x in field.x_grid)]
+    lines += ["%.17g," % t + ",".join("%.17g" % v for v in row)
+              for t, row in zip(field.t_grid.points, field.values)]
+    return "\n".join(lines) + "\n"
+
+
+class TestTransform:
+    @pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
+    def test_simulate_transform_tailproc_diagnose(self, tmp_path, capsys, family):
+        paths, zeta, field = (tmp_path / name for name in ("paths.csv", "zeta.csv", "field.csv"))
+        main(["simulate", "--family", family, "--n", "300", "--grid", "5", "--seed", "3",
+              "--out", str(paths)])
+        rc, out = run(capsys, ["transform", "--family", family, "--in", str(paths),
+                               "--out", str(zeta)])
+        assert rc == 0
+        assert f"wrote 300 x 5 Pareto-scale sample to {zeta}" in out
+
+        want = pareto_transform(PathSample.from_csv(paths, family), MarginalModel(family))
+        want.to_csv(tmp_path / "want.csv")
+        assert zeta.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+        rc, _ = run(capsys, ["tailproc", "--in", str(zeta), "--k", "20", "--xgrid", "8",
+                             "--out", str(field)])
+        assert rc == 0
+        assert field.read_text() == _field_csv_text(build_tail_field(want, 20, n_x=8))
+
+        rc, out = run(capsys, ["diagnose", "--in", str(zeta), "--s", "0", "--delta", "0.5",
+                               "--v", "2", "--K", "1"])
+        assert rc == 0
+        assert out.startswith("conditioning paths: ")
+
+    def test_unknown_family_rejected_by_parser(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["transform", "--family", "weibull", "--in", str(tmp_path / "paths.csv"),
+                  "--out", str(tmp_path / "zeta.csv")])
+
+    @pytest.mark.parametrize("bad", ["0", "-1.5", "nan", "inf"])
+    def test_bad_value_exits_one(self, tmp_path, capsys, bad):
+        paths, zeta = tmp_path / "paths.csv", tmp_path / "zeta.csv"
+        paths.write_text(f"0,0.5\n1.0,2.0\n3.0,{bad}\n")
+        rc = main(["transform", "--family", "moving-max", "--in", str(paths), "--out", str(zeta)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: path values must be ")
+        assert not zeta.exists()
 
 
 class TestDiagnose:

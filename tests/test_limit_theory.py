@@ -462,20 +462,56 @@ class TestSimulateLimitFunctionals:
 ERROR_LIMITS = {"hill": "moment1", "index": "index", "location": "location", "scale": "scale"}
 
 
+def errors_and_law(family, seed, law_seed):
+    """Standardized normality errors at 11 times (n 5000, k 200, 1,000
+    reps) and 20,000 draws of their limit law on the same times."""
+    cfg = ExperimentConfig(
+        kind="normality", family=family, n=5000, k=200, reps=1000, seed=seed, m=11
+    )
+    errors = standardize(run_replications(cfg, workers=2), TrueFunctions(family))
+    law = simulate_limit_functionals(
+        MeasureOracle(family), grid_for(cfg), functional_x_grid(n=256), 20_000, law_seed,
+        LimitParams.constant(cfg.m),
+    )
+    return errors, law
+
+
+# times whose cross-time covariance is compared, and the largest gap
+# allowed between an entry of the hill errors' covariance and the law's,
+# in standard errors: with 10 entries, a 4 is about a 0.06% chance
+COV_TIMES = (0.0, 0.2, 0.5, 1.0)
+COV_Z = 4.0
+
+
+def _cov_and_var(a):
+    """The covariance of a's columns and the variance of each entry's
+    estimate, from the products of the centred columns."""
+    c = a - a.mean(axis=0)
+    products = c[:, :, None] * c[:, None, :]
+    return np.cov(a, rowvar=False), products.var(axis=0) / len(a)
+
+
+def hill_covariance_z(errors, law):
+    """(largest |gap| / standard error over the entries, law covariance) of
+    the hill errors' and the moment1 draws' covariance at COV_TIMES."""
+    idx = [int(np.argmin(np.abs(errors.t - t))) for t in COV_TIMES]
+    got, got_var = _cov_and_var(errors.hill[:, idx])
+    want, want_var = _cov_and_var(law.moment1[:, idx])
+    return float(np.abs((got - want) / np.sqrt(got_var + want_var)).max()), want
+
+
+@pytest.fixture(scope="module", params=[MOVING_MAX, PARETO_GBM])
+def uniform_in_time(request):
+    # one replication set and one law per family serve every test below
+    return request.param, *errors_and_law(request.param, 2026, 2027)
+
+
 class TestUniformInTime:
-    @pytest.mark.parametrize("family", [MOVING_MAX, PARETO_GBM])
-    def test_sup_over_time_of_the_errors_follows_the_limit_law(self, family):
+    def test_sup_over_time_of_the_errors_follows_the_limit_law(self, uniform_in_time):
         # the limit is a Gaussian process on [0, 1], not only a Gaussian
         # law at each time: the sup over 11 times of |error| must match the
         # sup of |draw| of the joint law (two-sample KS at the 1% level)
-        cfg = ExperimentConfig(
-            kind="normality", family=family, n=5000, k=200, reps=1000, seed=2026, m=11
-        )
-        errors = standardize(run_replications(cfg, workers=2), TrueFunctions(family))
-        law = simulate_limit_functionals(
-            MeasureOracle(family), grid_for(cfg), functional_x_grid(n=256), 20_000, 2027,
-            LimitParams.constant(cfg.m),
-        )
+        _, errors, law = uniform_in_time
         draws = law.moment1.shape[0]
         crit = float(kolmogi(0.01)) * math.sqrt((errors.used + draws) / (errors.used * draws))
         for stat, functional in ERROR_LIMITS.items():
@@ -483,6 +519,15 @@ class TestUniformInTime:
             sup_draw = np.abs(getattr(law, functional)).max(axis=1)
             ks = stats.ks_2samp(sup_error, sup_draw).statistic
             assert ks < crit, f"{stat}: KS {ks:.4f} >= {crit:.4f}"
+
+    def test_hill_errors_covary_across_times_as_the_limit_law(self, uniform_in_time):
+        family, errors, law = uniform_in_time
+        z, want = hill_covariance_z(errors, law)
+        assert z < COV_Z, f"covariance gap of {z:.2f} standard errors"
+        if family == MOVING_MAX:
+            # nu(C_{t,1} n C_{s,1}) = exp(-|t - s|/2) for the default kernel
+            closed = np.exp(-np.abs(np.subtract.outer(COV_TIMES, COV_TIMES)) / 2.0)
+            np.testing.assert_allclose(want, closed, atol=0.05)
 
 
 SAMPLERS = {

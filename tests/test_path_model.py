@@ -1,7 +1,10 @@
 import math
 import os
 import tempfile
+import threading
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,13 +13,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
-from funcevt.estimators import _log_excess_moments
+from funcevt import path_model
+from funcevt.estimators import _log_excess_moments, estimate_curves
+from funcevt.harness import ExperimentConfig, run_replications
 from funcevt.path_model import (
     DataError,
     MarginalModel,
     ParetoPaths,
     PathSample,
     TimeGrid,
+    for_row_blocks,
     make_grid,
     marginal_model_for,
     pareto_scale,
@@ -24,7 +30,7 @@ from funcevt.path_model import (
     partition_columns,
 )
 from funcevt.process_sim import KernelSpec, SimConfig, simulate_moving_max, simulate_pareto_gbm
-from funcevt.tail_process import _exceedance_counts
+from funcevt.tail_process import _exceedance_counts, build_tail_field, tail_quantile_stat
 
 
 class TestMakeGrid:
@@ -145,6 +151,31 @@ def _sample(case):
     return simulate_moving_max(KernelSpec("student-t", rate=2.0), make_grid(m=4), cfg)
 
 
+FOUR_CORES = 4
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """Split every per-time job into up to 4 row blocks on threads, whatever
+    its size and the machine's core count."""
+    monkeypatch.setattr(path_model, "_PAR_VALUES", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: FOUR_CORES)
+
+
+def _assert_clamp_case_matches_the_loop(family):
+    # 1e300 underflows the tail, in every other column; 1e280 does not
+    sample = _sample(family)
+    vals = np.array(sample.values)
+    vals[::97, ::2] = 1e300
+    vals[5, 1] = 1e280
+    sample = PathSample(sample.grid, vals, family)
+    model = marginal_model_for(sample)
+    got, got_msgs = _clamp_messages(pareto_transform, sample, model)
+    want, want_msgs = _clamp_messages(reference_pareto_transform, sample, model)
+    assert got.values.tobytes() == want.tobytes()
+    assert len(want_msgs) == 11 and got_msgs == want_msgs
+
+
 class TestParetoTransform:
     # tobytes() reads in row-major order whatever the memory layout
     @pytest.mark.parametrize("case", SAMPLES)
@@ -156,17 +187,7 @@ class TestParetoTransform:
 
     @pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
     def test_bitwise_equal_to_strided_loop_with_tail_clamps(self, family):
-        # 1e300 underflows the tail, in every other column; 1e280 does not
-        sample = _sample(family)
-        vals = np.array(sample.values)
-        vals[::97, ::2] = 1e300
-        vals[5, 1] = 1e280
-        sample = PathSample(sample.grid, vals, family)
-        model = marginal_model_for(sample)
-        got, got_msgs = _clamp_messages(pareto_transform, sample, model)
-        want, want_msgs = _clamp_messages(reference_pareto_transform, sample, model)
-        assert got.values.tobytes() == want.tobytes()
-        assert len(want_msgs) == 11 and got_msgs == want_msgs
+        _assert_clamp_case_matches_the_loop(family)
 
     def test_moving_max_unit_value(self):
         g = make_grid(m=1)
@@ -207,6 +228,122 @@ class TestParetoTransform:
             z = pareto_transform(s, marginal_model_for(s))
         assert np.isfinite(z.values[0, 0])
         assert z.values[0, 0] > 1e200
+
+
+def _first_columns(sample, m):
+    """The sample restricted to its first m times (all of them if fewer)."""
+    grid = make_grid(points=sample.grid.points[:m])
+    return PathSample(grid, sample.values[:, :m], sample.family)
+
+
+def _column_kernel_bytes(sample):
+    """The bytes of every per-time kernel's output on sample: the Pareto
+    transform, and at three k the curves, quantile statistics and field."""
+    zeta = pareto_transform(sample, marginal_model_for(sample))
+    out = [zeta.values]
+    for k in (1, 20, 300):
+        c = estimate_curves(sample, k)
+        out += [c.gamma_plus, c.gamma_minus, c.u_hat, c.a_hat, c.flag]
+        out += [tail_quantile_stat(zeta, k, -1.0), build_tail_field(zeta, k, n_x=16).values]
+    return [a.tobytes() for a in out]
+
+
+def _block_threads():
+    """(calling thread, the thread of each block) for a 21-row job that
+    for_row_blocks splits as finely as it may."""
+    with mock.patch.object(path_model, "_PAR_VALUES", 1), \
+            mock.patch.object(os, "cpu_count", lambda: FOUR_CORES):
+        blocks = for_row_blocks(lambda lo, hi: threading.get_ident(), 21, 1000)
+    return threading.get_ident(), blocks
+
+
+class TestRowBlocks:
+    """Per-time kernels split over threads give the serial bytes."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 21])
+    @pytest.mark.parametrize("case", SAMPLES)
+    def test_kernels_bitwise_equal_to_serial(self, case, m, monkeypatch):
+        sample = _first_columns(_sample(case), m)
+        monkeypatch.setattr(path_model, "_PAR_VALUES", 1 << 62)
+        want = _column_kernel_bytes(sample)
+        monkeypatch.setattr(path_model, "_PAR_VALUES", 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: FOUR_CORES)
+        assert _column_kernel_bytes(sample) == want
+        # the student-t sample has 4 times
+        assert len(for_row_blocks(lambda lo, hi: (lo, hi), sample.m, sample.n)) == min(m, 4, sample.m)
+
+    @pytest.mark.parametrize("case", SAMPLES)
+    def test_pareto_transform_bitwise_equal_to_strided_loop(self, case, threads):
+        sample = _sample(case)
+        model = marginal_model_for(sample)
+        want = reference_pareto_transform(sample, model)
+        assert pareto_transform(sample, model).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
+    def test_tail_clamps_match_the_strided_loop(self, family, threads):
+        _assert_clamp_case_matches_the_loop(family)
+
+    def test_blocks_cover_the_rows_in_order(self, threads):
+        assert for_row_blocks(lambda lo, hi: (lo, hi), 21, 1) == [(0, 5), (5, 10), (10, 15), (15, 21)]
+        assert for_row_blocks(lambda lo, hi: (lo, hi), 3, 1) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_small_jobs_are_one_call(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: FOUR_CORES)
+        n = path_model._PAR_VALUES // 2
+        assert for_row_blocks(lambda lo, hi: (lo, hi), 3, n) == [(0, 3)]
+        assert len(for_row_blocks(lambda lo, hi: (lo, hi), 4, n)) == 2
+
+    def test_clamp_warnings_come_in_column_order(self, threads):
+        # a different clamp count in each even column, so order shows
+        sample = _sample("pareto-gbm")
+        vals = np.array(sample.values)
+        for j in range(0, sample.m, 2):
+            vals[: j + 1, j] = 1e300
+        sample = PathSample(sample.grid, vals, "pareto-gbm")
+        model = marginal_model_for(sample)
+        got, got_msgs = _clamp_messages(pareto_transform, sample, model)
+        want, want_msgs = _clamp_messages(reference_pareto_transform, sample, model)
+        assert got.values.tobytes() == want.tobytes()
+        assert got_msgs == want_msgs == [
+            f"clamped {j + 1} tail values at the 2**-970 floor" for j in range(0, sample.m, 2)
+        ]
+
+    def test_an_error_in_a_block_reaches_the_caller(self, threads):
+        def block(lo, hi):
+            if lo <= 7 < hi:
+                raise DataError(f"bad row in [{lo}, {hi})")
+            return lo
+
+        with pytest.raises(DataError, match=r"bad row in \[5, 10\)"):
+            for_row_blocks(block, 21, 1)
+
+    def test_no_thread_outlives_a_call(self, threads):
+        sample = _sample("pareto-gbm")
+        before = threading.active_count()
+        zeta = pareto_transform(sample, marginal_model_for(sample))
+        partition_columns(sample.values, 20)
+        _exceedance_counts(zeta.values, np.array([1.0, 10.0]))
+        assert threading.active_count() == before
+
+    def test_blocks_leave_the_calling_thread_in_the_main_process(self):
+        main, blocks = _block_threads()
+        assert len(blocks) == FOUR_CORES and main not in blocks
+
+    def test_blocks_run_on_the_worker_thread_in_a_process_pool(self):
+        with ProcessPoolExecutor(1) as pool:
+            worker, blocks = pool.submit(_block_threads).result(timeout=60)
+        assert blocks == [worker]
+
+    def test_process_pool_after_a_threaded_kernel(self, threads):
+        # a fork after the threaded kernels finds no live thread, so the
+        # warnings-as-errors filters see no warning about forking one
+        sample = _sample("pareto-gbm")
+        pareto_transform(sample, marginal_model_for(sample))
+        cfg = ExperimentConfig(kind="normality", family="pareto-gbm", n=2000, k=50, reps=4, m=3)
+        two = run_replications(cfg, workers=2)
+        one = run_replications(cfg, workers=1)  # its replicates split their columns
+        for key in one.arrays:
+            assert two.arrays[key].tobytes() == one.arrays[key].tobytes()
 
 
 class TestSampleTypes:

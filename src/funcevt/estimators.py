@@ -14,10 +14,11 @@ From it:
     location           u_hat       = xi_{n-k,n}
     scale              a_hat       = u_hat * gamma_plus * (1 - gamma_minus)
 
-One kernel computes u_hat and the moments of every column from a single
-partition of the sample.  estimate_curves runs it on the whole grid and
-flags degenerate columns (M_2 <= 0 or M_1**2/M_2 >= 1) instead of
-aborting.
+One kernel computes u_hat and the moments of every column from the
+sample's top block (`path_model.top_block`), which the sample memoises,
+so a sweep over k partitions the sample only when k outgrows the block.
+estimate_curves runs it on the whole grid and flags degenerate columns
+(M_2 <= 0 or M_1**2/M_2 >= 1) instead of aborting.
 """
 
 from __future__ import annotations
@@ -26,16 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from funcevt.path_model import DataError, TimeGrid, partition_columns
+from funcevt.path_model import DataError, TimeGrid, top_block
 
 
-def _log_excess_moments(values, k):
-    """u_hat and the log-excess moments M_1, M_2 of every column of values
-    (n x m), as length-m arrays, from one partition."""
-    neg, k = partition_columns(values, k)
-    if np.any(values <= 0.0):
-        raise DataError("column values must be positive")
-    top = np.sort(-neg[:, : k + 1], axis=1)  # top[:, 0] = xi_{n-k,n}
+def _log_excess_moments(sample, k):
+    """u_hat and the log-excess moments M_1, M_2 of every column of a
+    sample, whose values are positive, as length-m arrays."""
+    top = top_block(sample, k)
+    top.sort(axis=1)  # top[:, 0] = xi_{n-k,n}
     logs = np.log(top)
     # a C-contiguous row sums pairwise exactly as the 1-d np.mean of one
     # column does, so a column's moments do not depend on its neighbours
@@ -100,7 +99,7 @@ class EstimatorCurves:
 
 def estimate_curves(sample, k) -> EstimatorCurves:
     """Evaluate all estimators on every grid column of a sample."""
-    u, m1, m2 = _log_excess_moments(sample.values, k)
+    u, m1, m2 = _log_excess_moments(sample, k)
     gm, degenerate = _negative_part(m1, m2)
     a = u * m1 * (1.0 - gm)
     flag = degenerate.astype(np.uint8)

@@ -20,10 +20,11 @@ Two families are supported:
 from __future__ import annotations
 
 import multiprocessing
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -46,9 +47,17 @@ class DataError(ValueError):
     """Malformed grid, sample, or CSV input."""
 
 
+def check_int(value, what) -> int:
+    """value as an int; DataError unless it is an integer (a numpy one
+    too), not a bool or a float, which int() would silently truncate."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_k(k, n) -> int:
-    """k as an int; DataError unless 1 <= k <= n - 1."""
-    k = int(k)
+    """k as an int; DataError unless it is an integer with 1 <= k <= n - 1."""
+    k = check_int(k, "k")
     if not 1 <= k <= n - 1:
         raise DataError(f"k must be in [1, n-1], got k={k}, n={n}")
     return k
@@ -180,9 +189,16 @@ def _check_values(values, grid, minimum, what):
     if np.any(vals < minimum) or (minimum == 0.0 and np.any(vals == 0.0)):
         bound = "positive" if minimum == 0.0 else f">= {minimum}"
         raise DataError(f"{what} values must be {bound}")
-    # column-major: every per-time kernel reads one contiguous column; this
-    # copies only input that arrives row-major, such as a CSV load
-    return np.asfortranarray(vals)
+    # column-major: every per-time kernel reads one contiguous column.  The
+    # sample's values are read-only, so an array the caller can still write
+    # is copied; a read-only one (as the simulators and pareto_transform
+    # pass) is viewed, and one that arrives row-major, such as a CSV load,
+    # is copied once by the reordering
+    out = np.asfortranarray(vals)
+    if out.flags.writeable and np.may_share_memory(out, values):
+        out = out.copy(order="F")
+    out.flags.writeable = False
+    return out
 
 
 def _write_csv(path, grid, values):
@@ -205,18 +221,14 @@ def _read_csv(path):
 
 
 @dataclass(frozen=True)
-class PathSample:
-    """n paths of a positive process on a common time grid; values (n x m)
-    is stored column-major, so each time's column is contiguous."""
+class _Paths:
+    """n paths on a common time grid; values (n x m) is stored column-major,
+    so each time's column is contiguous, and read-only, so the top block
+    that `top_block` memoises here cannot go stale."""
 
     grid: TimeGrid
     values: np.ndarray
-    family: str = "synthetic"
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", _check_values(self.values, self.grid, 0.0, "path")
-        )
+    _top: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -230,6 +242,18 @@ class PathSample:
         """Write grid header row plus one row per path, 17 significant digits."""
         _write_csv(path, self.grid, self.values)
 
+
+@dataclass(frozen=True)
+class PathSample(_Paths):
+    """n paths of a positive process on a common time grid."""
+
+    family: str = "synthetic"
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "values", _check_values(self.values, self.grid, 0.0, "path")
+        )
+
     @classmethod
     def from_csv(cls, path, family="synthetic"):
         grid, values = _read_csv(path)
@@ -237,33 +261,43 @@ class PathSample:
 
 
 @dataclass(frozen=True)
-class ParetoPaths:
-    """Paths standardised to the Pareto scale, zeta = 1/(1 - F_t(xi)) >= 1;
-    values is stored column-major, as in `PathSample`."""
-
-    grid: TimeGrid
-    values: np.ndarray
+class ParetoPaths(_Paths):
+    """Paths standardised to the Pareto scale, zeta = 1/(1 - F_t(xi)) >= 1."""
 
     def __post_init__(self):
         object.__setattr__(
             self, "values", _check_values(self.values, self.grid, 1.0, "pareto")
         )
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-    def to_csv(self, path):
-        _write_csv(path, self.grid, self.values)
-
     @classmethod
     def from_csv(cls, path):
         grid, values = _read_csv(path)
         return cls(grid, values)
+
+
+def top_block(paths, k):
+    """The k + 1 largest values of every column of a sample, as a new
+    (m, k + 1) array: row j holds column j's in no set order, except that
+    the smallest of them, xi_{n-k,n}(t_j), is last.
+
+    Memoised on the sample: a miss partitions the columns once, at
+    K = min(2k, n - 1), and keeps their K + 1 largest values, so a later
+    call with k <= K partitions only that (m, K + 1) block, and a larger k
+    replaces it.  A descending k sweep partitions the sample once, an
+    ascending one about log2(k_max / k_min) + 1 times, and the memo holds
+    at most (min(2 k_max, n - 1) + 1) m floats.
+    """
+    n = paths.n
+    k = check_k(k, n)
+    block = paths._top  # (m, K + 1): row j holds column j's K + 1 largest values
+    if block is None or block.shape[1] <= k:
+        neg, big = partition_columns(paths.values, min(2 * k, n - 1))
+        block = np.negative(neg[:, : big + 1])
+        block.flags.writeable = False
+        object.__setattr__(paths, "_top", block)
+    # block.T is laid out as sample values are, K + 1 of them per column
+    neg, k = partition_columns(block.T, k)
+    return np.negative(neg[:, : k + 1])
 
 
 @dataclass
@@ -368,4 +402,5 @@ def pareto_transform(sample, model) -> ParetoPaths:
         for clamped in clamps:
             if clamped:
                 _warn_clamped(clamped)
+    out.flags.writeable = False  # viewed, not copied, by the sample
     return ParetoPaths(sample.grid, out.T)

@@ -216,6 +216,7 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
         dens /= ys
         red = np.maximum.reduceat(dens, first, axis=1)
         vals[j : j + step, pid[first]] = np.maximum(red, floor)
+    vals.flags.writeable = False  # viewed, not copied, by the sample
     return PathSample(grid, vals.T, MOVING_MAX)
 
 
@@ -236,4 +237,5 @@ def simulate_pareto_gbm(grid, cfg) -> PathSample:
     w -= 0.5 * grid.points[:, None]
     np.exp(w, out=w)
     w *= y
+    w.flags.writeable = False  # viewed, not copied, by the sample
     return PathSample(grid, w.T, PARETO_GBM)

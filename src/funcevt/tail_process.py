@@ -25,10 +25,11 @@ import numpy as np
 from funcevt.path_model import (
     DataError,
     TimeGrid,
+    check_int,
     check_k,
     check_levels,
     for_row_blocks,
-    partition_columns,
+    top_block,
 )
 
 
@@ -92,7 +93,9 @@ def build_tail_field(paths, k, x_grid=None, n_x=64, c=1.0) -> TailField:
             raise DataError(
                 f"need 0 < c < n/k = {hi:g} for the default level grid, got c={c!r}"
             )
-        x_grid = np.exp(np.linspace(math.log(c), math.log(hi), int(n_x)))
+        if check_int(n_x, "n_x") < 1:
+            raise DataError(f"n_x must be >= 1, got {n_x}")
+        x_grid = np.exp(np.linspace(math.log(c), math.log(hi), n_x))
     x = check_levels(x_grid)
     counts = _exceedance_counts(paths.values, x * (n / k))
     return TailField(paths.grid, x, tail_process_from_counts(counts, x, n, k), n, k)
@@ -101,10 +104,20 @@ def build_tail_field(paths, k, x_grid=None, n_x=64, c=1.0) -> TailField:
 def tail_quantile_stat(paths, k, alpha):
     """sqrt(k)((zeta_{n-k,n}(t) k/n)**alpha - 1) for each grid point.
 
-    alpha may be a scalar or a per-grid-point array.
+    alpha is a finite scalar or one finite exponent per grid point; the
+    order statistics come from the sample's memoised top block.
     """
-    neg, k = partition_columns(paths.values, k)
-    return quantile_stat_from_order_stats(-neg[:, k], paths.n, k, alpha)
+    try:
+        a = np.asarray(alpha, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape not in ((), (paths.m,)) or not np.all(np.isfinite(a)):
+        raise DataError(
+            f"alpha must be a finite number or {paths.m} finite numbers, one per "
+            f"grid point, got {alpha!r}"
+        )
+    top = top_block(paths, k)
+    return quantile_stat_from_order_stats(top[:, -1], paths.n, top.shape[1] - 1, a)
 
 
 def quantile_stat_from_order_stats(top, n, k, alpha):

@@ -14,8 +14,8 @@ from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
 from funcevt import path_model
-from funcevt.estimators import _log_excess_moments, estimate_curves
-from funcevt.harness import ExperimentConfig, run_replications
+from funcevt.estimators import _log_excess_moments, _negative_part, estimate_curves
+from funcevt.harness import ExperimentConfig, _tail_floor, run_replications
 from funcevt.path_model import (
     DataError,
     MarginalModel,
@@ -28,9 +28,15 @@ from funcevt.path_model import (
     pareto_scale,
     pareto_transform,
     partition_columns,
+    top_block,
 )
 from funcevt.process_sim import KernelSpec, SimConfig, simulate_moving_max, simulate_pareto_gbm
-from funcevt.tail_process import _exceedance_counts, build_tail_field, tail_quantile_stat
+from funcevt.tail_process import (
+    _exceedance_counts,
+    build_tail_field,
+    quantile_stat_from_order_stats,
+    tail_quantile_stat,
+)
 
 
 class TestMakeGrid:
@@ -263,11 +269,13 @@ class TestRowBlocks:
     @pytest.mark.parametrize("m", [1, 2, 3, 21])
     @pytest.mark.parametrize("case", SAMPLES)
     def test_kernels_bitwise_equal_to_serial(self, case, m, monkeypatch):
-        sample = _first_columns(_sample(case), m)
+        base = _sample(case)
         monkeypatch.setattr(path_model, "_PAR_VALUES", 1 << 62)
-        want = _column_kernel_bytes(sample)
+        want = _column_kernel_bytes(_first_columns(base, m))
         monkeypatch.setattr(path_model, "_PAR_VALUES", 1)
         monkeypatch.setattr(os, "cpu_count", lambda: FOUR_CORES)
+        # a new sample object, so no top block is memoised yet
+        sample = _first_columns(base, m)
         assert _column_kernel_bytes(sample) == want
         # the student-t sample has 4 times
         assert len(for_row_blocks(lambda lo, hi: (lo, hi), sample.m, sample.n)) == min(m, 4, sample.m)
@@ -437,12 +445,180 @@ class TestColumnMajorLayout:
 
     @pytest.mark.parametrize("case", SAMPLES)
     def test_column_kernels_ignore_the_layout(self, case):
-        vals = _sample(case).values
+        sample = _sample(case)
+        vals = sample.values
         c, f = np.array(vals, order="C"), np.array(vals, order="F")
         assert c.flags.c_contiguous and f.flags.f_contiguous
+        sc, sf = PathSample(sample.grid, c), PathSample(sample.grid, f)
         for k in (1, 20, 300):
             assert partition_columns(c, k)[0].tobytes() == partition_columns(f, k)[0].tobytes()
-            for a, b in zip(_log_excess_moments(c, k), _log_excess_moments(f, k)):
+            for a, b in zip(_log_excess_moments(sc, k), _log_excess_moments(sf, k)):
                 assert a.tobytes() == b.tobytes()
         x = np.concatenate((np.geomspace(0.01, 100.0, 17), [np.median(vals)]))
         assert _exceedance_counts(c, x).tobytes() == _exceedance_counts(f, x).tobytes()
+
+
+class TestReadOnlySamples:
+    @pytest.mark.parametrize("cls", [PathSample, ParetoPaths])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sample_values_are_read_only_and_the_callers_array_is_not(self, cls, order):
+        # either layout is copied: the caller can still write its array
+        vals = np.array(1.0 + np.random.default_rng(7).uniform(0.0, 9.0, (40, 6)), order=order)
+        sample = cls(make_grid(m=6), vals)
+        assert not sample.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sample.values[0, 0] = 2.0
+        assert vals.flags.writeable
+        vals[0, 0] = 3.0
+        assert vals[0, 0] == 3.0
+
+    def test_simulated_and_transformed_samples_are_read_only(self):
+        sample = _sample("pareto-gbm")
+        zeta = pareto_transform(sample, marginal_model_for(sample))
+        assert not sample.values.flags.writeable and not zeta.values.flags.writeable
+        top_block(sample, 20)
+        assert not sample._top.flags.writeable
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_writing_the_callers_array_does_not_change_results(self, order):
+        base = _memo_sample("pareto-gbm")
+        vals = np.array(base.values, order=order)
+        sample = PathSample(base.grid, vals)
+        want = [estimate_curves(base, k).gamma.tobytes() for k in (20, 30)]
+        assert estimate_curves(sample, 20).gamma.tobytes() == want[0]
+        vals *= 2.0
+        vals[:, 0] = 1.0
+        assert estimate_curves(sample, 30).gamma.tobytes() == want[1]
+        assert sample.values.tobytes() == base.values.tobytes()
+
+    def test_read_only_input_is_viewed(self):
+        sample = _memo_sample("pareto-gbm")
+        assert np.shares_memory(PathSample(sample.grid, sample.values).values, sample.values)
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, np.float64(3.0), "3", None])
+    def test_non_integral_k_rejected(self, bad):
+        sample = _sample("pareto-gbm")
+        zeta = pareto_transform(sample, marginal_model_for(sample))
+        with pytest.raises(DataError, match="k must be an integer"):
+            path_model.check_k(bad, 10)
+        with pytest.raises(DataError, match="k must be an integer"):
+            estimate_curves(sample, bad)
+        with pytest.raises(DataError, match="k must be an integer"):
+            tail_quantile_stat(zeta, bad, -1.0)
+        with pytest.raises(DataError, match="k must be an integer"):
+            build_tail_field(zeta, bad)
+
+    @pytest.mark.parametrize("k", [np.int64(20), np.int32(20), np.uint8(20), 20])
+    def test_numpy_integers_accepted(self, k):
+        sample = _sample("pareto-gbm")
+        assert type(path_model.check_k(k, 100)) is int
+        curves = estimate_curves(sample, k)
+        assert curves.k == 20 and type(curves.k) is int
+        want = estimate_curves(_first_columns(sample, sample.m), 20)
+        assert curves.gamma.tobytes() == want.gamma.tobytes()
+
+
+def partition_route(values, k):
+    """(u_hat, M_1, M_2, the (k+1)-th largest values) of every column of
+    values, from one partition at k, as the estimators computed them before
+    the top block was memoised."""
+    neg, k = partition_columns(values, k)
+    top = np.sort(-neg[:, : k + 1], axis=1)
+    logs = np.log(top)
+    excess = logs[:, 1:] - logs[:, :1]
+    return top[:, 0].copy(), excess.mean(axis=1), (excess ** 2).mean(axis=1), -neg[:, k]
+
+
+N_MEMO = 1500
+
+
+def _memo_sample(case):
+    grid = make_grid(m=6)
+    if case == "pareto-gbm":
+        return simulate_pareto_gbm(grid, SimConfig(n=N_MEMO, seed=41))
+    # the floored case has the harness's speed floor at k = 30: the bottom
+    # of every column is one tied value
+    floor = _tail_floor(N_MEMO, 30) if case == "moving-max-floored" else None
+    return simulate_moving_max(KernelSpec(), grid, SimConfig(n=N_MEMO, seed=42, value_floor=floor))
+
+
+SWEEP = [1, 2, 7, 30, 31, 200, 700, N_MEMO - 1]
+ORDERS = {
+    "ascending": SWEEP,
+    "descending": SWEEP[::-1],
+    "random": list(np.random.default_rng(43).permutation(SWEEP)),
+}
+
+
+class TestTopBlock:
+    """The memoised top block gives the floats of one partition per call."""
+
+    @pytest.mark.parametrize("route", ["serial", "threads"])
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    @pytest.mark.parametrize("case", ["moving-max", "moving-max-floored", "pareto-gbm"])
+    def test_sweep_matches_the_partition_route(self, case, order, route, monkeypatch):
+        if route == "threads":
+            monkeypatch.setattr(path_model, "_PAR_VALUES", 1)
+            monkeypatch.setattr(os, "cpu_count", lambda: FOUR_CORES)
+        sample = _memo_sample(case)
+        zeta = pareto_transform(sample, marginal_model_for(sample))
+        widest = 0
+        for k in ORDERS[order]:
+            u, m1, m2, _ = partition_route(sample.values, k)
+            gm, degenerate = _negative_part(m1, m2)
+            curves = estimate_curves(sample, k)
+            for got, want in [(curves.u_hat, u), (curves.gamma_plus, m1),
+                              (curves.gamma_minus, gm), (curves.gamma, m1 + gm),
+                              (curves.a_hat, u * m1 * (1.0 - gm)), (curves.flag, degenerate)]:
+                assert got.tobytes() == want.astype(got.dtype).tobytes()
+            assert _log_excess_moments(sample, k)[2].tobytes() == m2.tobytes()
+            top = partition_route(zeta.values, k)[3]
+            for alpha in (-1.0, np.linspace(-2.0, 2.0, zeta.m)):
+                want = quantile_stat_from_order_stats(top, zeta.n, k, alpha)
+                assert tail_quantile_stat(zeta, k, alpha).tobytes() == want.tobytes()
+            # the memo is no wider than twice the largest k so far needs
+            widest = max(widest, k)
+            for s in (sample, zeta):
+                assert k + 1 <= s._top.shape[1] <= min(2 * widest, N_MEMO - 1) + 1
+                assert s._top.shape[0] == s.m
+
+    @pytest.mark.parametrize("ks", [(1, 30, N_MEMO - 1), (N_MEMO - 1, 30, 1), (30, 1, 2)])
+    def test_block_holds_the_top(self, ks):
+        sample = _memo_sample("pareto-gbm")
+        for k in ks:
+            want = np.sort(sample.values, axis=0)[-k - 1:].T
+            top = top_block(sample, k)
+            assert top.shape == (sample.m, k + 1) and top.flags.c_contiguous
+            assert top[:, -1].tobytes() == np.ascontiguousarray(want[:, 0]).tobytes()
+            assert np.sort(top, axis=1).tobytes() == np.ascontiguousarray(want).tobytes()
+            # the caller's block is its own: writing it leaves the memo as it was
+            top[:] = 0.0
+            assert np.sort(top_block(sample, k), axis=1).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_partitions_only_when_k_outgrows_the_block(self):
+        calls = []
+        sample, fresh = _memo_sample("pareto-gbm"), _memo_sample("pareto-gbm")
+
+        def counted(values, k):
+            # only the partitions of a whole sample count; those of the
+            # memoised block are the cheap ones
+            if values is sample.values or values is fresh.values:
+                calls.append(k)
+            return partition_columns(values, k)
+
+        with mock.patch.object(path_model, "partition_columns", counted):
+            for k in (20, 29, 40, 41, 63, 92, 136, 200):
+                top_block(sample, k)
+            assert calls == [40, 82, 184, 400]
+            for k in (200, 136, 1, 400):
+                top_block(sample, k)
+            assert calls == [40, 82, 184, 400]
+            top_block(sample, 1000)
+            assert calls[-1] == N_MEMO - 1
+        assert sample._top.shape == (sample.m, N_MEMO)
+        with mock.patch.object(path_model, "partition_columns", counted):
+            for k in (700, 200, 30, 1):
+                top_block(fresh, k)
+        assert calls[-1] == 1400 and len(calls) == 6

@@ -168,6 +168,19 @@ class TestTailField:
         assert meds[1] < meds[0]
 
 
+class TestLevelCount:
+    @pytest.mark.parametrize("n_x", [2.5, 16.0, True, "16", 0, -3])
+    def test_bad_n_x_rejected(self, n_x):
+        with pytest.raises(DataError, match="n_x must be"):
+            build_tail_field(HAND, 2, n_x=n_x)
+
+    def test_numpy_integer_n_x(self):
+        want = build_tail_field(HAND, 2, n_x=5)
+        got = build_tail_field(HAND, 2, n_x=np.int32(5))
+        assert got.x_grid.tobytes() == want.x_grid.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+
+
 class TestTailQuantileStat:
     def test_exact_zero_at_matching_quantile(self):
         paths = pareto_column([1.0, 2.0, 3.0, 4.0])
@@ -187,6 +200,22 @@ class TestTailQuantileStat:
         out = tail_quantile_stat(paths, 10, np.array([1.0, 0.0]))
         assert out[1] == 0.0
         assert out[0] != 0.0
+
+    @pytest.mark.parametrize("alpha", [
+        np.nan, np.inf, -np.inf, [1.0, np.nan], [1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]],
+        "a", None, {},
+    ])
+    def test_bad_alpha_rejected(self, alpha):
+        rng = np.random.default_rng(5)
+        paths = ParetoPaths(make_grid(m=2), 1.0 / (1.0 - rng.random((100, 2))))
+        with pytest.raises(DataError, match="alpha must be"):
+            tail_quantile_stat(paths, 10, alpha)
+
+    def test_alpha_scalar_types(self):
+        paths = pareto_column([1.0, 3.0, 9.0, 27.0])
+        want = tail_quantile_stat(paths, 2, 0.5)
+        for alpha in (np.float32(0.5), np.array(0.5), [0.5], np.array([0.5])):
+            assert tail_quantile_stat(paths, 2, alpha).tobytes() == want.tobytes()
 
     def test_asymptotic_variance_on_iid_pareto(self):
         # sqrt(k)((zeta_(n-k) k/n)**alpha - 1) has limit variance alpha**2

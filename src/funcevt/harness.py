@@ -55,9 +55,10 @@ from funcevt.path_model import (
     check_k,
     make_grid,
     marginal_model_for,
-    pareto_scale,
+    pareto_rows,
     pareto_transform,
-    partition_columns,
+    top_block,
+    warn_clamped,
 )
 from funcevt.process_sim import (
     KernelSpec,
@@ -535,31 +536,24 @@ def _pareto_top(cfg, grid, seed):
     Row j holds every value of column j at or above n/k and its k + 1
     largest values, the (k+1)-th largest at index -k - 1 and the larger
     ones after it; these are the same floats `pareto_transform` gives.
-    Only the 2k + 1 largest raw values of a column (all n if fewer) are
-    transformed, as long as the transform of the lowest of them stays
-    below n/k and below the (k+1)-th largest transformed value, with a
-    margin: the transform is increasing, so then no other value can reach
-    either level.  Else the rest is transformed too.  Tail clamps fall on
-    the largest values, so each is counted once either way.
+    Only the 2k + 1 largest raw values of a column (all n if fewer), from
+    `top_block`, are transformed, as long as the transform of the lowest
+    of them stays below n/k and below the (k+1)-th largest transformed
+    value, with a margin: the transform is increasing, so then no other
+    value can reach either level.  Else the whole columns are transformed.
+    The tail clamps of the block that is returned are warned, once.
     """
     sample = _simulate(cfg, grid, cfg.n, seed, _tail_floor(cfg.n, cfg.k))
     model = marginal_model_for(sample)
     n, k = cfg.n, cfg.k
-    neg, big = partition_columns(sample.values, min(2 * k, n - 1))
-
-    def transform(lo, hi):
-        out = np.empty((grid.m, hi - lo))
-        for j, t in enumerate(grid.points):
-            out[j] = pareto_scale(model, t, -neg[j, lo:hi])
-        return out
-
-    top = transform(0, big + 1)
-    lowest = top[:, big].copy()
-    top.partition(big - k, axis=1)
-    levels = np.minimum(n / k, top[:, -k - 1])
-    if big < n - 1 and not np.all(lowest * (1.0 + _TOP_MARGIN) < levels):
-        top = np.concatenate((transform(big + 1, n), top), axis=1)
-        top.partition(n - k - 1, axis=1)
+    for big in (min(2 * k, n - 1), n - 1):
+        top, clamps = pareto_rows(model, grid.points, top_block(sample, big))
+        lowest = top[:, big].copy()
+        top.partition(big - k, axis=1)
+        levels = np.minimum(n / k, top[:, -k - 1])
+        if big == n - 1 or np.all(lowest * (1.0 + _TOP_MARGIN) < levels):
+            break
+    warn_clamped(clamps)
     return top
 
 

@@ -41,6 +41,7 @@ from funcevt.path_model import (
     DataError,
     MarginalModel,
     TimeGrid,
+    check_int,
     check_levels,
 )
 from funcevt.exponent_measure import covariance_matrix
@@ -129,7 +130,7 @@ class LimitParams:
 
     @classmethod
     def constant(cls, m, gamma_plus=1.0, gamma_minus=0.0):
-        m = int(m)
+        m = check_int(m, "m")
         return cls(np.full(m, float(gamma_plus)), np.full(m, float(gamma_minus)))
 
 
@@ -230,9 +231,9 @@ class TrueFunctions:
 
 def functional_x_grid(x_max=1e4, n=512) -> np.ndarray:
     """Geometric level grid on [1, x_max] for the limit functionals."""
-    if not x_max > 1.0 or int(n) < 8:
+    if not x_max > 1.0 or check_int(n, "n") < 8:
         raise DataError("need x_max > 1 and n >= 8")
-    return np.exp(np.linspace(0.0, math.log(x_max), int(n)))
+    return np.exp(np.linspace(0.0, math.log(x_max), n))
 
 
 @dataclass(frozen=True)

@@ -47,11 +47,11 @@ class DataError(ValueError):
     """Malformed grid, sample, or CSV input."""
 
 
-def check_int(value, what) -> int:
-    """value as an int; DataError unless it is an integer (a numpy one
-    too), not a bool or a float, which int() would silently truncate."""
+def check_int(value, what, error=DataError) -> int:
+    """value as an int; error unless it is an integer (a numpy one too),
+    not a bool or a float, which int() would silently truncate."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DataError(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -97,15 +97,14 @@ def for_row_blocks(fn, m, n):
 
 
 def partition_columns(values, k):
-    """(neg, check_k(k, n)): the negated columns of values (n x m) as the
-    rows of a new C-contiguous array, each partitioned so that its k + 1
-    largest values come first, the (k+1)-th largest at index k.
-    Contiguous rows partition faster, and negated ones much faster where
-    the bottom of a column is one tied value, as the moving-max floor is;
-    for column-major values, as samples store them, the negation is one
-    straight pass.  Blocks of columns are split by `for_row_blocks`."""
+    """The negated columns of values (n x m) as the rows of a new
+    C-contiguous array, each partitioned so that its k + 1 largest values
+    come first, the (k+1)-th largest at index k.  Contiguous rows
+    partition faster, and negated ones much faster where the bottom of a
+    column is one tied value, as the moving-max floor is; for column-major
+    values, as samples store them, the negation is one straight pass.
+    Blocks of columns are split by `for_row_blocks`."""
     n, m = values.shape
-    k = check_k(k, n)
     neg = np.empty((m, n))
 
     def block(lo, hi):
@@ -113,7 +112,7 @@ def partition_columns(values, k):
         rows.partition(k, axis=1)
 
     for_row_blocks(block, m, n)
-    return neg, k
+    return neg
 
 
 def _as_grid_points(points):
@@ -168,8 +167,7 @@ def make_grid(m=None, points=None) -> TimeGrid:
         return TimeGrid(np.asarray(points, dtype=float))
     if m is None:
         raise DataError("either m or points is required")
-    m = int(m)
-    if m < 1:
+    if check_int(m, "m") < 1:
         raise DataError("m must be >= 1")
     if m == 1:
         return TimeGrid(np.array([0.0]))
@@ -281,23 +279,26 @@ def top_block(paths, k):
     the smallest of them, xi_{n-k,n}(t_j), is last.
 
     Memoised on the sample: a miss partitions the columns once, at
-    K = min(2k, n - 1), and keeps their K + 1 largest values, so a later
-    call with k <= K partitions only that (m, K + 1) block, and a larger k
-    replaces it.  A descending k sweep partitions the sample once, an
-    ascending one about log2(k_max / k_min) + 1 times, and the memo holds
-    at most (min(2 k_max, n - 1) + 1) m floats.
+    K = min(2k, n - 1), then their K + 1 largest values in place at k,
+    and keeps those K + 1, so a later call with k <= K partitions only
+    that (m, K + 1) block, and a larger k replaces it.  A descending k
+    sweep partitions the sample once, an ascending one about
+    log2(k_max / k_min) + 1 times, and the memo holds at most
+    (min(2 k_max, n - 1) + 1) m floats.
     """
     n = paths.n
     k = check_k(k, n)
     block = paths._top  # (m, K + 1): row j holds column j's K + 1 largest values
     if block is None or block.shape[1] <= k:
-        neg, big = partition_columns(paths.values, min(2 * k, n - 1))
-        block = np.negative(neg[:, : big + 1])
+        big = min(2 * k, n - 1)
+        neg = partition_columns(paths.values, big)[:, : big + 1]
+        neg.partition(k, axis=1)
+        block = np.negative(neg)
         block.flags.writeable = False
         object.__setattr__(paths, "_top", block)
+        return np.negative(neg[:, : k + 1])
     # block.T is laid out as sample values are, K + 1 of them per column
-    neg, k = partition_columns(block.T, k)
-    return np.negative(neg[:, : k + 1])
+    return np.negative(partition_columns(block.T, k)[:, : k + 1])
 
 
 @dataclass
@@ -318,8 +319,7 @@ class MarginalModel:
         Pareto transform stays finite; a RuntimeWarning counts clamps.
         """
         out, clamped = self._floored_tail(t, x)
-        if clamped:
-            _warn_clamped(clamped)
+        warn_clamped([clamped])
         return out if out.ndim else float(out)
 
     def _floored_tail(self, t, x):
@@ -349,14 +349,16 @@ class MarginalModel:
         return ndtr(-z) + ndtr(z - s) / x
 
 
-def _warn_clamped(clamped):
-    """The RuntimeWarning that counts tail clamps, attributed to the line
-    that called the caller."""
-    warnings.warn(
-        f"clamped {clamped} tail values at the 2**-970 floor",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+def warn_clamped(clamps):
+    """One RuntimeWarning for each nonzero count of tail clamps, in order,
+    attributed to the line that called the caller."""
+    for clamped in clamps:
+        if clamped:
+            warnings.warn(
+                f"clamped {clamped} tail values at the 2**-970 floor",
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
 
 def marginal_model_for(sample) -> MarginalModel:
@@ -379,28 +381,33 @@ def _zeta_from_tail(tail, out=None):
     return np.maximum(zeta, 1.0, out=zeta)
 
 
-def pareto_transform(sample, model) -> ParetoPaths:
-    """Standardise a path sample to the Pareto scale.
-
-    Applies the `pareto_scale` formula column by column using the marginal
-    model, on blocks of columns split by `for_row_blocks`; the tail-clamp warnings
-    come after, in column order.  Output values are >= 1.
-    """
-    n, m = sample.values.shape
-    points = sample.grid.points
-    out = np.empty((m, n))  # one contiguous row per time
+def pareto_rows(model, points, rows):
+    """(zeta, clamps): the Pareto scale of every row of rows (m x width),
+    row j's values taken at time points[j], as a new (m x width) array,
+    and the number of tail values clamped in each row, without a warning
+    (see `warn_clamped`).  Blocks of rows are split by `for_row_blocks`."""
+    m, width = rows.shape
+    out = np.empty((m, width))
 
     def block(lo, hi):
         clamps = []
         for j in range(lo, hi):
-            tail, clamped = model._floored_tail(points[j], sample.values[:, j])
+            tail, clamped = model._floored_tail(points[j], rows[j])
             _zeta_from_tail(tail, out=out[j])
             clamps.append(clamped)
         return clamps
 
-    for clamps in for_row_blocks(block, m, n):
-        for clamped in clamps:
-            if clamped:
-                _warn_clamped(clamped)
-    out.flags.writeable = False  # viewed, not copied, by the sample
-    return ParetoPaths(sample.grid, out.T)
+    return out, [c for clamps in for_row_blocks(block, m, width) for c in clamps]
+
+
+def pareto_transform(sample, model) -> ParetoPaths:
+    """Standardise a path sample to the Pareto scale.
+
+    zeta = 1/(1 - F_t(xi)) of every value, one `pareto_rows` row per time;
+    the tail-clamp warnings come after, in column order.  Output values
+    are >= 1.
+    """
+    zeta, clamps = pareto_rows(model, sample.grid.points, sample.values.T)
+    warn_clamped(clamps)
+    zeta.flags.writeable = False  # viewed, not copied, by the sample
+    return ParetoPaths(sample.grid, zeta.T)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from funcevt.path_model import MOVING_MAX, PARETO_GBM, PathSample
+from funcevt.path_model import MOVING_MAX, PARETO_GBM, PathSample, check_int
 
 DOUBLE_EXP = "double-exp"
 STUDENT_T = "student-t"
@@ -148,7 +148,8 @@ class SimConfig:
     value_floor: float | None = None
 
     def __post_init__(self):
-        if int(self.n) < 1:
+        object.__setattr__(self, "n", check_int(self.n, "n", SimulationError))
+        if self.n < 1:
             raise SimulationError("n must be >= 1")
         if not 0.0 < float(self.trunc_tol) < 1.0:
             raise SimulationError("trunc_tol must be in (0, 1)")
@@ -186,7 +187,7 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     density values, and at least one; each path's max is taken along its
     contiguous run of kept points in every row.
     """
-    n = int(cfg.n)
+    n = cfg.n
     m = grid.m
     L = kernel.half_width(cfg.trunc_tol)
     floor = cfg.value_floor if cfg.value_floor is not None else _default_floor(
@@ -222,7 +223,7 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
 
 def simulate_pareto_gbm(grid, cfg) -> PathSample:
     """Simulate n paths xi(t) = Y exp(W(t) - t/2), Y standard Pareto."""
-    n = int(cfg.n)
+    n = cfg.n
     rng = np.random.default_rng(cfg.seed)
     y = 1.0 / (1.0 - rng.random(n))
     z = rng.standard_normal((n, grid.m))

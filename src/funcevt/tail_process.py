@@ -28,29 +28,23 @@ from funcevt.path_model import (
     check_int,
     check_k,
     check_levels,
-    for_row_blocks,
     top_block,
 )
 
 
-def _exceedance_counts(values, x):
-    """#{i : values[i, j] >= x_l} as an (m, x.size) integer array: one sort per
-    column (a straight copy for column-major values, as samples store them),
-    then one search of the sorted column for all levels; blocks of columns
-    are split by `for_row_blocks`."""
-    n, m = values.shape
-    cols = np.empty((m, n))  # a copy, sorted in place
-    counts = np.empty((m, x.size), dtype=np.intp)
+def _exceedance_counts(paths, x):
+    """#{i : paths.values[i, j] >= x_l} as an (m, x.size) integer array.
 
-    def block(lo, hi):
-        rows = cols[lo:hi]
-        rows[...] = values.T[lo:hi]
-        rows.sort(axis=1)
-        for j in range(lo, hi):
-            counts[j] = n - np.searchsorted(cols[j], x)
-
-    for_row_blocks(block, m, n)
-    return counts
+    The sample's top block, one value wider than the most values any
+    column has at or above the lowest level, holds every value that
+    reaches a level; after one sort of the block, one search of each of
+    its rows counts them for all levels.
+    """
+    lowest = np.fmin.reduce(x, initial=np.inf)  # a nan level counts nothing
+    most = int(np.count_nonzero(paths.values >= lowest, axis=0).max())
+    top = top_block(paths, min(max(most, 1), paths.n - 1))
+    top.sort(axis=1)
+    return top.shape[1] - np.array([np.searchsorted(row, x) for row in top])
 
 
 def tail_process_from_counts(counts, x, n, k):
@@ -97,7 +91,7 @@ def build_tail_field(paths, k, x_grid=None, n_x=64, c=1.0) -> TailField:
             raise DataError(f"n_x must be >= 1, got {n_x}")
         x_grid = np.exp(np.linspace(math.log(c), math.log(hi), n_x))
     x = check_levels(x_grid)
-    counts = _exceedance_counts(paths.values, x * (n / k))
+    counts = _exceedance_counts(paths, x * (n / k))
     return TailField(paths.grid, x, tail_process_from_counts(counts, x, n, k), n, k)
 
 

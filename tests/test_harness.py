@@ -624,15 +624,14 @@ def _clamp_count(caught):
     return sum(int(m.group(1)) for m in found if m)
 
 
-@pytest.mark.parametrize("kind", ["tailcov", "quantile"])
-@pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
-def test_top_block_counts_every_tail_clamp(kind, family, monkeypatch):
-    # a floor of 1e-3 clamps every value above ~1000 on the Pareto scale
-    monkeypatch.setattr(path_model, "TAIL_FLOOR", 1e-3)
-    cfg = top_block_config(kind, family, 5000, 200, 3)
+def clamp_runs(cfg):
+    """Per replication of cfg: the clamp totals warned by the new and the
+    reference replicate, whether their payloads agree, and whether the
+    replication needs the whole column."""
     grid = grid_for(cfg)
-    new = harness._tailcov_replicate if kind == "tailcov" else harness._quantile_replicate
-    ref = reference_tailcov_replicate if kind == "tailcov" else reference_quantile_replicate
+    new = harness._tailcov_replicate if cfg.kind == "tailcov" else harness._quantile_replicate
+    ref = reference_tailcov_replicate if cfg.kind == "tailcov" else reference_quantile_replicate
+    runs = []
     for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.reps):
         counts, payloads = [], []
         for fn in (new, ref):
@@ -641,5 +640,33 @@ def test_top_block_counts_every_tail_clamp(kind, family, monkeypatch):
                 payload, _ = fn(cfg, grid, None, seed)
             counts.append(_clamp_count(caught))
             payloads.append({key: v.tobytes() for key, v in payload.items()})
-        assert counts[0] == counts[1] > 0
-        assert payloads[0] == payloads[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            whole = needs_whole_column(cfg, grid, seed)
+        runs.append((*counts, payloads[0] == payloads[1], whole))
+    return runs
+
+
+@pytest.mark.parametrize("kind", ["tailcov", "quantile"])
+@pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
+def test_top_block_counts_every_tail_clamp(kind, family, monkeypatch):
+    # a floor of 1e-3 clamps every value above ~1000 on the Pareto scale
+    monkeypatch.setattr(path_model, "TAIL_FLOOR", 1e-3)
+    for got, want, same, _ in clamp_runs(top_block_config(kind, family, 5000, 200, 3)):
+        assert got == want > 0
+        assert same
+
+
+@pytest.mark.parametrize("kind", ["tailcov", "quantile"])
+@pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
+def test_whole_column_fallback_counts_every_tail_clamp(kind, family, monkeypatch):
+    # a floor of 0.1 clamps the top tenth of a column at 10 on the Pareto
+    # scale, so with k = 2 the lowest of the block's 5 values often ties
+    # the 3rd largest, and the whole column, with clamps below the block
+    # too, is transformed
+    monkeypatch.setattr(path_model, "TAIL_FLOOR", 0.1)
+    runs = clamp_runs(top_block_config(kind, family, 40, 2, 10))
+    for got, want, same, _ in runs:
+        assert got == want > 0
+        assert same
+    assert any(whole for *_, whole in runs)

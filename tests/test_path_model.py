@@ -16,6 +16,7 @@ from scipy import integrate, stats
 from funcevt import path_model
 from funcevt.estimators import _log_excess_moments, _negative_part, estimate_curves
 from funcevt.harness import ExperimentConfig, _tail_floor, run_replications
+from funcevt.limit_theory import LimitParams, functional_x_grid
 from funcevt.path_model import (
     DataError,
     MarginalModel,
@@ -30,7 +31,13 @@ from funcevt.path_model import (
     partition_columns,
     top_block,
 )
-from funcevt.process_sim import KernelSpec, SimConfig, simulate_moving_max, simulate_pareto_gbm
+from funcevt.process_sim import (
+    KernelSpec,
+    SimConfig,
+    SimulationError,
+    simulate_moving_max,
+    simulate_pareto_gbm,
+)
 from funcevt.tail_process import (
     _exceedance_counts,
     build_tail_field,
@@ -330,7 +337,7 @@ class TestRowBlocks:
         before = threading.active_count()
         zeta = pareto_transform(sample, marginal_model_for(sample))
         partition_columns(sample.values, 20)
-        _exceedance_counts(zeta.values, np.array([1.0, 10.0]))
+        _exceedance_counts(zeta, np.array([1.0, 10.0]))
         assert threading.active_count() == before
 
     def test_blocks_leave_the_calling_thread_in_the_main_process(self):
@@ -451,11 +458,11 @@ class TestColumnMajorLayout:
         assert c.flags.c_contiguous and f.flags.f_contiguous
         sc, sf = PathSample(sample.grid, c), PathSample(sample.grid, f)
         for k in (1, 20, 300):
-            assert partition_columns(c, k)[0].tobytes() == partition_columns(f, k)[0].tobytes()
+            assert partition_columns(c, k).tobytes() == partition_columns(f, k).tobytes()
             for a, b in zip(_log_excess_moments(sc, k), _log_excess_moments(sf, k)):
                 assert a.tobytes() == b.tobytes()
         x = np.concatenate((np.geomspace(0.01, 100.0, 17), [np.median(vals)]))
-        assert _exceedance_counts(c, x).tobytes() == _exceedance_counts(f, x).tobytes()
+        assert _exceedance_counts(sc, x).tobytes() == _exceedance_counts(sf, x).tobytes()
 
 
 class TestReadOnlySamples:
@@ -520,11 +527,32 @@ class TestIntegerArguments:
         assert curves.gamma.tobytes() == want.gamma.tobytes()
 
 
+# each library size as what it builds, and the error its constructor raises
+SIZES = {
+    "make_grid": (lambda m: make_grid(m=m).points, DataError),
+    "SimConfig": (lambda n: simulate_pareto_gbm(make_grid(m=3), SimConfig(n=n, seed=1)).values,
+                  SimulationError),
+    "LimitParams.constant": (lambda m: LimitParams.constant(m).gamma, DataError),
+    "functional_x_grid": (lambda n: functional_x_grid(1e4, n), DataError),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 8.9, 10.7, 9.0, True, np.float64(9.0), "9"])
+@pytest.mark.parametrize("size", SIZES)
+def test_sizes_must_be_integers(size, bad):
+    build, error = SIZES[size]
+    with pytest.raises(error, match="must be an integer"):
+        build(bad)
+    want = build(9)
+    for good in (np.int64(9), np.int32(9), np.uint8(9)):
+        assert build(good).tobytes() == want.tobytes()
+
+
 def partition_route(values, k):
     """(u_hat, M_1, M_2, the (k+1)-th largest values) of every column of
     values, from one partition at k, as the estimators computed them before
     the top block was memoised."""
-    neg, k = partition_columns(values, k)
+    neg = partition_columns(values, k)
     top = np.sort(-neg[:, : k + 1], axis=1)
     logs = np.log(top)
     excess = logs[:, 1:] - logs[:, :1]

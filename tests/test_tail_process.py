@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from funcevt import harness
+from funcevt import harness, path_model
 from funcevt.harness import ExperimentConfig
 from funcevt.path_model import (
     DataError,
@@ -14,6 +15,7 @@ from funcevt.path_model import (
     make_grid,
     marginal_model_for,
     pareto_transform,
+    partition_columns,
 )
 from funcevt.process_sim import KernelSpec, SimConfig, simulate_moving_max, simulate_pareto_gbm
 from funcevt.tail_process import (
@@ -38,17 +40,17 @@ class TestExceedanceFraction:
     # the fraction S_{n,t}(x) of the n values at or above x is counts / n
 
     def test_hand_counts(self):
-        frac = _exceedance_counts(HAND.values, np.array([4.0, 1.0, 100.0]))[0] / HAND.n
+        frac = _exceedance_counts(HAND, np.array([4.0, 1.0, 100.0]))[0] / HAND.n
         assert frac[0] == pytest.approx(3.0 / 8.0)
         assert frac[1] == pytest.approx(1.0)
         assert frac[2] == 0.0
 
     def test_threshold_is_inclusive(self):
-        frac = _exceedance_counts(HAND.values, np.array([16.0]))[0] / HAND.n
+        frac = _exceedance_counts(HAND, np.array([16.0]))[0] / HAND.n
         assert frac[0] == pytest.approx(1.0 / 8.0)
 
     def test_vectorised(self):
-        out = _exceedance_counts(HAND.values, np.array([4.0, 8.0]))[0] / HAND.n
+        out = _exceedance_counts(HAND, np.array([4.0, 8.0]))[0] / HAND.n
         np.testing.assert_allclose(out, [3.0 / 8.0, 2.0 / 8.0])
 
     @settings(max_examples=60, deadline=None)
@@ -56,11 +58,12 @@ class TestExceedanceFraction:
     def test_brute_force_count_and_monotone(self, data):
         # values and levels share a few exact ties; a nan level counts nothing
         some = st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(1.0, 1e6))
-        n, m = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 3))
+        # (a sample of one path has no top block: k must be in [1, n - 1])
+        n, m = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 3))
         paths = ParetoPaths(make_grid(m=m), data.draw(hnp.arrays(float, (n, m), elements=some)))
         x = data.draw(hnp.arrays(float, st.integers(0, 12), elements=some | st.just(math.nan)))
-        got = _exceedance_counts(paths.values, x) / n
-        ordered = _exceedance_counts(paths.values, np.sort(x[~np.isnan(x)])) / n
+        got = _exceedance_counts(paths, x) / n
+        ordered = _exceedance_counts(paths, np.sort(x[~np.isnan(x)])) / n
         for j in range(m):
             col = paths.values[:, j]
             want = np.array([np.count_nonzero(col >= level) for level in x]) / n
@@ -350,6 +353,33 @@ class TestKernelsMatchReference:
             assert field.values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
+    def test_tail_field_reads_the_top_block_of_a_sweep(self, family):
+        zeta = family_zeta(family)
+        calls = []
+
+        def counted(values, k):
+            # only the partitions of the whole sample count
+            if values is zeta.values:
+                calls.append(k)
+            return partition_columns(values, k)
+
+        with mock.patch.object(path_model, "partition_columns", counted):
+            for k in (20, 100, 300):
+                tail_quantile_stat(zeta, k, -1.0)
+            swept = list(calls)
+            field = build_tail_field(zeta, 200, n_x=16)
+            assert calls == swept
+            # levels from a quarter of n/k reach below the block: it grows
+            low = build_tail_field(zeta, 200, n_x=16, c=0.25)
+            assert len(calls) == len(swept) + 1
+        for got in (field, low):
+            want = np.array([
+                reference_tail_empirical_process(zeta, j, got.x_grid, 200)
+                for j in range(zeta.m)
+            ])
+            assert got.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
     @pytest.mark.parametrize("k", [1, 2, 200, 1499])
     def test_quantile_stat(self, family, k):
         zeta = family_zeta(family)
@@ -367,7 +397,7 @@ class TestKernelsMatchReference:
             want = reference_tail_empirical_process(zeta, j, x_grid, k)
             assert field.values[j].tobytes() == want.tobytes()
             x = x_grid * 12 / k
-            got = _exceedance_counts(zeta.values, x)[j] / zeta.n
+            got = _exceedance_counts(zeta, x)[j] / zeta.n
             assert got.tobytes() == reference_exceedance_fraction(zeta, j, x).tobytes()
         got = tail_quantile_stat(zeta, k, [2.0, -1.0, 0.5])
         assert got.tobytes() == reference_quantile_stat(zeta, k, [2.0, -1.0, 0.5]).tobytes()

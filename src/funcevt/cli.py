@@ -65,12 +65,7 @@ def _kernel(args) -> KernelSpec:
 
 def _cmd_simulate(args) -> int:
     grid = make_grid(m=args.grid)
-    cfg = SimConfig(
-        n=args.n,
-        seed=args.seed,
-        trunc_tol=args.trunc_tol,
-        value_floor=args.floor,
-    )
+    cfg = SimConfig(n=args.n, seed=args.seed)
     if args.family == MOVING_MAX:
         sample = simulate_moving_max(_kernel(args), grid, cfg)
     else:
@@ -204,7 +199,7 @@ def _cmd_experiment(args) -> int:
     cfg = load_config(args.config)
     report = run_experiment(cfg, args.workers)
     if cfg.out:
-        export_report(report, cfg.out, cfg.fmt)
+        export_report(report, cfg.out)
         print(f"wrote report to {cfg.out}")
     print(report_csv(report), end="")
     if args.check:
@@ -230,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, required=True, help="grid size m")
     p.add_argument("--seed", type=int, default=0)
     _add_kernel_args(p)
-    p.add_argument("--trunc-tol", type=float, default=1e-6)
-    p.add_argument("--floor", type=float, default=None,
-                   help="moving-max value floor (speed knob)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -313,7 +305,6 @@ _NUMERIC_RULES = {
     "xmax": _FINITE_POSITIVE,
     # the upper end needs the sample: build_tail_field tests c < n/k
     "c": (lambda v: 0.0 < v < math.inf, "in (0, n/k) for a sample of n paths"),
-    "trunc_tol": _FINITE_POSITIVE,
 }
 
 

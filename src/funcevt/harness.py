@@ -6,7 +6,11 @@ from child r of numpy's SeedSequence spawned off the master seed, so
 results are identical no matter how replications are scheduled across
 workers.  Reports serialize to CSV (fixed per-row schema
 t, mean, var, var_limit, ks) or JSON (full config echo plus the same
-rows and kind-specific extras).
+rows and kind-specific extras), JSON when the path ends in ".json".
+Moving-max paths are simulated at a floor of max(1, (n/k)/4), or
+max(1, v/8) for oscillation; a normality, consistency or quantile
+replication whose (k+1)-th largest value of a column is that floor is
+flagged, as its statistic reads the floor, not the process.
 
 Experiment kinds are a closed set, one `KindSpec` entry each in
 `KIND_SPECS`:
@@ -52,6 +56,7 @@ from funcevt.path_model import (
     FAMILIES,
     MOVING_MAX,
     DataError,
+    check_int,
     check_k,
     make_grid,
     marginal_model_for,
@@ -107,15 +112,12 @@ class ExperimentConfig:
     kernel_shape: str = "double-exp"
     kernel_rate: float = 1.0
     kernel_df: float = 3.0
-    trunc_tol: float = 1e-6
-    value_floor: float = 0.0  # 0 means per-kind default
     s: float = 0.5  # oscillation window start
     delta: float = 0.018315638888734179  # e**-4
     v: float = 50.0
     K: float = 16.0
     variant: str = "log"
-    out: str = ""
-    fmt: str = "csv"
+    out: str = ""  # report path: JSON if it ends in .json, else CSV
 
     def __post_init__(self):
         for f in fields(self):
@@ -131,14 +133,10 @@ class ExperimentConfig:
             raise DataError(f"unknown family {self.family!r}")
         if self.statistic not in STATISTICS:
             raise DataError(f"unknown statistic {self.statistic!r}")
-        if self.fmt not in ("csv", "json"):
-            raise DataError("fmt must be 'csv' or 'json'")
         if self.reps < 1:
             raise DataError("reps must be >= 1")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
-        if self.value_floor < 0.0:
-            raise DataError("value_floor must be >= 0 (0 means the kind's default)")
         try:
             kernel_for(self)  # a bad kernel fails here, not after the replications
         except SimulationError as exc:
@@ -243,7 +241,7 @@ class ReplicationSet:
 def worker_count(workers, reps) -> int:
     """The pool size for reps replications: workers (None means 1),
     capped at reps and at os.cpu_count(), beyond which workers idle."""
-    workers = 1 if workers is None else int(workers)
+    workers = 1 if workers is None else check_int(workers, "worker count")
     if workers < 1:
         raise DataError(f"worker count must be at least 1, got {workers}")
     return min(workers, int(reps), os.cpu_count() or 1)
@@ -332,7 +330,7 @@ class StatsReport:
     config: dict
     config_hash: str
     extra: dict = field(default_factory=dict)
-    schema: int = 3
+    schema: int = 4
 
 
 def _report(repset, t, mean, var, var_limit, ks=None, extra=None):
@@ -501,23 +499,27 @@ def _no_context(cfg, grid):
 
 
 def _tail_floor(n, k):
-    """Moving-max speed floor: upper-tail statistics only read values
+    """Moving-max value floor: upper-tail statistics only read values
     well above n/k, so points below a quarter of that never matter."""
     return max(1.0, (n / k) / 4.0)
 
 
 def _simulate(cfg, grid, n, seed, floor):
-    """n paths of cfg's family; floor is the kind's moving-max value
-    floor, replaced by cfg.value_floor when that is positive."""
+    """n paths of cfg's family; moving-max paths are simulated at value
+    floor `floor` and at `SimConfig`'s default truncation tolerance."""
     if cfg.family == MOVING_MAX:
-        sim = SimConfig(
-            n=n,
-            seed=seed,
-            trunc_tol=cfg.trunc_tol,
-            value_floor=cfg.value_floor if cfg.value_floor > 0.0 else floor,
-        )
+        sim = SimConfig(n=n, seed=seed, value_floor=floor)
         return simulate_moving_max(kernel_for(cfg), grid, sim)
     return simulate_pareto_gbm(grid, SimConfig(n=n, seed=seed))
+
+
+def _floor_tied(sample, k) -> bool:
+    """Whether some column's (k+1)-th largest value is the floor
+    `_tail_floor(n, k)` a moving-max sample of n paths was simulated at:
+    that column has at most k values above the floor, so its upper order
+    statistics read the floor, not the process."""
+    floor = _tail_floor(sample.n, k)
+    return sample.family == MOVING_MAX and bool(np.any(top_block(sample, k)[:, -1] == floor))
 
 
 def _pareto_sample(cfg, grid, seed, floor):
@@ -530,8 +532,8 @@ def _pareto_sample(cfg, grid, seed, floor):
 _TOP_MARGIN = 1e-9
 
 
-def _pareto_top(cfg, grid, seed):
-    """The upper tail of the Pareto-scale replicate, one row per grid time.
+def _pareto_top(cfg, sample):
+    """The upper tail of the Pareto-scale sample, one row per grid time.
 
     Row j holds every value of column j at or above n/k and its k + 1
     largest values, the (k+1)-th largest at index -k - 1 and the larger
@@ -543,11 +545,10 @@ def _pareto_top(cfg, grid, seed):
     value can reach either level.  Else the whole columns are transformed.
     The tail clamps of the block that is returned are warned, once.
     """
-    sample = _simulate(cfg, grid, cfg.n, seed, _tail_floor(cfg.n, cfg.k))
     model = marginal_model_for(sample)
     n, k = cfg.n, cfg.k
     for big in (min(2 * k, n - 1), n - 1):
-        top, clamps = pareto_rows(model, grid.points, top_block(sample, big))
+        top, clamps = pareto_rows(model, sample.grid.points, top_block(sample, big))
         lowest = top[:, big].copy()
         top.partition(big - k, axis=1)
         levels = np.minimum(n / k, top[:, -k - 1])
@@ -583,7 +584,7 @@ def _normality_replicate(cfg, grid, context, seed):
         "location": curves.u_hat,
         "scale": curves.a_hat,
     }
-    return payload, bool(curves.flag.any())
+    return payload, bool(curves.flag.any()) or _floor_tied(sample, cfg.k)
 
 
 def _normality_summary(cfg, grid, repset):
@@ -643,7 +644,7 @@ def _consistency_replicate(cfg, grid, u, seed):
     for i, (n, k) in enumerate(cfg.schedule):
         sample = _simulate(cfg, grid, n, sub[i], _tail_floor(n, k))
         curves = estimate_curves(sample, k)
-        flagged = flagged or bool(curves.flag.any())
+        flagged = flagged or bool(curves.flag.any()) or _floor_tied(sample, k)
         a = u[i]  # true scale gamma_plus * U equals U, as gamma_plus = 1
         sups[i, 0] = np.abs(curves.gamma_plus - 1.0).max()
         sups[i, 1] = np.abs(curves.gamma - 1.0).max()
@@ -678,7 +679,8 @@ def _pair_grid(cfg):
 
 
 def _tailcov_replicate(cfg, grid, context, seed):
-    counts = np.count_nonzero(_pareto_top(cfg, grid, seed) >= cfg.n / cfg.k, axis=1)
+    sample = _simulate(cfg, grid, cfg.n, seed, _tail_floor(cfg.n, cfg.k))
+    counts = np.count_nonzero(_pareto_top(cfg, sample) >= cfg.n / cfg.k, axis=1)
     return {"w_at_one": tail_process_from_counts(counts, 1.0, cfg.n, cfg.k)}, False
 
 
@@ -712,9 +714,10 @@ def _quantile_validate(cfg):
 
 
 def _quantile_replicate(cfg, grid, context, seed):
-    top = _pareto_top(cfg, grid, seed)[:, -cfg.k - 1]
+    sample = _simulate(cfg, grid, cfg.n, seed, _tail_floor(cfg.n, cfg.k))
+    top = _pareto_top(cfg, sample)[:, -cfg.k - 1]
     q = quantile_stat_from_order_stats(top, cfg.n, cfg.k, cfg.alpha)
-    return {"quantile_stat": q}, not np.all(np.isfinite(q))
+    return {"quantile_stat": q}, _floor_tied(sample, cfg.k) or not np.all(np.isfinite(q))
 
 
 def _quantile_summary(cfg, grid, repset):

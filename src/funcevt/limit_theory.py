@@ -261,8 +261,10 @@ def _cholesky_draws(cov, draws, seed, t_grid, x_grid) -> np.ndarray:
     multiplied in blocks of max(1, _DRAW_BLOCK_VALUES // width) rows, the
     last one drawn full size and cut, so every product has the same shape:
     draw i depends on the seed, i and L only, and the first N draws of a
-    larger run are the draws of a run of N.
+    larger run are the draws of a run of N.  draws must be an integer (a
+    numpy one too), else DataError.
     """
+    draws = check_int(draws, "draw count")
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -270,7 +272,7 @@ def _cholesky_draws(cov, draws, seed, t_grid, x_grid) -> np.ndarray:
             f"limit covariance on the {t_grid.m} x {x_grid.size} (time x level) "
             f"grid, x_max {x_grid[-1]:g}, is not positive definite"
         ) from None
-    draws, width = int(draws), factor.shape[0]
+    width = factor.shape[0]
     rows = max(1, _DRAW_BLOCK_VALUES // width)
     rng = np.random.default_rng(seed)
     vals = np.empty((-(-draws // rows) * rows, width))

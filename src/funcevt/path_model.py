@@ -370,17 +370,6 @@ def marginal_model_for(sample) -> MarginalModel:
     return MarginalModel(sample.family)
 
 
-def pareto_scale(model, t, x):
-    """zeta = 1/(1 - F_t(x)) of the raw values x (an array) at time t, at
-    least 1: floating point can land a hair under 1 when F is near 0."""
-    return _zeta_from_tail(model.tail(t, x))
-
-
-def _zeta_from_tail(tail, out=None):
-    zeta = np.divide(1.0, tail, out=out)
-    return np.maximum(zeta, 1.0, out=zeta)
-
-
 def pareto_rows(model, points, rows):
     """(zeta, clamps): the Pareto scale of every row of rows (m x width),
     row j's values taken at time points[j], as a new (m x width) array,
@@ -393,7 +382,9 @@ def pareto_rows(model, points, rows):
         clamps = []
         for j in range(lo, hi):
             tail, clamped = model._floored_tail(points[j], rows[j])
-            _zeta_from_tail(tail, out=out[j])
+            # zeta = 1/tail, at least 1: floating point can land a hair
+            # under 1 when F is near 0
+            np.maximum(np.divide(1.0, tail, out=out[j]), 1.0, out=out[j])
             clamps.append(clamped)
         return clamps
 

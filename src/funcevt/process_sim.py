@@ -140,6 +140,9 @@ class SimConfig:
         everywhere with probability >= 1 - trunc_tol.  Raising it above
         the default is a speed knob for statistics that only read the
         upper tail.
+
+    `funcevt simulate` takes both defaults; the experiment harness sets
+    value_floor from each kind's sizes and flags ties at it.
     """
 
     n: int

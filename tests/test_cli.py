@@ -16,7 +16,14 @@ from scipy.special import ndtr
 import funcevt
 from funcevt.cli import _write_limit_json, main
 from funcevt.estimators import EstimatorCurves
-from funcevt.harness import ExperimentConfig, save_config
+from funcevt.harness import (
+    ExperimentConfig,
+    config_hash,
+    load_config,
+    load_report,
+    report_csv,
+    save_config,
+)
 from funcevt.path_model import MarginalModel, ParetoPaths, PathSample, make_grid, pareto_transform
 from funcevt.process_sim import KernelSpec
 from funcevt.tail_process import build_tail_field
@@ -66,19 +73,6 @@ class TestSimulateEstimate:
         # gbm paths are heavy tailed with index 1 at every t
         assert np.all(est.gamma_plus > 0.2)
 
-    def test_simulate_moving_max_with_floor(self, tmp_path, capsys):
-        out_path = str(tmp_path / "mm.csv")
-        rc, out = run(
-            capsys,
-            ["simulate", "--family", "moving-max", "--n", "30", "--grid", "5",
-             "--seed", "2", "--kernel", "dexp", "--lambda", "2.0",
-             "--floor", "2.0", "--out", out_path],
-        )
-        assert rc == 0
-        sample = PathSample.from_csv(out_path)
-        assert sample.values.shape == (30, 5)
-        assert np.all(sample.values >= 2.0)
-
     def test_unknown_family_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["simulate", "--family", "weibull", "--n", "10",
@@ -113,9 +107,6 @@ BAD_NUMBERS = {
     "grid": ("--grid", "simulate --family pareto-gbm --n 5 --grid 0 --out {out}"),
     "seed-simulate": (
         "--seed", "simulate --family pareto-gbm --n 5 --grid 2 --seed -1 --out {out}"
-    ),
-    "trunc-tol": (
-        "--trunc-tol", "simulate --family moving-max --n 5 --grid 2 --trunc-tol nan --out {out}"
     ),
     "k": ("--k", "estimate --in {paths} --k 0 --out {out}"),
     "xgrid": ("--xgrid", "tailproc --in {paths} --k 10 --xgrid -2 --out {out}"),
@@ -447,6 +438,14 @@ BAD_CONFIGS = {
     "gbm-bad-kernel": '{"kind": "tailcov", "family": "pareto-gbm", "n": 200, "k": 20, "pairs": [[0, 1]], "kernel_rate": -1}',
 }
 
+# what `funcevt experiment` prints and writes to a .csv out for the tailcov
+# config of `test_report_format_follows_the_suffix_of_out`
+TAILCOV_CSV = """\
+t,mean,var,var_limit,ks
+0.5,0.75614035087719311,0.039456008771929854,0.7236736098317631,nan
+0.75,0.44491228070175409,0.019199906432748524,0.66500554210202911,nan
+"""
+
 # configs whose every replication is flagged: k = 1 leaves the estimators
 # no second order statistic
 ALL_FLAGGED_CONFIGS = {
@@ -536,15 +535,38 @@ class TestExperiment:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
-    def test_bound_exponent_is_not_a_config_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [
+        ("bound_exponent", 4.0), ("value_floor", 100.0), ("trunc_tol", 1e-3), ("fmt", "json"),
+    ])
+    def test_removed_key_is_an_unknown_key(self, tmp_path, capsys, key, value):
         # the pareto-gbm bound exponent is a constant of the second-order
-        # condition, not an experiment setting
+        # condition, not an experiment setting; the moving-max floor and
+        # truncation tolerance follow from the kind, and the report format
+        # from the suffix of out
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text('{"kind": "normality", "family": "pareto-gbm", "n": 200, '
-                            '"k": 20, "bound_exponent": 4.0}')
+        cfg_path.write_text(json.dumps(
+            {"kind": "normality", "family": "pareto-gbm", "n": 200, "k": 20, key: value}
+        ))
         rc = main(["experiment", "--config", str(cfg_path), "--workers", "1"])
         assert rc == 1
-        assert capsys.readouterr().err == "error: unknown config keys: bound_exponent\n"
+        assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+
+    def test_report_format_follows_the_suffix_of_out(self, tmp_path, capsys):
+        # a .json out used to get CSV text, which load_report then refused
+        doc = {"kind": "tailcov", "family": "pareto-gbm", "n": 300, "k": 30, "reps": 20,
+               "seed": 1, "pairs": [[0, 0.5], [0.25, 1]]}
+        for suffix in ("csv", "json"):
+            out_path = tmp_path / f"r.{suffix}"
+            cfg_path = tmp_path / f"{suffix}.json"
+            cfg_path.write_text(json.dumps({**doc, "out": str(out_path)}))
+            rc, out = run(capsys, ["experiment", "--config", str(cfg_path)])
+            assert rc == 0
+            assert out == f"wrote report to {out_path}\n" + TAILCOV_CSV
+        assert (tmp_path / "r.csv").read_text() == TAILCOV_CSV
+        report = load_report(tmp_path / "r.json")
+        assert report.schema == 4
+        assert report.config_hash == config_hash(load_config(tmp_path / "json.json"))
+        assert report_csv(report) == TAILCOV_CSV
 
     def test_printed_table_is_the_exported_csv(self, tmp_path, capsys):
         out_path = tmp_path / "report.csv"

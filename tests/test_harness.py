@@ -53,8 +53,6 @@ class TestConfig:
         with pytest.raises(DataError):
             small_normality(statistic="mean")
         with pytest.raises(DataError):
-            small_normality(fmt="yaml")
-        with pytest.raises(DataError):
             small_normality(reps=0)
         with pytest.raises(DataError):
             small_normality(k=200)
@@ -105,11 +103,14 @@ class TestConfig:
         assert back == cfg
         assert config_hash(back) == config_hash(cfg)
 
-    def test_removed_c_field_is_an_unknown_key(self):
+    @pytest.mark.parametrize("key, value", [
+        ("c", 1.0), ("fmt", "yaml"), ("fmt", "json"), ("value_floor", 30.0), ("trunc_tol", 1e-3),
+    ])
+    def test_removed_key_is_an_unknown_key(self, key, value):
         doc = small_normality().to_dict()
-        assert "c" not in doc
-        with pytest.raises(DataError, match="unknown config keys: c"):
-            ExperimentConfig.from_dict(dict(doc, c=1.0))
+        assert key not in doc
+        with pytest.raises(DataError, match=f"unknown config keys: {key}$"):
+            ExperimentConfig.from_dict(dict(doc, **{key: value}))
 
     def test_hash_sensitive_to_fields(self):
         a = small_normality(seed=1)
@@ -158,6 +159,19 @@ class TestWorkers:
         for workers in (0, -3):
             with pytest.raises(DataError):
                 worker_count(workers, 10)
+
+    @pytest.mark.parametrize("workers", [2.7, 2.0, True, "2"])
+    def test_non_integral_argument_is_a_data_error(self, workers):
+        # int() used to truncate 2.7 to 2 and take True as 1
+        with pytest.raises(DataError, match="worker count must be an integer"):
+            worker_count(workers, 10)
+
+    def test_numpy_integer_gives_the_python_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for workers in (1, 2, 3, 64):
+            got = worker_count(np.int64(workers), 1000)
+            assert got == worker_count(workers, 1000)
+            assert type(got) is int
 
     def test_pool_capped_at_reps_and_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -357,8 +371,9 @@ class TestExportLoad:
         assert back.config_hash == report.config_hash
         np.testing.assert_allclose(back.var, report.var)
         assert back.config == report.config
-        assert doc["schema"] == back.schema == 3
-        assert "bound_exponent" not in doc["config"]
+        assert doc["schema"] == back.schema == 4
+        for key in ("bound_exponent", "value_floor", "trunc_tol", "fmt"):
+            assert key not in doc["config"]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @settings(max_examples=40, deadline=None)
@@ -547,11 +562,22 @@ def reference_tailcov_replicate(cfg, grid, context, seed):
     return {"w_at_one": build_tail_field(zeta, cfg.k, x_grid=[1.0]).values[:, 0]}, False
 
 
+def reference_floor_tied(cfg, grid, seed):
+    """Whether the (k+1)-th largest raw value of some moving-max column is
+    the floor it was simulated at, from the whole sorted columns."""
+    floor = harness._tail_floor(cfg.n, cfg.k)
+    sample = harness._simulate(cfg, grid, cfg.n, seed, floor)
+    kth = np.sort(sample.values, axis=0)[cfg.n - cfg.k - 1]
+    return cfg.family == "moving-max" and bool(np.any(kth == floor))
+
+
 def reference_quantile_replicate(cfg, grid, context, seed):
     """The quantile replicate from the whole Pareto-scale sample."""
     zeta = harness._pareto_sample(cfg, grid, seed, harness._tail_floor(cfg.n, cfg.k))
     q = tail_quantile_stat(zeta, cfg.k, cfg.alpha)
-    return {"quantile_stat": q}, not np.all(np.isfinite(q))
+    return {"quantile_stat": q}, reference_floor_tied(cfg, grid, seed) or not np.all(
+        np.isfinite(q)
+    )
 
 
 def needs_whole_column(cfg, grid, seed):
@@ -583,38 +609,40 @@ def top_block_runs(cfg):
     return got, want, whole
 
 
-def top_block_config(kind, family, n, k, reps, value_floor=0.0):
+def top_block_config(kind, family, n, k, reps, seed=None):
     extra = dict(pairs=((0.0, 0.5), (0.25, 0.75))) if kind == "tailcov" else dict(
         m=4, alpha=-1.0
     )
     return ExperimentConfig(
-        kind=kind, family=family, n=n, k=k, reps=reps, seed=n + k,
-        value_floor=value_floor, **extra,
+        kind=kind, family=family, n=n, k=k, reps=reps,
+        seed=n + k if seed is None else seed, **extra,
     )
 
 
-# (family, n, k, value_floor, reps, some replication needs the whole column)
+# (family, n, k, moving-max floor or None for the kind's own, reps, some
+# replication needs the whole column)
 TOP_BLOCK_CASES = {
-    "mm-acceptance-size": ("moving-max", 5000, 200, 0.0, 4, False),
-    "gbm-acceptance-size": ("pareto-gbm", 5000, 200, 0.0, 4, False),
-    "mm-small": ("moving-max", 400, 40, 0.0, 20, False),
-    "gbm-small": ("pareto-gbm", 400, 40, 0.0, 20, False),
+    "mm-acceptance-size": ("moving-max", 5000, 200, None, 4, False),
+    "gbm-acceptance-size": ("pareto-gbm", 5000, 200, None, 4, False),
+    "mm-small": ("moving-max", 400, 40, None, 20, False),
+    "gbm-small": ("pareto-gbm", 400, 40, None, 20, False),
     # fewer than k + 1 values above the floor tie the block's ends
     "mm-floor-ties": ("moving-max", 200, 20, 30.0, 10, True),
     # the block is the 5 largest of 40; 6 values reach n/k = 20 in ~1.6%
     # of the columns
-    "gbm-small-k": ("pareto-gbm", 40, 2, 0.0, 100, True),
+    "gbm-small-k": ("pareto-gbm", 40, 2, None, 100, True),
     # 2k + 1 > n: the block is the whole column
-    "gbm-block-is-column": ("pareto-gbm", 7, 4, 0.0, 10, False),
+    "gbm-block-is-column": ("pareto-gbm", 7, 4, None, 10, False),
 }
 
 
 @pytest.mark.parametrize("kind", ["tailcov", "quantile"])
 @pytest.mark.parametrize("case", TOP_BLOCK_CASES)
-def test_top_block_replicates_bitwise_equal_to_whole_sample(kind, case):
-    family, n, k, value_floor, reps, whole_expected = TOP_BLOCK_CASES[case]
-    cfg = top_block_config(kind, family, n, k, reps, value_floor)
-    got, want, whole = top_block_runs(cfg)
+def test_top_block_replicates_bitwise_equal_to_whole_sample(kind, case, monkeypatch):
+    family, n, k, floor, reps, whole_expected = TOP_BLOCK_CASES[case]
+    if floor is not None:
+        monkeypatch.setattr(harness, "_tail_floor", lambda n, k: floor)
+    got, want, whole = top_block_runs(top_block_config(kind, family, n, k, reps))
     assert got == want
     assert (whole > 0) == whole_expected
 
@@ -670,3 +698,42 @@ def test_whole_column_fallback_counts_every_tail_clamp(kind, family, monkeypatch
         assert got == want > 0
         assert same
     assert any(whole for *_, whole in runs)
+
+
+# moving-max quantile configs (m 4, alpha -1, seed 5, 400 replications) in
+# which some column's (k+1)-th largest value is the floor (n/k)/4 in this
+# many replications; before the floor-tie rule none of them was flagged
+FLOOR_TIE_CASES = {"n40-k2": (40, 2, 15), "n100-k1": (100, 1, 79)}
+
+
+@pytest.mark.parametrize("case", FLOOR_TIE_CASES)
+def test_quantile_replications_tied_at_the_floor_are_flagged(case):
+    n, k, tied = FLOOR_TIE_CASES[case]
+    cfg = top_block_config("quantile", "moving-max", n, k, 400, seed=5)
+    repset = run_replications(cfg)
+    grid = grid_for(cfg)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
+    assert repset.flagged.tolist() == [reference_floor_tied(cfg, grid, s) for s in seeds]
+    assert int(repset.flagged.sum()) == tied
+    report = run_experiment(cfg, workers=2)
+    assert (report.used, report.flagged) == (400 - tied, tied)
+
+
+FORCED_TIE_CONFIGS = {
+    "normality": dict(kind="normality", n=200, k=20, reps=4, m=3),
+    "consistency": dict(kind="consistency", reps=3, m=3, schedule=((100, 10), (400, 20))),
+    "quantile": dict(kind="quantile", n=200, k=20, reps=4, m=3),
+}
+
+
+@pytest.mark.parametrize("kind", FORCED_TIE_CONFIGS)
+def test_forced_floor_tie_flags_moving_max_replications_only(kind, monkeypatch):
+    # a floor of 30 leaves a few values above it in a column, fewer than
+    # k + 1, so the estimators' columns are not degenerate but read the floor
+    gbm = ExperimentConfig(family="pareto-gbm", seed=3, **FORCED_TIE_CONFIGS[kind])
+    gbm_flags = run_replications(gbm).flagged.tolist()
+    monkeypatch.setattr(harness, "_tail_floor", lambda n, k: 30.0)
+    mm = run_replications(ExperimentConfig(family="moving-max", seed=3,
+                                           **FORCED_TIE_CONFIGS[kind]))
+    assert mm.flagged.all()
+    assert run_replications(gbm).flagged.tolist() == gbm_flags

@@ -611,3 +611,29 @@ def test_package_exports_both_samplers_and_their_error():
     assert funcevt.simulate_limit_field is simulate_limit_field
     assert funcevt.simulate_limit_functionals is simulate_limit_functionals
     assert funcevt.DegenerateCovarianceError is DegenerateCovarianceError
+
+
+
+def _draws(sampler, draws):
+    """Pareto-gbm draws of the field ("field") or the index functional
+    ("functionals") for a draw count."""
+    g, x, oracle = make_grid(m=2), functional_x_grid(10.0, 8), MeasureOracle(PARETO_GBM)
+    if sampler == "field":
+        return simulate_limit_field(oracle, g, x, draws, seed=1).values
+    params = LimitParams.constant(2, 1.0, 0.0)
+    return simulate_limit_functionals(oracle, g, x, draws, 1, params).index
+
+
+@pytest.mark.parametrize("sampler", ["field", "functionals"])
+@pytest.mark.parametrize("draws", [2.7, 3.0, True, "3"])
+def test_non_integral_draw_count_is_a_data_error(sampler, draws):
+    # int() used to truncate 2.7 to 2 draws and take True as 1
+    with pytest.raises(DataError, match="draw count must be an integer"):
+        _draws(sampler, draws)
+
+
+@pytest.mark.parametrize("sampler", ["field", "functionals"])
+def test_numpy_integer_draw_count_gives_the_python_draws(sampler):
+    got, want = _draws(sampler, np.int64(5)), _draws(sampler, 5)
+    assert got.shape[0] == 5
+    assert got.tobytes() == want.tobytes()

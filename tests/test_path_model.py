@@ -26,7 +26,6 @@ from funcevt.path_model import (
     for_row_blocks,
     make_grid,
     marginal_model_for,
-    pareto_scale,
     pareto_transform,
     partition_columns,
     top_block,
@@ -138,7 +137,7 @@ def reference_pareto_transform(sample, model):
     vals = np.ascontiguousarray(sample.values)
     out = np.empty_like(vals)
     for j, t in enumerate(sample.grid.points):
-        out[:, j] = pareto_scale(model, t, vals[:, j])
+        out[:, j] = np.maximum(1.0 / model.tail(t, vals[:, j]), 1.0)
     return out
 
 

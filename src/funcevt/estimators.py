@@ -15,8 +15,8 @@ From it:
     scale              a_hat       = u_hat * gamma_plus * (1 - gamma_minus)
 
 One kernel computes u_hat and the moments of every column from the
-sample's top block (`path_model.top_block`), which the sample memoises,
-so a sweep over k partitions the sample only when k outgrows the block.
+ascending rows of the sample's memoised top block (`path_model.top_block`),
+so a sweep over k partitions the sample only when k outgrows the memo.
 estimate_curves runs it on the whole grid and flags degenerate columns
 (M_2 <= 0 or M_1**2/M_2 >= 1) instead of aborting.
 """
@@ -33,12 +33,12 @@ from funcevt.path_model import DataError, TimeGrid, top_block
 def _log_excess_moments(sample, k):
     """u_hat and the log-excess moments M_1, M_2 of every column of a
     sample, whose values are positive, as length-m arrays."""
-    top = top_block(sample, k)
-    top.sort(axis=1)  # top[:, 0] = xi_{n-k,n}
+    top = top_block(sample, k)  # ascending rows: top[:, 0] = xi_{n-k,n}
     logs = np.log(top)
     # a C-contiguous row sums pairwise exactly as the 1-d np.mean of one
     # column does, so a column's moments do not depend on its neighbours
     excess = logs[:, 1:] - logs[:, :1]
+    # u_hat is a copy, so the curves do not keep the sample's memo alive
     return top[:, 0].copy(), excess.mean(axis=1), (excess ** 2).mean(axis=1)
 
 

@@ -407,15 +407,13 @@ def report_csv(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_report(report, path, fmt=None):
-    """Write a report as CSV (fixed 5-column schema) or JSON."""
-    fmt = fmt or ("json" if str(path).endswith(".json") else "csv")
-    if fmt == "csv":
+def export_report(report, path):
+    """Write a report as JSON if path ends in .json, else as CSV (fixed
+    5-column schema)."""
+    if not str(path).endswith(".json"):
         with open(path, "w") as fh:
             fh.write(report_csv(report))
         return
-    if fmt != "json":
-        raise DataError("format must be 'csv' or 'json'")
     doc = {
         "schema": report.schema,
         "kind": report.kind,
@@ -438,13 +436,13 @@ _JSON_KEYS = ("schema", "kind", "statistic", "rows", "reps", "used", "flagged", 
               "config_hash")
 
 
-def load_report(path, fmt=None) -> StatsReport:
-    """Read back an exported report (CSV loses config context); DataError
-    unless the CSV has the 5-column header and rows, or the JSON is an
-    object with every key `export_report` writes."""
-    fmt = fmt or ("json" if str(path).endswith(".json") else "csv")
+def load_report(path) -> StatsReport:
+    """Read back an exported report, JSON if path ends in .json, else CSV
+    (which loses config context); DataError unless the CSV has the
+    5-column header and rows, or the JSON is an object with every key
+    `export_report` writes."""
     with open(path) as fh:
-        if fmt == "csv":
+        if not str(path).endswith(".json"):
             if fh.readline().rstrip("\n") != CSV_HEADER:
                 raise DataError(f"report {path} does not start with the header {CSV_HEADER}")
             with warnings.catch_warnings():
@@ -519,7 +517,7 @@ def _floor_tied(sample, k) -> bool:
     that column has at most k values above the floor, so its upper order
     statistics read the floor, not the process."""
     floor = _tail_floor(sample.n, k)
-    return sample.family == MOVING_MAX and bool(np.any(top_block(sample, k)[:, -1] == floor))
+    return sample.family == MOVING_MAX and bool(np.any(top_block(sample, k)[:, 0] == floor))
 
 
 def _pareto_sample(cfg, grid, seed, floor):
@@ -538,18 +536,20 @@ def _pareto_top(cfg, sample):
     Row j holds every value of column j at or above n/k and its k + 1
     largest values, the (k+1)-th largest at index -k - 1 and the larger
     ones after it; these are the same floats `pareto_transform` gives.
-    Only the 2k + 1 largest raw values of a column (all n if fewer), from
-    `top_block`, are transformed, as long as the transform of the lowest
-    of them stays below n/k and below the (k+1)-th largest transformed
-    value, with a margin: the transform is increasing, so then no other
-    value can reach either level.  Else the whole columns are transformed.
-    The tail clamps of the block that is returned are warned, once.
+    Only the 2k + 1 largest raw values of a column (all n if fewer), the
+    ascending rows of `top_block`, are transformed, as long as the
+    transform of the lowest of them stays below n/k and below the (k+1)-th
+    largest transformed value, with a margin: the transform is increasing,
+    so then no other value can reach either level.  Else the whole columns
+    are transformed.  Rounding may break that order, so the transformed
+    block is partitioned, not taken as sorted.  The tail clamps of the
+    block that is returned are warned, once.
     """
     model = marginal_model_for(sample)
     n, k = cfg.n, cfg.k
     for big in (min(2 * k, n - 1), n - 1):
         top, clamps = pareto_rows(model, sample.grid.points, top_block(sample, big))
-        lowest = top[:, big].copy()
+        lowest = top[:, 0].copy()
         top.partition(big - k, axis=1)
         levels = np.minimum(n / k, top[:, -k - 1])
         if big == n - 1 or np.all(lowest * (1.0 + _TOP_MARGIN) < levels):

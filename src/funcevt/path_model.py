@@ -221,8 +221,8 @@ def _read_csv(path):
 @dataclass(frozen=True)
 class _Paths:
     """n paths on a common time grid; values (n x m) is stored column-major,
-    so each time's column is contiguous, and read-only, so the top block
-    that `top_block` memoises here cannot go stale."""
+    so each time's column is contiguous, and read-only, so the sorted top
+    block that `top_block` memoises here cannot go stale."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -274,31 +274,29 @@ class ParetoPaths(_Paths):
 
 
 def top_block(paths, k):
-    """The k + 1 largest values of every column of a sample, as a new
-    (m, k + 1) array: row j holds column j's in no set order, except that
-    the smallest of them, xi_{n-k,n}(t_j), is last.
+    """The k + 1 largest values of every column of a sample, as a read-only
+    (m, k + 1) view: row j holds column j's in ascending order, so column 0
+    is xi_{n-k,n}(t_j).
 
-    Memoised on the sample: a miss partitions the columns once, at
-    K = min(2k, n - 1), then their K + 1 largest values in place at k,
-    and keeps those K + 1, so a later call with k <= K partitions only
-    that (m, K + 1) block, and a larger k replaces it.  A descending k
-    sweep partitions the sample once, an ascending one about
-    log2(k_max / k_min) + 1 times, and the memo holds at most
-    (min(2 k_max, n - 1) + 1) m floats.
+    Memoised on the sample, sorted: a hit is one slice of the memo.  A miss
+    partitions the columns once, at K = k on the sample's first call and
+    at K = min(2k, n - 1) on a later one, and keeps the K + 1 largest
+    values of each column, sorted, so a later call with k <= K partitions
+    nothing.  A descending k sweep partitions the sample once, an
+    ascending one about log2(k_max / k_min) + 2 times, and the memo holds
+    at most (min(2 k_max, n - 1) + 1) m floats.
     """
     n = paths.n
     k = check_k(k, n)
-    block = paths._top  # (m, K + 1): row j holds column j's K + 1 largest values
+    block = paths._top  # (m, K + 1): row j, column j's K + 1 largest values, ascending
     if block is None or block.shape[1] <= k:
-        big = min(2 * k, n - 1)
-        neg = partition_columns(paths.values, big)[:, : big + 1]
-        neg.partition(k, axis=1)
-        block = np.negative(neg)
+        width = k if block is None else min(2 * k, n - 1)
+        neg = partition_columns(paths.values, width)[:, : width + 1]
+        neg.sort(axis=1)  # the values, descending
+        block = np.negative(neg[:, ::-1])  # ascending
         block.flags.writeable = False
         object.__setattr__(paths, "_top", block)
-        return np.negative(neg[:, : k + 1])
-    # block.T is laid out as sample values are, K + 1 of them per column
-    return np.negative(partition_columns(block.T, k)[:, : k + 1])
+    return block[:, block.shape[1] - k - 1 :]
 
 
 @dataclass

@@ -37,13 +37,12 @@ def _exceedance_counts(paths, x):
 
     The sample's top block, one value wider than the most values any
     column has at or above the lowest level, holds every value that
-    reaches a level; after one sort of the block, one search of each of
-    its rows counts them for all levels.
+    reaches a level; its rows are ascending, so one search of each row
+    counts them for all levels.
     """
     lowest = np.fmin.reduce(x, initial=np.inf)  # a nan level counts nothing
     most = int(np.count_nonzero(paths.values >= lowest, axis=0).max())
     top = top_block(paths, min(max(most, 1), paths.n - 1))
-    top.sort(axis=1)
     return top.shape[1] - np.array([np.searchsorted(row, x) for row in top])
 
 
@@ -111,7 +110,7 @@ def tail_quantile_stat(paths, k, alpha):
             f"grid point, got {alpha!r}"
         )
     top = top_block(paths, k)
-    return quantile_stat_from_order_stats(top[:, -1], paths.n, top.shape[1] - 1, a)
+    return quantile_stat_from_order_stats(top[:, 0], paths.n, top.shape[1] - 1, a)
 
 
 def quantile_stat_from_order_stats(top, n, k, alpha):

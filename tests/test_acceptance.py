@@ -296,9 +296,9 @@ def test_12_reproducibility_bitwise(tmp_path):
         m=3,
     )
     outs = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-    export_report(run_experiment(cfg, workers=1), outs[0], "csv")
-    export_report(run_experiment(cfg, workers=1), outs[1], "csv")
-    export_report(run_experiment(cfg, workers=3), outs[2], "csv")
+    export_report(run_experiment(cfg, workers=1), outs[0])
+    export_report(run_experiment(cfg, workers=1), outs[1])
+    export_report(run_experiment(cfg, workers=3), outs[2])
     raw = [p.read_bytes() for p in outs]
     rerun_ok = raw[0] == raw[1]
     workers_ok = raw[0] == raw[2]

@@ -395,8 +395,8 @@ class TestExportLoad:
                              data.draw(st.text(max_size=16)), data.draw(echo))
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, f"report.{fmt}")
-            export_report(report, path, fmt)
-            back = load_report(path, fmt)
+            export_report(report, path)
+            back = load_report(path)
         for name in ("t", "mean", "var", "var_limit", "ks"):
             assert getattr(back, name).tobytes() == getattr(report, name).tobytes()
         if fmt == "json":
@@ -550,7 +550,7 @@ def test_exports_bitwise_identical_across_reruns_and_workers(name, tmp_path):
         report = run_experiment(cfg, workers=workers)
         for fmt in ("csv", "json"):
             path = tmp_path / f"{run}.{fmt}"
-            export_report(report, path, fmt)
+            export_report(report, path)
             exports.append(path.read_bytes())
     assert exports[0:2] == exports[2:4] == exports[4:6]
 
@@ -645,6 +645,20 @@ def test_top_block_replicates_bitwise_equal_to_whole_sample(kind, case, monkeypa
     got, want, whole = top_block_runs(top_block_config(kind, family, n, k, reps))
     assert got == want
     assert (whole > 0) == whole_expected
+
+
+def test_pareto_top_partitions_a_fresh_sample_once_at_2k(monkeypatch):
+    cfg = top_block_config("tailcov", "pareto-gbm", 5000, 200, 1)
+    sample = harness._simulate(cfg, grid_for(cfg), cfg.n, np.random.SeedSequence(7), None)
+    calls, partition = [], path_model.partition_columns
+
+    def counted(values, k):
+        calls.append(k)
+        return partition(values, k)
+
+    monkeypatch.setattr(path_model, "partition_columns", counted)
+    harness._pareto_top(cfg, sample)
+    assert calls == [400]
 
 
 def _clamp_count(caught):

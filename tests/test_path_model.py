@@ -615,37 +615,40 @@ class TestTopBlock:
     def test_block_holds_the_top(self, ks):
         sample = _memo_sample("pareto-gbm")
         for k in ks:
-            want = np.sort(sample.values, axis=0)[-k - 1:].T
+            want = np.ascontiguousarray(np.sort(sample.values, axis=0)[-k - 1:].T)
             top = top_block(sample, k)
-            assert top.shape == (sample.m, k + 1) and top.flags.c_contiguous
-            assert top[:, -1].tobytes() == np.ascontiguousarray(want[:, 0]).tobytes()
-            assert np.sort(top, axis=1).tobytes() == np.ascontiguousarray(want).tobytes()
-            # the caller's block is its own: writing it leaves the memo as it was
-            top[:] = 0.0
-            assert np.sort(top_block(sample, k), axis=1).tobytes() == np.ascontiguousarray(want).tobytes()
+            assert top.shape == (sample.m, k + 1)
+            # rows ascending, so column 0 is the (k+1)-th largest value
+            assert np.ascontiguousarray(top).tobytes() == want.tobytes()
+            assert top[:, 0].tobytes() == np.ascontiguousarray(want[:, 0]).tobytes()
+            # a read-only view of the memo: writing it raises and changes nothing
+            with pytest.raises(ValueError, match="read-only"):
+                top[:] = 0.0
+            assert np.ascontiguousarray(top_block(sample, k)).tobytes() == want.tobytes()
 
     def test_partitions_only_when_k_outgrows_the_block(self):
         calls = []
         sample, fresh = _memo_sample("pareto-gbm"), _memo_sample("pareto-gbm")
 
         def counted(values, k):
-            # only the partitions of a whole sample count; those of the
-            # memoised block are the cheap ones
-            if values is sample.values or values is fresh.values:
-                calls.append(k)
+            calls.append(k)
             return partition_columns(values, k)
 
         with mock.patch.object(path_model, "partition_columns", counted):
+            # the first call selects exactly k, a larger later one 2k
             for k in (20, 29, 40, 41, 63, 92, 136, 200):
                 top_block(sample, k)
-            assert calls == [40, 82, 184, 400]
-            for k in (200, 136, 1, 400):
+            assert calls == [20, 58, 126, 272]
+            for k in (200, 136, 1, 272):
                 top_block(sample, k)
-            assert calls == [40, 82, 184, 400]
+            assert calls == [20, 58, 126, 272]
+            top_block(sample, 400)
+            assert calls[-1] == 800
             top_block(sample, 1000)
             assert calls[-1] == N_MEMO - 1
         assert sample._top.shape == (sample.m, N_MEMO)
         with mock.patch.object(path_model, "partition_columns", counted):
-            for k in (700, 200, 30, 1):
+            estimate_curves(fresh, 700)  # a cold call selects exactly its k
+            for k in (200, 30, 1):
                 top_block(fresh, k)
-        assert calls[-1] == 1400 and len(calls) == 6
+        assert calls == [20, 58, 126, 272, 800, N_MEMO - 1, 700]

@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import stats
+from scipy.special import kolmogi
 
 from funcevt import harness, path_model
+from funcevt.exponent_measure import MeasureOracle, covariance_matrix
 from funcevt.harness import ExperimentConfig
 from funcevt.path_model import (
+    MOVING_MAX,
+    PARETO_GBM,
     DataError,
     ParetoPaths,
     make_grid,
@@ -418,3 +423,72 @@ class TestKernelsMatchReference:
         ])
         assert payload["w_at_one"].tobytes() == want.tobytes()
         assert not flagged
+
+
+# the sup over (t, x) of w_n against its limit law: 6 times and 8
+# geometric levels in [0.5, 4], n 5000, k 200, 1,000 replications of w_n
+# against 20,000 draws of the law
+SUP_N, SUP_K, SUP_REPS, SUP_DRAWS = 5000, 200, 1000, 20_000
+SUP_GRID = make_grid(m=6)
+SUP_LEVELS = np.geomspace(0.5, 4.0, 8)
+
+
+def tail_field_replications(family, seed):
+    """SUP_REPS fields of w_n on SUP_GRID x SUP_LEVELS, (SUP_REPS, 6, 8),
+    replication r from the r-th spawn of seed.
+
+    Moving-max paths are simulated at the harness's floor, a quarter of
+    n/k, below the lowest level's n/(2k)."""
+    out = np.empty((SUP_REPS, SUP_GRID.m, SUP_LEVELS.size))
+    for r, seed in enumerate(np.random.SeedSequence(seed).spawn(SUP_REPS)):
+        if family == MOVING_MAX:
+            sim = SimConfig(n=SUP_N, seed=seed, value_floor=harness._tail_floor(SUP_N, SUP_K))
+            sample = simulate_moving_max(KernelSpec(), SUP_GRID, sim)
+        else:
+            sample = simulate_pareto_gbm(SUP_GRID, SimConfig(n=SUP_N, seed=seed))
+        zeta = pareto_transform(sample, marginal_model_for(sample))
+        out[r] = build_tail_field(zeta, SUP_K, x_grid=SUP_LEVELS).values
+    return out
+
+
+def bridge_law_draws(family, seed):
+    """SUP_DRAWS draws, one row of the 48 cells each, of the Gaussian law
+    whose covariance is the oracle's less (k/n)/(x y) for every pair of
+    cells.  That term is exact: a count of n indicators, each 1 with
+    probability k/(n x), gives w_n a covariance of (n/k) P(both) less
+    (k/n)/(x y), as for a bridge."""
+    cov = covariance_matrix(MeasureOracle(family), SUP_GRID, SUP_LEVELS)
+    inv = np.tile(1.0 / SUP_LEVELS, SUP_GRID.m)
+    factor = np.linalg.cholesky(cov - (SUP_K / SUP_N) * np.outer(inv, inv))
+    return np.random.default_rng(seed).standard_normal((SUP_DRAWS, inv.size)) @ factor.T
+
+
+@pytest.fixture(scope="module", params=[MOVING_MAX, PARETO_GBM])
+def tail_field_sup(request):
+    # one replication set and one law per family serve both tests below
+    family = request.param
+    return tail_field_replications(family, 2206), bridge_law_draws(family, 2207)
+
+
+class TestTailFieldSup:
+    def test_sup_over_time_and_level_follows_the_limit_law(self, tail_field_sup):
+        # two-sample KS at the 1% level of max |w_n| over the 48 cells
+        # against max |draw| of the bridge-corrected law
+        fields, draws = tail_field_sup
+        crit = float(kolmogi(0.01)) * math.sqrt((SUP_REPS + SUP_DRAWS) / (SUP_REPS * SUP_DRAWS))
+        sup_field = np.abs(fields).max(axis=(1, 2))
+        sup_draw = np.abs(draws).max(axis=1)
+        ks = stats.ks_2samp(sup_field, sup_draw).statistic
+        assert ks < crit, f"KS {ks:.4f} >= {crit:.4f}"
+
+    def test_cell_variance_is_exact(self, tail_field_sup):
+        # Var w_n(t, x) = (1/x)(1 - k/(n x)): the variance of a binomial
+        # count with p = k/(n x); each cell within 4 standard errors of
+        # its estimate (with 48 cells, a 0.3% chance of a wider gap)
+        fields, _ = tail_field_sup
+        centred = fields - fields.mean(axis=0)
+        var = fields.var(axis=0, ddof=1)
+        se = np.sqrt((centred ** 2).var(axis=0) / SUP_REPS)
+        want = (1.0 / SUP_LEVELS) * (1.0 - SUP_K / (SUP_N * SUP_LEVELS))
+        z = np.abs(var - want) / se
+        assert z.max() < 4.0, f"variance gap of {z.max():.2f} standard errors"

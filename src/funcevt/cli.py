@@ -322,10 +322,7 @@ def main(argv=None) -> int:
     try:
         _check_numbers(args)
         return args.func(args)
-    except (DataError, SimulationError, DegenerateCovarianceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DataError, SimulationError, DegenerateCovarianceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

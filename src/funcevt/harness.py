@@ -60,10 +60,9 @@ from funcevt.path_model import (
     check_k,
     make_grid,
     marginal_model_for,
-    pareto_rows,
+    pareto_top,
     pareto_transform,
     top_block,
-    warn_clamped,
 )
 from funcevt.process_sim import (
     KernelSpec,
@@ -520,44 +519,6 @@ def _floor_tied(sample, k) -> bool:
     return sample.family == MOVING_MAX and bool(np.any(top_block(sample, k)[:, 0] == floor))
 
 
-def _pareto_sample(cfg, grid, seed, floor):
-    sample = _simulate(cfg, grid, cfg.n, seed, floor)
-    return pareto_transform(sample, marginal_model_for(sample))
-
-
-# relative margin by which the Pareto-scale value of the lowest raw value
-# of `_pareto_top`'s block must stay below the levels the block is read at
-_TOP_MARGIN = 1e-9
-
-
-def _pareto_top(cfg, sample):
-    """The upper tail of the Pareto-scale sample, one row per grid time.
-
-    Row j holds every value of column j at or above n/k and its k + 1
-    largest values, the (k+1)-th largest at index -k - 1 and the larger
-    ones after it; these are the same floats `pareto_transform` gives.
-    Only the 2k + 1 largest raw values of a column (all n if fewer), the
-    ascending rows of `top_block`, are transformed, as long as the
-    transform of the lowest of them stays below n/k and below the (k+1)-th
-    largest transformed value, with a margin: the transform is increasing,
-    so then no other value can reach either level.  Else the whole columns
-    are transformed.  Rounding may break that order, so the transformed
-    block is partitioned, not taken as sorted.  The tail clamps of the
-    block that is returned are warned, once.
-    """
-    model = marginal_model_for(sample)
-    n, k = cfg.n, cfg.k
-    for big in (min(2 * k, n - 1), n - 1):
-        top, clamps = pareto_rows(model, sample.grid.points, top_block(sample, big))
-        lowest = top[:, 0].copy()
-        top.partition(big - k, axis=1)
-        levels = np.minimum(n / k, top[:, -k - 1])
-        if big == n - 1 or np.all(lowest * (1.0 + _TOP_MARGIN) < levels):
-            break
-    warn_clamped(clamps)
-    return top
-
-
 def _preregistered(size):
     # 3 grid points to control KS multiplicity: ends and middle
     if size <= 3:
@@ -680,7 +641,7 @@ def _pair_grid(cfg):
 
 def _tailcov_replicate(cfg, grid, context, seed):
     sample = _simulate(cfg, grid, cfg.n, seed, _tail_floor(cfg.n, cfg.k))
-    counts = np.count_nonzero(_pareto_top(cfg, sample) >= cfg.n / cfg.k, axis=1)
+    counts = np.count_nonzero(pareto_top(sample, cfg.k) >= cfg.n / cfg.k, axis=1)
     return {"w_at_one": tail_process_from_counts(counts, 1.0, cfg.n, cfg.k)}, False
 
 
@@ -715,7 +676,7 @@ def _quantile_validate(cfg):
 
 def _quantile_replicate(cfg, grid, context, seed):
     sample = _simulate(cfg, grid, cfg.n, seed, _tail_floor(cfg.n, cfg.k))
-    top = _pareto_top(cfg, sample)[:, -cfg.k - 1]
+    top = pareto_top(sample, cfg.k)[:, -cfg.k - 1]
     q = quantile_stat_from_order_stats(top, cfg.n, cfg.k, cfg.alpha)
     return {"quantile_stat": q}, _floor_tied(sample, cfg.k) or not np.all(np.isfinite(q))
 
@@ -744,7 +705,8 @@ def _oscillation_validate(cfg):
 
 
 def _oscillation_replicate(cfg, grid, context, seed):
-    zeta = _pareto_sample(cfg, grid, seed, max(1.0, cfg.v / 8.0))
+    sample = _simulate(cfg, grid, cfg.n, seed, max(1.0, cfg.v / 8.0))
+    zeta = pareto_transform(sample, marginal_model_for(sample))
     report = oscillation_diagnostic(zeta, _oscillation_config(cfg))
     counts = np.array([report.n_conditioning, report.n_exceed], dtype=np.int64)
     return {"counts": counts}, False

@@ -96,7 +96,7 @@ def for_row_blocks(fn, m, n):
         return [f.result() for f in futures]
 
 
-def partition_columns(values, k):
+def _partition_columns(values, k):
     """The negated columns of values (n x m) as the rows of a new
     C-contiguous array, each partitioned so that its k + 1 largest values
     come first, the (k+1)-th largest at index k.  Contiguous rows
@@ -291,12 +291,25 @@ def top_block(paths, k):
     block = paths._top  # (m, K + 1): row j, column j's K + 1 largest values, ascending
     if block is None or block.shape[1] <= k:
         width = k if block is None else min(2 * k, n - 1)
-        neg = partition_columns(paths.values, width)[:, : width + 1]
+        neg = _partition_columns(paths.values, width)[:, : width + 1]
         neg.sort(axis=1)  # the values, descending
         block = np.negative(neg[:, ::-1])  # ascending
         block.flags.writeable = False
         object.__setattr__(paths, "_top", block)
     return block[:, block.shape[1] - k - 1 :]
+
+
+def top_block_above(paths, level):
+    """A read-only block of ascending rows, as `top_block` gives, that holds
+    every value of each column at or above level and one more: the
+    sample's memo itself when each of its rows starts below level, as no
+    value outside it is larger, else the `top_block` one value wider than
+    the most any column has at or above level."""
+    block = paths._top
+    if block is not None and np.all(block[:, 0] < level):
+        return block
+    most = int(np.count_nonzero(paths.values >= level, axis=0).max())
+    return top_block(paths, min(max(most, 1), paths.n - 1))
 
 
 @dataclass
@@ -317,7 +330,7 @@ class MarginalModel:
         Pareto transform stays finite; a RuntimeWarning counts clamps.
         """
         out, clamped = self._floored_tail(t, x)
-        warn_clamped([clamped])
+        _warn_clamped([clamped])
         return out if out.ndim else float(out)
 
     def _floored_tail(self, t, x):
@@ -347,7 +360,7 @@ class MarginalModel:
         return ndtr(-z) + ndtr(z - s) / x
 
 
-def warn_clamped(clamps):
+def _warn_clamped(clamps):
     """One RuntimeWarning for each nonzero count of tail clamps, in order,
     attributed to the line that called the caller."""
     for clamped in clamps:
@@ -368,11 +381,11 @@ def marginal_model_for(sample) -> MarginalModel:
     return MarginalModel(sample.family)
 
 
-def pareto_rows(model, points, rows):
+def _pareto_rows(model, points, rows):
     """(zeta, clamps): the Pareto scale of every row of rows (m x width),
     row j's values taken at time points[j], as a new (m x width) array,
     and the number of tail values clamped in each row, without a warning
-    (see `warn_clamped`).  Blocks of rows are split by `for_row_blocks`."""
+    (see `_warn_clamped`).  Blocks of rows are split by `for_row_blocks`."""
     m, width = rows.shape
     out = np.empty((m, width))
 
@@ -392,11 +405,41 @@ def pareto_rows(model, points, rows):
 def pareto_transform(sample, model) -> ParetoPaths:
     """Standardise a path sample to the Pareto scale.
 
-    zeta = 1/(1 - F_t(xi)) of every value, one `pareto_rows` row per time;
+    zeta = 1/(1 - F_t(xi)) of every value, one `_pareto_rows` row per time;
     the tail-clamp warnings come after, in column order.  Output values
     are >= 1.
     """
-    zeta, clamps = pareto_rows(model, sample.grid.points, sample.values.T)
-    warn_clamped(clamps)
+    zeta, clamps = _pareto_rows(model, sample.grid.points, sample.values.T)
+    _warn_clamped(clamps)
     zeta.flags.writeable = False  # viewed, not copied, by the sample
     return ParetoPaths(sample.grid, zeta.T)
+
+
+# relative margin of the lowest value of `pareto_top`'s block below its levels
+_TOP_MARGIN = 1e-9
+
+
+def pareto_top(sample, k):
+    """The Pareto scale of every value of each column at or above n/k and
+    of its k + 1 largest, as read-only ascending rows, one per grid time:
+    the floats `pareto_transform` gives, the (k+1)-th largest at -k - 1.
+
+    Only each column's min(2k, n - 1) + 1 largest raw values, from
+    `top_block`, are transformed while the transform of the lowest stays
+    below n/k and the (k+1)-th largest by `_TOP_MARGIN`: the transform is
+    increasing, so no other value reaches them.  Else the whole columns
+    are.  Rounding may break that order, so the rows are sorted; the
+    clamps of the returned block are warned once.
+    """
+    n = sample.n
+    k = check_k(k, n)
+    model = marginal_model_for(sample)
+    for big in (min(2 * k, n - 1), n - 1):
+        top, clamps = _pareto_rows(model, sample.grid.points, top_block(sample, big))
+        lowest = top[:, 0] * (1.0 + _TOP_MARGIN)
+        top.sort(axis=1)
+        if big == n - 1 or np.all(lowest < np.minimum(n / k, top[:, -k - 1])):
+            break
+    _warn_clamped(clamps)
+    top.flags.writeable = False
+    return top

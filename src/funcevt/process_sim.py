@@ -42,6 +42,10 @@ STUDENT_T = "student-t"
 # of float64), or the kept points of one time when they are more
 _CHUNK_VALUES = 2_000_000
 
+# most Poisson points `simulate_moving_max` expects to draw (512 MiB for
+# each float64 point array); a larger draw is refused before it starts
+_MAX_POINTS = 1 << 26
+
 # relative margin below the floor within which `simulate_moving_max`
 # keeps a point whose peak value on the grid would drop it
 _PREFILTER_MARGIN = 1e-12
@@ -173,7 +177,9 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     kernel argument t + X covers [-L, L] for every t in [0, 1]) and to
     Y in (0, y_max] with y_max = f_max / floor.  Retained points
     reproduce every path value above the floor exactly; values that
-    would fall below are reported as the floor.
+    would fall below are reported as the floor.  A draw that expects more
+    than 2**26 points, (2L + 1) y_max n, raises SimulationError before
+    any of them is drawn.
 
     Only points that can reach the floor are evaluated on the grid.  The
     kernel is unimodal at 0, so the largest value of f(t + x)/y over the
@@ -198,6 +204,11 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     )
     y_max = kernel.peak_height / float(floor)
     intensity = (2.0 * L + 1.0) * y_max
+    if intensity * n > _MAX_POINTS:
+        raise SimulationError(
+            f"moving-max draw expects {intensity * n:.3g} Poisson points, more than "
+            f"2**26, at value floor {floor:.6g} and truncation tolerance {cfg.trunc_tol:g}"
+        )
 
     rng = np.random.default_rng(cfg.seed)
     counts = rng.poisson(intensity, n)

@@ -29,20 +29,15 @@ from funcevt.path_model import (
     check_k,
     check_levels,
     top_block,
+    top_block_above,
 )
 
 
 def _exceedance_counts(paths, x):
-    """#{i : paths.values[i, j] >= x_l} as an (m, x.size) integer array.
-
-    The sample's top block, one value wider than the most values any
-    column has at or above the lowest level, holds every value that
-    reaches a level; its rows are ascending, so one search of each row
-    counts them for all levels.
-    """
-    lowest = np.fmin.reduce(x, initial=np.inf)  # a nan level counts nothing
-    most = int(np.count_nonzero(paths.values >= lowest, axis=0).max())
-    top = top_block(paths, min(max(most, 1), paths.n - 1))
+    """#{i : paths.values[i, j] >= x_l} as an (m, x.size) integer array: one
+    search of each ascending row of the sample's `top_block_above` the
+    lowest level counts every value that reaches each level."""
+    top = top_block_above(paths, np.fmin.reduce(x, initial=np.inf))  # a nan level counts nothing
     return top.shape[1] - np.array([np.searchsorted(row, x) for row in top])
 
 

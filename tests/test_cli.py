@@ -135,6 +135,21 @@ def test_infinite_kernel_parameter_exits_one(flag, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n, grid, expected", [(2000, 51, "4.85e+08"), (500, 11, "1.07e+08")])
+def test_huge_student_t_draw_exits_one(n, grid, expected, tmp_path, capsys, monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    out = tmp_path / "t.csv"
+    rc = main(["simulate", "--family", "moving-max", "--kernel", "t", "--n", str(n),
+               "--grid", str(grid), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: moving-max draw expects {expected} Poisson points")
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", BAD_NUMBERS)
 def test_numeric_option_out_of_range_exits_one(name, tmp_path, capsys):

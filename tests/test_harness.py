@@ -33,7 +33,7 @@ from funcevt.harness import (
     worker_count,
 )
 from funcevt.limit_theory import TrueFunctions
-from funcevt.path_model import DataError
+from funcevt.path_model import DataError, marginal_model_for, pareto_top, pareto_transform
 from funcevt.process_sim import KernelSpec, SimConfig, simulate_pareto_gbm
 from funcevt.tail_process import build_tail_field, tail_quantile_stat
 
@@ -555,10 +555,16 @@ def test_exports_bitwise_identical_across_reruns_and_workers(name, tmp_path):
     assert exports[0:2] == exports[2:4] == exports[4:6]
 
 
+def pareto_sample(cfg, grid, seed):
+    """The whole Pareto-scale sample of one replication of cfg."""
+    sample = harness._simulate(cfg, grid, cfg.n, seed, harness._tail_floor(cfg.n, cfg.k))
+    return pareto_transform(sample, marginal_model_for(sample))
+
+
 def reference_tailcov_replicate(cfg, grid, context, seed):
     """The tailcov replicate from the whole Pareto-scale sample (the code
     the top block replaced)."""
-    zeta = harness._pareto_sample(cfg, grid, seed, harness._tail_floor(cfg.n, cfg.k))
+    zeta = pareto_sample(cfg, grid, seed)
     return {"w_at_one": build_tail_field(zeta, cfg.k, x_grid=[1.0]).values[:, 0]}, False
 
 
@@ -573,7 +579,7 @@ def reference_floor_tied(cfg, grid, seed):
 
 def reference_quantile_replicate(cfg, grid, context, seed):
     """The quantile replicate from the whole Pareto-scale sample."""
-    zeta = harness._pareto_sample(cfg, grid, seed, harness._tail_floor(cfg.n, cfg.k))
+    zeta = pareto_sample(cfg, grid, seed)
     q = tail_quantile_stat(zeta, cfg.k, cfg.alpha)
     return {"quantile_stat": q}, reference_floor_tied(cfg, grid, seed) or not np.all(
         np.isfinite(q)
@@ -583,17 +589,32 @@ def reference_quantile_replicate(cfg, grid, context, seed):
 def needs_whole_column(cfg, grid, seed):
     """Whether the top block of some column misses a level it is read at,
     from the whole Pareto-scale sample: then every value is transformed."""
-    zeta = harness._pareto_sample(cfg, grid, seed, harness._tail_floor(cfg.n, cfg.k))
+    zeta = pareto_sample(cfg, grid, seed)
     n, k = cfg.n, cfg.k
     big = min(2 * k, n - 1)
     cols = np.sort(zeta.values, axis=0)
     levels = np.minimum(n / k, cols[n - k - 1])
-    return big < n - 1 and bool(np.any(cols[n - big - 1] * (1.0 + harness._TOP_MARGIN) >= levels))
+    return big < n - 1 and bool(np.any(cols[n - big - 1] * (1.0 + path_model._TOP_MARGIN) >= levels))
+
+
+def assert_pareto_top_holds_the_tail(cfg, grid, seed):
+    """pareto_top's rows are read-only and ascending, and their values at or
+    above min(n/k, the (k+1)-th largest) are those of the sorted whole
+    Pareto-scale sample."""
+    sample = harness._simulate(cfg, grid, cfg.n, seed, harness._tail_floor(cfg.n, cfg.k))
+    top = pareto_top(sample, cfg.k)
+    assert not top.flags.writeable
+    assert np.all(np.diff(top, axis=1) >= 0.0)
+    cols = np.sort(pareto_sample(cfg, grid, seed).values, axis=0).T
+    for row, col in zip(top, cols):
+        level = min(cfg.n / cfg.k, col[-cfg.k - 1])
+        assert row[row >= level].tobytes() == col[col >= level].tobytes()
 
 
 def top_block_runs(cfg):
     """(payload bytes, flag) of the new and the reference replicate of every
-    replication of cfg, and how many of them need the whole column."""
+    replication of cfg, and how many of them need the whole column; checks
+    `pareto_top` on each replication's sample too."""
     new, ref = (
         (harness._tailcov_replicate, reference_tailcov_replicate)
         if cfg.kind == "tailcov"
@@ -606,6 +627,7 @@ def top_block_runs(cfg):
             payload, flag = fn(cfg, grid, None, seed)
             out.append(({key: v.tobytes() for key, v in payload.items()}, flag))
         whole += needs_whole_column(cfg, grid, seed)
+        assert_pareto_top_holds_the_tail(cfg, grid, seed)
     return got, want, whole
 
 
@@ -650,14 +672,14 @@ def test_top_block_replicates_bitwise_equal_to_whole_sample(kind, case, monkeypa
 def test_pareto_top_partitions_a_fresh_sample_once_at_2k(monkeypatch):
     cfg = top_block_config("tailcov", "pareto-gbm", 5000, 200, 1)
     sample = harness._simulate(cfg, grid_for(cfg), cfg.n, np.random.SeedSequence(7), None)
-    calls, partition = [], path_model.partition_columns
+    calls, partition = [], path_model._partition_columns
 
     def counted(values, k):
         calls.append(k)
         return partition(values, k)
 
-    monkeypatch.setattr(path_model, "partition_columns", counted)
-    harness._pareto_top(cfg, sample)
+    monkeypatch.setattr(path_model, "_partition_columns", counted)
+    pareto_top(sample, cfg.k)
     assert calls == [400]
 
 

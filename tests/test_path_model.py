@@ -27,7 +27,7 @@ from funcevt.path_model import (
     make_grid,
     marginal_model_for,
     pareto_transform,
-    partition_columns,
+    _partition_columns,
     top_block,
 )
 from funcevt.process_sim import (
@@ -335,7 +335,7 @@ class TestRowBlocks:
         sample = _sample("pareto-gbm")
         before = threading.active_count()
         zeta = pareto_transform(sample, marginal_model_for(sample))
-        partition_columns(sample.values, 20)
+        _partition_columns(sample.values, 20)
         _exceedance_counts(zeta, np.array([1.0, 10.0]))
         assert threading.active_count() == before
 
@@ -457,7 +457,7 @@ class TestColumnMajorLayout:
         assert c.flags.c_contiguous and f.flags.f_contiguous
         sc, sf = PathSample(sample.grid, c), PathSample(sample.grid, f)
         for k in (1, 20, 300):
-            assert partition_columns(c, k).tobytes() == partition_columns(f, k).tobytes()
+            assert _partition_columns(c, k).tobytes() == _partition_columns(f, k).tobytes()
             for a, b in zip(_log_excess_moments(sc, k), _log_excess_moments(sf, k)):
                 assert a.tobytes() == b.tobytes()
         x = np.concatenate((np.geomspace(0.01, 100.0, 17), [np.median(vals)]))
@@ -551,7 +551,7 @@ def partition_route(values, k):
     """(u_hat, M_1, M_2, the (k+1)-th largest values) of every column of
     values, from one partition at k, as the estimators computed them before
     the top block was memoised."""
-    neg = partition_columns(values, k)
+    neg = _partition_columns(values, k)
     top = np.sort(-neg[:, : k + 1], axis=1)
     logs = np.log(top)
     excess = logs[:, 1:] - logs[:, :1]
@@ -632,9 +632,9 @@ class TestTopBlock:
 
         def counted(values, k):
             calls.append(k)
-            return partition_columns(values, k)
+            return _partition_columns(values, k)
 
-        with mock.patch.object(path_model, "partition_columns", counted):
+        with mock.patch.object(path_model, "_partition_columns", counted):
             # the first call selects exactly k, a larger later one 2k
             for k in (20, 29, 40, 41, 63, 92, 136, 200):
                 top_block(sample, k)
@@ -647,7 +647,7 @@ class TestTopBlock:
             top_block(sample, 1000)
             assert calls[-1] == N_MEMO - 1
         assert sample._top.shape == (sample.m, N_MEMO)
-        with mock.patch.object(path_model, "partition_columns", counted):
+        with mock.patch.object(path_model, "_partition_columns", counted):
             estimate_curves(fresh, 700)  # a cold call selects exactly its k
             for k in (200, 30, 1):
                 top_block(fresh, k)

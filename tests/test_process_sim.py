@@ -311,6 +311,40 @@ class TestMovingMaxChunks:
         assert peak < 150e6
 
 
+# student-t moving-max draws at the CLI's default floor and tolerance (L is
+# 13,016) that expect more than 2**26 Poisson points
+HUGE_DRAWS = {"n2000-m51": (2000, 51, "4.85e+08"), "n500-m11": (500, 11, "1.07e+08")}
+
+
+@pytest.mark.parametrize("case", HUGE_DRAWS)
+def test_huge_draw_is_refused_before_drawing(case, monkeypatch):
+    n, m, expected = HUGE_DRAWS[case]
+
+    def no_draws(seed):
+        raise AssertionError("a point was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(SimulationError) as err:
+        simulate_moving_max(KernelSpec(STUDENT_T), make_grid(m=m), SimConfig(n=n))
+    msg = str(err.value)
+    assert f"expects {expected} Poisson points, more than 2**26" in msg
+    assert "truncation tolerance 1e-06" in msg
+    floor = process_sim._default_floor(n, m, 1e-6)
+    assert f"value floor {floor:.6g}" in msg
+
+
+def test_harness_sized_double_exp_draw_stays_under_the_budget():
+    # at the harness's lowest floor, 1, a double-exp draw expects (2L + 1)/2
+    # points per path, below 29
+    grid = make_grid(m=3)
+    L = KernelSpec().half_width(SimConfig(n=1).trunc_tol)
+    assert (2.0 * L + 1.0) * KernelSpec().peak_height < 29.0
+    n = 2 ** 26 // 29
+    with mock.patch.object(np.random, "default_rng", side_effect=RuntimeError("drawn")):
+        with pytest.raises(RuntimeError, match="drawn"):
+            simulate_moving_max(KernelSpec(), grid, SimConfig(n=n, value_floor=1.0))
+
+
 def reference_pareto_gbm(grid, cfg):
     """simulate_pareto_gbm's values from a row-major (n, m) array and one
     cumsum along each path (the code the in-place column-major update

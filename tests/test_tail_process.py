@@ -20,7 +20,8 @@ from funcevt.path_model import (
     make_grid,
     marginal_model_for,
     pareto_transform,
-    partition_columns,
+    _partition_columns,
+    top_block_above,
 )
 from funcevt.process_sim import KernelSpec, SimConfig, simulate_moving_max, simulate_pareto_gbm
 from funcevt.tail_process import (
@@ -325,6 +326,10 @@ def reference_quantile_stat(paths, k, alpha):
     return out
 
 
+# the sample-analysis bench's ascending k sweep: 12 values from 20 to 1363
+SWEEP_K = tuple(int(round(20 * 10 ** (j / 6))) for j in range(12))
+
+
 def family_zeta(family, n=1500, m=6, seed=41):
     g = make_grid(m=m)
     if family == "moving-max":
@@ -366,9 +371,9 @@ class TestKernelsMatchReference:
             # only the partitions of the whole sample count
             if values is zeta.values:
                 calls.append(k)
-            return partition_columns(values, k)
+            return _partition_columns(values, k)
 
-        with mock.patch.object(path_model, "partition_columns", counted):
+        with mock.patch.object(path_model, "_partition_columns", counted):
             for k in (20, 100, 300):
                 tail_quantile_stat(zeta, k, -1.0)
             swept = list(calls)
@@ -383,6 +388,26 @@ class TestKernelsMatchReference:
                 for j in range(zeta.m)
             ])
             assert got.values.tobytes() == want.tobytes()
+
+    def test_tail_field_reads_the_memo_after_the_bench_sweep(self):
+        zeta = family_zeta("pareto-gbm", n=20_000)
+        for k in SWEEP_K:
+            tail_quantile_stat(zeta, k, -1.0)
+        memo = zeta._top
+        # every row of the memo starts below the field's lowest level, n/k
+        assert top_block_above(zeta, zeta.n / 200) is memo
+        fresh = ParetoPaths(zeta.grid, np.array(zeta.values))
+        warm = build_tail_field(zeta, 200, n_x=64)
+        assert zeta._top is memo
+        assert warm.values.tobytes() == build_tail_field(fresh, 200, n_x=64).values.tobytes()
+        # a level no higher than some row's lowest memo value: the block is
+        # one value wider than the most any column has at or above it
+        level = memo[:, 0].min()
+        most = int(np.count_nonzero(zeta.values >= level, axis=0).max())
+        block = top_block_above(zeta, level)
+        want = np.sort(zeta.values, axis=0)[-most - 1:].T
+        assert block.shape == (zeta.m, most + 1) and most + 1 > memo.shape[1]
+        assert np.ascontiguousarray(block).tobytes() == np.ascontiguousarray(want).tobytes()
 
     @pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
     @pytest.mark.parametrize("k", [1, 2, 200, 1499])
@@ -417,7 +442,8 @@ class TestKernelsMatchReference:
         grid = harness.grid_for(cfg)
         seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
         payload, flagged = harness._tailcov_replicate(cfg, grid, None, seed)
-        zeta = harness._pareto_sample(cfg, grid, seed, harness._tail_floor(cfg.n, k))
+        sample = harness._simulate(cfg, grid, cfg.n, seed, harness._tail_floor(cfg.n, k))
+        zeta = pareto_transform(sample, marginal_model_for(sample))
         want = np.array([
             reference_tail_empirical_process(zeta, j, 1.0, k) for j in range(grid.m)
         ])

@@ -87,7 +87,9 @@ def for_row_blocks(fn, m, n):
     warning raised in a thread would interleave differently from run to run.
     An exception from a block is raised here.
     """
-    parts = min(os.cpu_count() or 1, m, m * n // _PAR_VALUES)
+    parts = m * n // _PAR_VALUES
+    if parts > 1:  # os.cpu_count() is a sysfs read: only for jobs that may split
+        parts = min(os.cpu_count() or 1, m, parts)
     if parts <= 1 or multiprocessing.parent_process() is not None:
         return [fn(0, m)]
     bounds = [m * i // parts for i in range(parts + 1)]

@@ -17,8 +17,8 @@ Pareto times geometric Brownian motion
     the Wiener process W.  Exact given the grid (no truncation).
 
 Both simulators are deterministic functions of (config, grid): draws
-come from a single numpy Generator seeded by the config, in a fixed
-order that does not depend on the size of the moving-max time blocks.
+come from one numpy Generator seeded by the config, and no value depends
+on the size of the moving-max point or time blocks.
 Replication-level parallelism is the harness's job; per-replication
 streams there are split from the master seed with numpy's SeedSequence
 spawning.
@@ -26,6 +26,7 @@ spawning.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -38,12 +39,14 @@ DOUBLE_EXP = "double-exp"
 STUDENT_T = "student-t"
 
 
-# density values per block of grid times in `simulate_moving_max` (16 MB
-# of float64), or the kept points of one time when they are more
+# Poisson points drawn and prefiltered per block in `simulate_moving_max`,
+# and density values per block of grid times (16 MB of float64), or the
+# kept points of one time when they are more
 _CHUNK_VALUES = 2_000_000
 
-# most Poisson points `simulate_moving_max` expects to draw (512 MiB for
-# each float64 point array); a larger draw is refused before it starts
+# most Poisson points `simulate_moving_max` expects to draw; a larger draw
+# is refused before it starts.  Memory is bounded by the point blocks, so
+# this bounds the time spent drawing and filtering
 _MAX_POINTS = 1 << 26
 
 # relative margin below the floor within which `simulate_moving_max`
@@ -75,18 +78,33 @@ class KernelSpec:
         if self.shape == STUDENT_T and not 0.0 < self.df < math.inf:
             raise SimulationError("kernel df must be positive and finite")
 
-    def density(self, u):
+    def density(self, u, out=None):
+        """f(u) = scale exp(h(u)), one ufunc at a time in out when it is
+        given (out may be u): h(u) = -rate |u|, or, for the student-t
+        kernel, logc - (d + 1)/2 log1p((rate u)^2 / d)."""
         u = np.asarray(u, dtype=float)
+        f = np.empty_like(u) if out is None else out
         if self.shape == DOUBLE_EXP:
-            return 0.5 * self.rate * np.exp(-self.rate * np.abs(u))
-        d = self.df
-        logc = (
-            special.gammaln(0.5 * (d + 1.0))
-            - special.gammaln(0.5 * d)
-            - 0.5 * math.log(d * math.pi)
-        )
-        x = self.rate * u
-        return self.rate * np.exp(logc - 0.5 * (d + 1.0) * np.log1p(x * x / d))
+            scale = 0.5 * self.rate
+            np.abs(u, out=f)
+            np.multiply(f, -self.rate, out=f)
+        else:
+            scale = self.rate
+            d = self.df
+            logc = (
+                special.gammaln(0.5 * (d + 1.0))
+                - special.gammaln(0.5 * d)
+                - 0.5 * math.log(d * math.pi)
+            )
+            np.multiply(u, self.rate, out=f)
+            np.multiply(f, f, out=f)
+            np.divide(f, d, out=f)
+            np.log1p(f, out=f)
+            np.multiply(f, 0.5 * (d + 1.0), out=f)
+            np.subtract(logc, f, out=f)
+        np.exp(f, out=f)
+        np.multiply(f, scale, out=f)
+        return f
 
     @property
     def peak_height(self) -> float:
@@ -170,6 +188,42 @@ def _default_floor(n, m, trunc_tol):
     return 1.0 / math.log(max(float(n) * float(m) / float(trunc_tol), 8.0))
 
 
+def _kept_points(kernel, grid, rng, total, L, y_max, floor):
+    """x, y and draw index of the total moving-max points that pass the
+    prefilter of `simulate_moving_max`, drawn in blocks of at most
+    `_CHUNK_VALUES`.  The xs come from rng in order and the ys follow them
+    in its stream, so with more than one block the ys come from a copy of
+    rng advanced past the xs (each double is one 64-bit output)."""
+    yrng = rng
+    if total > _CHUNK_VALUES:
+        yrng = copy.deepcopy(rng)
+        yrng.bit_generator.advance(total)
+    size = max(1, min(total, _CHUNK_VALUES))
+    near_buf, y_buf = np.empty(size), np.empty(size)
+    threshold = float(floor) * (1.0 - _PREFILTER_MARGIN)
+    kept = [(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))]
+    for start in range(0, total, size):
+        x = rng.uniform(-(L + 1.0), L, min(size, total - start))
+        near, y = near_buf[: x.size], y_buf[: x.size]
+        # distance from -x to the grid's span, |t + x| at the nearer end
+        # point as rounded in the grid's density call (rounding keeps the
+        # sign of t + x, and -t_end - x is -(t_end + x) up to the sign of a
+        # zero, which f ignores), or 0 inside the span; y holds -t_end - x
+        # until the ys are drawn into it
+        np.add(x, grid.points[0], out=near)
+        np.subtract(-grid.points[-1], x, out=y)
+        np.maximum(near, y, out=near)
+        np.maximum(near, 0.0, out=near)
+        yrng.random(out=y)
+        np.subtract(1.0, y, out=y)
+        np.multiply(y, y_max, out=y)  # uniform on (0, y_max]
+        kernel.density(near, out=near)
+        np.divide(near, y, out=near)
+        keep = np.flatnonzero(near >= threshold)
+        kept.append((x.take(keep), y.take(keep), keep + start))
+    return tuple(map(np.concatenate, zip(*kept)))
+
+
 def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     """Simulate n independent moving-max paths on the grid.
 
@@ -191,10 +245,12 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     so the sample is the same floats as evaluating every point.  The
     draws and their order do not change.
 
-    The kept points are evaluated one block of consecutive grid times at
-    a time, with as many times per block as fit in `_CHUNK_VALUES`
-    density values, and at least one; each path's max is taken along its
-    contiguous run of kept points in every row.
+    The points are drawn and prefiltered in blocks of at most
+    `_CHUNK_VALUES` (`_kept_points`), so memory grows with the kept
+    points, not the drawn ones.  The kept points are evaluated one block
+    of consecutive grid times at a time, with as many times per block as
+    fit in `_CHUNK_VALUES` density values, and at least one; each path's
+    max is taken along its contiguous run of kept points in every row.
     """
     n = cfg.n
     m = grid.m
@@ -212,17 +268,10 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
 
     rng = np.random.default_rng(cfg.seed)
     counts = rng.poisson(intensity, n)
-    xs = rng.uniform(-(L + 1.0), L, int(counts.sum()))
-    ys = y_max * (1.0 - rng.random(xs.size))  # uniform on (0, y_max]
-
-    # Prefilter (see the docstring): distance from -x to the grid's span,
-    # |t + x| at the nearer end point as rounded in the density call below
-    # (rounding keeps the sign of t + x), or 0 inside the span
-    near = np.maximum(np.maximum(grid.points[0] + xs, -(grid.points[-1] + xs)), 0.0)
-    keep = kernel.density(near) / ys >= float(floor) * (1.0 - _PREFILTER_MARGIN)
-    pid = np.repeat(np.arange(n), counts)[keep]  # the path of each kept point
-    xs, ys = xs[keep], ys[keep]
-    first = np.flatnonzero(np.diff(pid, prepend=-1))  # where each non-empty path starts
+    xs, ys, drawn_at = _kept_points(kernel, grid, rng, int(counts.sum()), L, y_max, floor)
+    # the path of each kept point, and where each non-empty path starts
+    pid = counts.cumsum().searchsorted(drawn_at, side="right")
+    first = np.flatnonzero(np.diff(pid, prepend=-1))
 
     vals = np.full((m, n), float(floor))  # one row per time: column-major paths
     step = max(1, _CHUNK_VALUES // max(xs.size, 1))

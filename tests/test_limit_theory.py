@@ -384,6 +384,31 @@ class TestSimulateLimitFunctionals:
             assert C[u, u] == pytest.approx(ref.var_location, rel=0.01)
             assert abs(C[p, u]) < 0.01 and abs(C[q, u]) < 0.01 * math.sqrt(20.0)
 
+    @pytest.mark.parametrize("g", [-0.1, -0.3, -0.45])
+    def test_exact_law_matches_the_moment_estimator_at_negative_gamma(self, g):
+        # the law at one time with gamma_plus = 0 and gamma_minus = g < 0:
+        # the variances of the moment estimator's index (Dekkers, Einmahl
+        # and de Haan 1989) and of the moment-type scale (de Haan and
+        # Ferreira 2006, ch. 4).  The index and scale are linear in the
+        # moment1, moment2 and location values, so their weights are the
+        # functionals of the unit vectors.  The level grid ends at 1e5,
+        # where the tail term leaves a relative error below 2e-4; at 1e4
+        # it is 9e-4, and at gamma_minus = 0, gamma_plus = 1 the index
+        # variance there is 1.9897 against 2
+        t, x = make_grid(m=1), functional_x_grid(1e5, 1024)
+        C = functional_covariance(FIELD_ORACLES["double-exp"], t, x, np.array([g]))
+        unit = limit_theory._functionals_from_moments(
+            t, LimitParams(np.zeros(1), np.array([g])), np.eye(3)
+        )
+        index, scale = unit.index[:, 0], unit.scale[:, 0]
+        var_index = (1 - g) ** 2 * (1 - 2 * g) * (1 - g + 6 * g**2) / ((1 - 3 * g) * (1 - 4 * g))
+        var_scale = (2 - 16 * g + 51 * g**2 - 69 * g**3 + 50 * g**4 - 24 * g**5) / (
+            (1 - 2 * g) * (1 - 3 * g) * (1 - 4 * g)
+        )
+        assert index @ C @ index == pytest.approx(var_index, rel=1e-3)
+        assert scale @ C @ scale == pytest.approx(var_scale, rel=1e-3)
+        assert C[2, 2] == pytest.approx(1.0, rel=1e-3)
+
     def test_field_route_agrees_in_law(self):
         # functionals of field draws have the covariance C the direct
         # route draws from: each entry within 5 standard errors

@@ -307,6 +307,14 @@ class TestRowBlocks:
         assert for_row_blocks(lambda lo, hi: (lo, hi), 3, n) == [(0, 3)]
         assert len(for_row_blocks(lambda lo, hi: (lo, hi), 4, n)) == 2
 
+    def test_small_jobs_do_not_count_the_cores(self, monkeypatch):
+        def no_count():
+            raise AssertionError("os.cpu_count() was called")
+
+        monkeypatch.setattr(os, "cpu_count", no_count)
+        n = path_model._PAR_VALUES // 2
+        assert for_row_blocks(lambda lo, hi: (lo, hi), 3, n) == [(0, 3)]
+
     def test_clamp_warnings_come_in_column_order(self, threads):
         # a different clamp count in each even column, so order shows
         sample = _sample("pareto-gbm")

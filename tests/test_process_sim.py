@@ -266,10 +266,10 @@ class TestMovingMaxChunks:
         blocks = []
         density = KernelSpec.density
 
-        def recording(self, u):
+        def recording(self, u, out=None):
             if np.ndim(u) == 2:
                 blocks.append(np.array(u))
-            return density(self, u)
+            return density(self, u, out=out)
 
         monkeypatch.setattr(KernelSpec, "density", recording)
         simulate_moving_max(kernel, grid, cfg)
@@ -309,6 +309,49 @@ class TestMovingMaxChunks:
         finally:
             tracemalloc.stop()
         assert peak < 150e6
+
+
+# (kernel, m, n, value_floor, seed); draws of about 2,600 to 2,900 points
+POINT_BLOCK_CASES = {
+    "double-exp-tailcov-floor": (DOUBLE_EXP, 4, 600, 6.25, 21),
+    "double-exp-default-floor": (DOUBLE_EXP, 11, 5, None, 22),
+    "student-t-raised-floor": (STUDENT_T, 21, 60, 2.0, 23),
+}
+
+
+class TestMovingMaxPointBlocks:
+    """The points are drawn and prefiltered in blocks of `_CHUNK_VALUES`
+    points; with more than one block the ys come from an advanced copy of
+    the generator, and every float stays the one the whole draw gives."""
+
+    @pytest.mark.parametrize("block", [1, 3, 1000, None])  # None: one block
+    @pytest.mark.parametrize("case", sorted(POINT_BLOCK_CASES))
+    def test_bitwise_equal_to_the_whole_draw(self, case, block, monkeypatch):
+        shape, m, n, floor, seed = POINT_BLOCK_CASES[case]
+        kernel, grid = KernelSpec(shape), make_grid(m=m)
+        trunc_tol = 1e-3 if shape == STUDENT_T else 1e-6
+        # an int seed and two children of its SeedSequence, as the harness spawns
+        for child in (seed, *np.random.SeedSequence(seed).spawn(2)):
+            cfg = SimConfig(n=n, seed=child, trunc_tol=trunc_tol, value_floor=floor)
+            total = int(_draws(kernel, grid, cfg)[1].sum())
+            assert 1000 < total < 10_000
+            want, _ = reference_moving_max(kernel, grid, cfg)
+            monkeypatch.setattr(process_sim, "_CHUNK_VALUES", block or total)
+            got = simulate_moving_max(kernel, grid, cfg).values
+            monkeypatch.undo()
+            assert got.tobytes() == want.tobytes()
+
+    def test_memory_peak_grows_with_kept_points_not_drawn_ones(self):
+        # n 6000 x m 11 at the default floor draws ~4.3M points, more than
+        # two blocks; a whole-set draw held ~40 bytes per point, 172 MB
+        kernel, grid = KernelSpec(), make_grid(m=11)
+        tracemalloc.start()
+        try:
+            simulate_moving_max(kernel, grid, SimConfig(n=6000, seed=34))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 # student-t moving-max draws at the CLI's default floor and tolerance (L is

@@ -26,7 +26,6 @@ spawning.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -162,6 +161,9 @@ class SimConfig:
         everywhere with probability >= 1 - trunc_tol.  Raising it above
         the default is a speed knob for statistics that only read the
         upper tail.
+    seed : an int, a sequence of ints or a SeedSequence.  A Generator or
+        BitGenerator is refused: the sample would depend on its state,
+        and the moving-max draw steps its own PCG64 back and forth.
 
     `funcevt simulate` takes both defaults; the experiment harness sets
     value_floor from each kind's sizes and flags ties at it.
@@ -176,6 +178,8 @@ class SimConfig:
         object.__setattr__(self, "n", check_int(self.n, "n", SimulationError))
         if self.n < 1:
             raise SimulationError("n must be >= 1")
+        if isinstance(self.seed, (np.random.Generator, np.random.BitGenerator)):
+            raise SimulationError("seed must be an int or a SeedSequence, not a generator")
         if not 0.0 < float(self.trunc_tol) < 1.0:
             raise SimulationError("trunc_tol must be in (0, 1)")
         if self.value_floor is not None and not float(self.value_floor) > 0.0:
@@ -192,12 +196,10 @@ def _kept_points(kernel, grid, rng, total, L, y_max, floor):
     """x, y and draw index of the total moving-max points that pass the
     prefilter of `simulate_moving_max`, drawn in blocks of at most
     `_CHUNK_VALUES`.  The xs come from rng in order and the ys follow them
-    in its stream, so with more than one block the ys come from a copy of
-    rng advanced past the xs (each double is one 64-bit output)."""
-    yrng = rng
-    if total > _CHUNK_VALUES:
-        yrng = copy.deepcopy(rng)
-        yrng.bit_generator.advance(total)
+    in its stream, so each block's ys are drawn after moving rng's PCG64
+    past the rest of the xs, and it moves back for the next block's xs:
+    each double is one 64-bit output, and the state steps mod 2**128."""
+    bits = rng.bit_generator
     size = max(1, min(total, _CHUNK_VALUES))
     near_buf, y_buf = np.empty(size), np.empty(size)
     threshold = float(floor) * (1.0 - _PREFILTER_MARGIN)
@@ -214,7 +216,9 @@ def _kept_points(kernel, grid, rng, total, L, y_max, floor):
         np.subtract(-grid.points[-1], x, out=y)
         np.maximum(near, y, out=near)
         np.maximum(near, 0.0, out=near)
-        yrng.random(out=y)
+        bits.advance(total - x.size)
+        rng.random(out=y)
+        bits.advance((1 << 128) - total)
         np.subtract(1.0, y, out=y)
         np.multiply(y, y_max, out=y)  # uniform on (0, y_max]
         kernel.density(near, out=near)

@@ -53,6 +53,31 @@ class TestKernelSpec:
         for tol in (0.5, 1e-3, 1e-6):
             assert k.half_width(tol) == float(stats.t.isf(0.5 * tol**2, df)) / 2.0
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [KernelSpec("double-exp", rate=2.5), KernelSpec("student-t", rate=1.5, df=2.5)],
+        ids=["double-exp", "student-t"],
+    )
+    def test_density_in_place_is_the_closed_form_bitwise(self, kernel):
+        # the closed forms as plain expressions, the floats the in-place
+        # ufunc chain and the moving-max samples must keep
+        u = np.concatenate([[0.0, -0.0, 1e-300, -5e-324], np.linspace(-40.0, 40.0, 4001)])
+        r = kernel.rate
+        if kernel.shape == DOUBLE_EXP:
+            want = 0.5 * r * np.exp(-r * np.abs(u))
+        else:
+            d = kernel.df
+            logc = special.gammaln(0.5 * (d + 1.0)) - special.gammaln(0.5 * d) - 0.5 * math.log(d * math.pi)
+            want = r * np.exp(logc - 0.5 * (d + 1.0) * np.log1p((r * u) * (r * u) / d))
+        assert kernel.density(u).tobytes() == want.tobytes()
+        out = np.full_like(u, np.nan)
+        assert kernel.density(u, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        block = u.copy()
+        kernel.density(block, out=block)
+        assert block.tobytes() == want.tobytes()
+        assert kernel.density(2.0) == want[np.flatnonzero(u == 2.0)[0]]
+
     def test_bad_shape_rejected(self):
         with pytest.raises(SimulationError):
             KernelSpec("box")
@@ -155,6 +180,25 @@ class TestMovingMax:
             SimConfig(n=5, trunc_tol=2.0)
         with pytest.raises(SimulationError):
             SimConfig(n=5, value_floor=-1.0)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            np.random.default_rng(1),
+            np.random.PCG64(1),
+            np.random.Philox(1),
+            np.random.Generator(np.random.MT19937(1)),
+        ],
+        ids=["generator", "pcg64", "philox", "mt19937-generator"],
+    )
+    def test_generator_seeds_are_refused(self, seed):
+        # the moving-max ys are drawn by moving a fresh PCG64 past the xs
+        # and back; a caller's generator would also make the sample depend
+        # on its state
+        with pytest.raises(SimulationError, match="not a generator"):
+            SimConfig(n=5, seed=seed)
+        for ok in (3, [3, 1], np.random.SeedSequence(3)):
+            SimConfig(n=5, seed=ok)
 
 
 def _draws(kernel, grid, cfg):
@@ -321,8 +365,8 @@ POINT_BLOCK_CASES = {
 
 class TestMovingMaxPointBlocks:
     """The points are drawn and prefiltered in blocks of `_CHUNK_VALUES`
-    points; with more than one block the ys come from an advanced copy of
-    the generator, and every float stays the one the whole draw gives."""
+    points, the ys after moving the generator past the rest of the xs, and
+    every float stays the one the whole draw gives."""
 
     @pytest.mark.parametrize("block", [1, 3, 1000, None])  # None: one block
     @pytest.mark.parametrize("case", sorted(POINT_BLOCK_CASES))

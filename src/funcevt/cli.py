@@ -38,13 +38,14 @@ from funcevt.path_model import (
     PathSample,
     make_grid,
     pareto_transform,
+    write_csv,
+    write_json,
 )
 from funcevt.process_sim import (
     DOUBLE_EXP,
     STUDENT_T,
     KernelSpec,
     SimConfig,
-    SimulationError,
     simulate_moving_max,
     simulate_pareto_gbm,
 )
@@ -96,13 +97,9 @@ def _cmd_estimate(args) -> int:
 def _cmd_tailproc(args) -> int:
     paths = ParetoPaths.from_csv(args.infile)
     field = build_tail_field(paths, args.k, n_x=args.xgrid, c=args.c)
-    lines = ["t," + ",".join("%.17g" % x for x in field.x_grid)]
-    for j, t in enumerate(field.t_grid.points):
-        lines.append(
-            "%.17g," % t + ",".join("%.17g" % v for v in field.values[j])
-        )
+    header = "t," + ",".join("%.17g" % x for x in field.x_grid)
     with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        write_csv(fh, header, np.column_stack([field.t_grid.points, field.values]))
     print(f"wrote {field.t_grid.m} x {field.x_grid.size} tail field to {args.out}")
     return 0
 
@@ -134,9 +131,8 @@ def _cmd_nu(args) -> int:
 
 
 def _write_limit_json(doc, fh):
-    """Write json.dumps(doc, indent=2, sort_keys=True) and a newline to fh,
-    with doc["functionals"] mapping names to 2-d float arrays that are
-    written as nested lists.
+    """Write `write_json`'s text of doc to fh, with doc["functionals"]
+    mapping names to 2-d float arrays that are written as nested lists.
 
     json's indenting encoder is pure Python and slow on the draws, so
     each array is written by one %-format of its floats with "%r", which
@@ -147,9 +143,7 @@ def _write_limit_json(doc, fh):
     """
     arrays = doc["functionals"]
     if not all(a.size and np.isfinite(a).all() for a in arrays.values()):
-        lists = {name: a.tolist() for name, a in arrays.items()}
-        fh.write(json.dumps({**doc, "functionals": lists}, indent=2, sort_keys=True))
-        fh.write("\n")
+        write_json(fh, {**doc, "functionals": {n: a.tolist() for n, a in arrays.items()}})
         return
     marks = {name: f"<{name}>" for name in arrays}
     rest = json.dumps({**doc, "functionals": marks}, indent=2, sort_keys=True)
@@ -322,7 +316,7 @@ def main(argv=None) -> int:
     try:
         _check_numbers(args)
         return args.func(args)
-    except (DataError, SimulationError, DegenerateCovarianceError, OSError) as exc:
+    except (DataError, DegenerateCovarianceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from funcevt.path_model import DataError, TimeGrid, top_block
+from funcevt.path_model import TimeGrid, top_block, write_csv
 
 
 def _log_excess_moments(sample, k):
@@ -74,27 +74,9 @@ class EstimatorCurves:
 
     def to_csv(self, path):
         cols = [self.grid.points] + [getattr(self, c) for c in self.COLUMNS[1:]]
-        rows = np.column_stack(cols)  # the uint8 flag is written as a float
-        np.savetxt(
-            path,
-            rows,
-            delimiter=",",
-            fmt="%.17g",
-            header=",".join(self.COLUMNS),
-            comments="",
-        )
-
-    @classmethod
-    def from_csv(cls, path, k=0, n=0):
-        try:
-            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise DataError(f"cannot parse curves CSV {path!r}: {exc}") from exc
-        if raw.shape[1] != 7:
-            raise DataError("curves CSV needs 7 columns")
-        return cls(
-            TimeGrid(raw[:, 0]), int(k), int(n), *raw[:, 1:6].T, raw[:, 6].astype(np.uint8)
-        )
+        with open(path, "w") as fh:
+            # the uint8 flag is written as a float
+            write_csv(fh, ",".join(self.COLUMNS), np.column_stack(cols))
 
 
 def estimate_curves(sample, k) -> EstimatorCurves:

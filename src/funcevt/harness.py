@@ -36,11 +36,11 @@ Experiment kinds are a closed set, one `KindSpec` entry each in
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import numbers
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import repeat
@@ -62,12 +62,15 @@ from funcevt.path_model import (
     marginal_model_for,
     pareto_top,
     pareto_transform,
+    read_csv,
+    read_json,
     top_block,
+    write_csv,
+    write_json,
 )
 from funcevt.process_sim import (
     KernelSpec,
     SimConfig,
-    SimulationError,
     simulate_moving_max,
     simulate_pareto_gbm,
 )
@@ -136,10 +139,7 @@ class ExperimentConfig:
             raise DataError("reps must be >= 1")
         if self.seed < 0:
             raise DataError("seed must be >= 0")
-        try:
-            kernel_for(self)  # a bad kernel fails here, not after the replications
-        except SimulationError as exc:
-            raise DataError(str(exc)) from None
+        kernel_for(self)  # a bad kernel fails here, not after the replications
         object.__setattr__(self, "times", _numbers(self.times, "times"))
         object.__setattr__(
             self, "schedule", _pairs(self.schedule, "schedule", integer=True)
@@ -196,17 +196,11 @@ def config_hash(cfg) -> str:
 
 def save_config(cfg, path):
     with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(fh, cfg.to_dict())
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise DataError(f"config {path} is not valid JSON: {exc}") from None
-    return ExperimentConfig.from_dict(doc)
+    return ExperimentConfig.from_dict(read_json(path, "config"))
 
 
 def _spec(kind) -> "KindSpec":
@@ -401,9 +395,9 @@ _COLUMNS = CSV_HEADER.split(",")  # the per-row StatsReport fields, in order
 
 def report_csv(report) -> str:
     """The report as CSV text: header plus one row per t, 17 significant digits."""
-    cols = [getattr(report, name) for name in _COLUMNS]
-    lines = [CSV_HEADER] + [",".join("%.17g" % v for v in row) for row in zip(*cols)]
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    write_csv(buf, CSV_HEADER, np.column_stack([getattr(report, name) for name in _COLUMNS]))
+    return buf.getvalue()
 
 
 def export_report(report, path):
@@ -427,8 +421,7 @@ def export_report(report, path):
         "extra": report.extra,
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(fh, doc)
 
 
 _JSON_KEYS = ("schema", "kind", "statistic", "rows", "reps", "used", "flagged", "config",
@@ -440,26 +433,16 @@ def load_report(path) -> StatsReport:
     (which loses config context); DataError unless the CSV has the
     5-column header and rows, or the JSON is an object with every key
     `export_report` writes."""
-    with open(path) as fh:
-        if not str(path).endswith(".json"):
-            if fh.readline().rstrip("\n") != CSV_HEADER:
-                raise DataError(f"report {path} does not start with the header {CSV_HEADER}")
-            with warnings.catch_warnings():
-                # a header-only file is a valid empty report
-                warnings.simplefilter("ignore", UserWarning)
-                try:
-                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
-                except ValueError as exc:
-                    raise DataError(f"report {path}: {exc}") from None
-            if data.size == 0:
-                data = data.reshape(0, 5)
-            if data.shape[1] != 5:
-                raise DataError(f"report {path} rows must have 5 columns, not {data.shape[1]}")
-            return StatsReport("", "", *data.T, 0, 0, 0, {}, "")
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise DataError(f"report {path} is not valid JSON: {exc}") from None
+    if not str(path).endswith(".json"):
+        header, data = read_csv(path, "report")
+        if header != CSV_HEADER:
+            raise DataError(f"report {path} does not start with the header {CSV_HEADER}")
+        if data.size == 0:  # a header-only file is a valid empty report
+            data = data.reshape(0, 5)
+        if data.shape[1] != 5:
+            raise DataError(f"report {path} rows must have 5 columns, not {data.shape[1]}")
+        return StatsReport("", "", *data.T, 0, 0, 0, {}, "")
+    doc = read_json(path, "report")
     rows = doc.get("rows") if isinstance(doc, dict) else None
     if not isinstance(rows, dict):
         raise DataError(f"report {path} is not a JSON object with rows")

@@ -19,6 +19,7 @@ Two families are supported:
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import numbers
 import os
@@ -44,7 +45,7 @@ FAMILIES = (MOVING_MAX, PARETO_GBM)
 
 
 class DataError(ValueError):
-    """Malformed grid, sample, or CSV input."""
+    """Malformed grid, sample, configuration, CSV or JSON input."""
 
 
 def check_int(value, what, error=DataError) -> int:
@@ -73,6 +74,46 @@ def check_levels(x_grid) -> np.ndarray:
             "level grid must be 1-D, non-empty, finite, positive and strictly increasing"
         )
     return x
+
+
+def write_csv(fh, header, rows):
+    """Write the header line, then each row of rows, a 2-d array, as its
+    values in "%.17g" joined by commas, one line and one write per row:
+    the bytes np.savetxt writes with that fmt, delimiter "," and comments ""."""
+    fh.write(header + "\n")
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    for row in rows:
+        fh.write(line % tuple(row.tolist()))
+
+
+def read_csv(path, what):
+    """(header, rows): the first line of the CSV file at path, without its
+    newline, and the other lines as a 2-d float array, (0, 1) if there
+    are none; DataError naming what if the file cannot be read or parsed."""
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            header = fh.readline().rstrip("\n")
+            # no rows is for the caller to judge
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return header, np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot parse {what} CSV {path!r}: {exc}") from exc
+
+
+def write_json(fh, doc):
+    """Write doc as JSON, indented by 2 with sorted keys, and a newline."""
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def read_json(path, what):
+    """The JSON document in the file at path; DataError naming what if it
+    is not valid JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def for_row_blocks(fn, m, n):
@@ -184,11 +225,13 @@ def _check_values(values, grid, minimum, what):
         raise DataError(
             f"{what} has {vals.shape[1]} columns but the grid has {grid.m} points"
         )
-    if not np.all(np.isfinite(vals)):
-        raise DataError(f"{what} values must be finite")
-    if np.any(vals < minimum) or (minimum == 0.0 and np.any(vals == 0.0)):
-        bound = "positive" if minimum == 0.0 else f">= {minimum}"
-        raise DataError(f"{what} values must be {bound}")
+    if vals.size:  # a NaN makes both extremes NaN
+        lo, hi = vals.min(), vals.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise DataError(f"{what} values must be finite")
+        if lo < minimum or lo == 0.0:
+            bound = "positive" if minimum == 0.0 else f">= {minimum}"
+            raise DataError(f"{what} values must be {bound}")
     # column-major: every per-time kernel reads one contiguous column.  The
     # sample's values are read-only, so an array the caller can still write
     # is copied; a read-only one (as the simulators and pareto_transform
@@ -199,25 +242,6 @@ def _check_values(values, grid, minimum, what):
         out = out.copy(order="F")
     out.flags.writeable = False
     return out
-
-
-def _write_csv(path, grid, values):
-    header = ",".join(f"{t:.17g}" for t in grid.points)
-    np.savetxt(path, values, delimiter=",", fmt="%.17g", header=header, comments="")
-
-
-def _read_csv(path):
-    try:
-        with warnings.catch_warnings():
-            # an empty file is reported below as a DataError
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot parse paths CSV {path!r}: {exc}") from exc
-    if raw.shape[0] < 2:
-        raise DataError(f"paths CSV {path!r} has no data rows")
-    grid = TimeGrid(raw[0])
-    return grid, raw[1:]
 
 
 @dataclass(frozen=True)
@@ -240,7 +264,21 @@ class _Paths:
 
     def to_csv(self, path):
         """Write grid header row plus one row per path, 17 significant digits."""
-        _write_csv(path, self.grid, self.values)
+        with open(path, "w") as fh:
+            write_csv(fh, ",".join(f"{t:.17g}" for t in self.grid.points), self.values)
+
+    @classmethod
+    def from_csv(cls, path, *fields):
+        """The sample `to_csv` wrote to path; fields after the values (a
+        PathSample's family) are passed on to the constructor."""
+        header, values = read_csv(path, "paths")
+        if values.shape[0] == 0:
+            raise DataError(f"paths CSV {path!r} has no data rows")
+        try:
+            points = [float(t) for t in header.split(",")]
+        except ValueError as exc:
+            raise DataError(f"cannot parse paths CSV {path!r}: {exc}") from None
+        return cls(TimeGrid(points), values, *fields)
 
 
 @dataclass(frozen=True)
@@ -254,11 +292,6 @@ class PathSample(_Paths):
             self, "values", _check_values(self.values, self.grid, 0.0, "path")
         )
 
-    @classmethod
-    def from_csv(cls, path, family="synthetic"):
-        grid, values = _read_csv(path)
-        return cls(grid, values, family)
-
 
 @dataclass(frozen=True)
 class ParetoPaths(_Paths):
@@ -268,11 +301,6 @@ class ParetoPaths(_Paths):
         object.__setattr__(
             self, "values", _check_values(self.values, self.grid, 1.0, "pareto")
         )
-
-    @classmethod
-    def from_csv(cls, path):
-        grid, values = _read_csv(path)
-        return cls(grid, values)
 
 
 def top_block(paths, k):

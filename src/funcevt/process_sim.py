@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from funcevt.path_model import MOVING_MAX, PARETO_GBM, PathSample, check_int
+from funcevt.path_model import MOVING_MAX, PARETO_GBM, DataError, PathSample, check_int
 
 DOUBLE_EXP = "double-exp"
 STUDENT_T = "student-t"
@@ -53,7 +53,7 @@ _MAX_POINTS = 1 << 26
 _PREFILTER_MARGIN = 1e-12
 
 
-class SimulationError(ValueError):
+class SimulationError(DataError):
     """Invalid simulation configuration (bad trunc_tol, kernel, floor, ...)."""
 
 
@@ -275,7 +275,10 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     xs, ys, drawn_at = _kept_points(kernel, grid, rng, int(counts.sum()), L, y_max, floor)
     # the path of each kept point, and where each non-empty path starts
     pid = counts.cumsum().searchsorted(drawn_at, side="right")
-    first = np.flatnonzero(np.diff(pid, prepend=-1))
+    starts = np.empty(pid.size, dtype=bool)
+    starts[:1] = True  # none if no point is kept
+    np.not_equal(pid[1:], pid[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
 
     vals = np.full((m, n), float(floor))  # one row per time: column-major paths
     step = max(1, _CHUNK_VALUES // max(xs.size, 1))

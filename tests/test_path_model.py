@@ -1,3 +1,4 @@
+import io
 import math
 import os
 import tempfile
@@ -28,7 +29,9 @@ from funcevt.path_model import (
     marginal_model_for,
     pareto_transform,
     _partition_columns,
+    read_csv,
     top_block,
+    write_csv,
 )
 from funcevt.process_sim import (
     KernelSpec,
@@ -384,6 +387,29 @@ class TestSampleTypes:
         with pytest.raises(DataError):
             ParetoPaths(g, np.array([[0.5]]))
 
+    @pytest.mark.parametrize("cls, bad, message", [
+        (PathSample, [math.nan], "path values must be finite"),
+        (PathSample, [math.inf], "path values must be finite"),
+        (PathSample, [-math.inf], "path values must be finite"),
+        (PathSample, [0.0], "path values must be positive"),
+        (PathSample, [-0.0], "path values must be positive"),
+        (PathSample, [-2.0], "path values must be positive"),
+        (ParetoPaths, [0.5], "pareto values must be >= 1.0"),
+        (ParetoPaths, [math.nan], "pareto values must be finite"),
+        # finiteness is judged before the bound
+        (ParetoPaths, [0.5, math.inf], "pareto values must be finite"),
+        (PathSample, [-2.0, math.nan], "path values must be finite"),
+    ])
+    def test_value_checks(self, cls, bad, message):
+        values = np.full((6, 3), 2.0)
+        values.flat[[4, 13][: len(bad)]] = bad
+        with pytest.raises(DataError, match=f"^{message}$"):
+            cls(make_grid(m=3), values)
+
+    @pytest.mark.parametrize("cls", [PathSample, ParetoPaths])
+    def test_no_paths_accepted(self, cls):
+        assert cls(make_grid(m=3), np.empty((0, 3))).values.shape == (0, 3)
+
     def test_grid_requires_sorted_unique(self):
         with pytest.raises(DataError):
             TimeGrid(np.array([0.0, 0.5, 0.5]))
@@ -423,6 +449,76 @@ class TestSampleTypes:
         z.to_csv(path)
         back = ParetoPaths.from_csv(path)
         np.testing.assert_array_equal(back.values, z.values)
+
+
+def savetxt_text(header, rows):
+    """What np.savetxt writes for rows in funcevt's CSV format: the reference
+    `write_csv` must match byte for byte."""
+    buf = io.BytesIO()
+    np.savetxt(buf, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+    return buf.getvalue().decode()
+
+
+def written_csv(header, rows):
+    buf = io.StringIO()
+    write_csv(buf, header, rows)
+    return buf.getvalue()
+
+
+CSV_ROWS = {
+    "specials": np.array([
+        [-0.0, 5e-324, math.inf],
+        [-math.inf, math.nan, 1.7976931348623157e308],
+        [2.2250738585072014e-308 / 3, -5e-324, 0.1],
+    ]),
+    # a uint8 column stacked with floats, as `EstimatorCurves.to_csv` writes its flag
+    "uint8-column": np.column_stack([[0.0, 0.5, 1.0], np.array([0, 1, 255], dtype=np.uint8)]),
+    "uint8": np.array([[0, 255], [1, 7]], dtype=np.uint8),
+    "one-column": np.array([[1.0 / 3.0], [2.0]]),
+    "column-major": np.asfortranarray(np.arange(12.0).reshape(4, 3) / 7.0),
+    "zero-rows": np.empty((0, 5)),
+}
+
+
+class TestCsv:
+    @pytest.mark.parametrize("case", sorted(CSV_ROWS))
+    def test_write_csv_is_savetxt(self, case):
+        rows = CSV_ROWS[case]
+        header = ",".join(f"c{i}" for i in range(rows.shape[1]))
+        assert written_csv(header, rows) == savetxt_text(header, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4)))
+    def test_write_csv_is_savetxt_for_any_floats(self, rows):
+        assert written_csv("h", rows) == savetxt_text("h", rows)
+
+    def test_read_csv_returns_header_and_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = CSV_ROWS["specials"]
+        path.write_text(written_csv("a,b,c", rows))
+        header, back = read_csv(path, "test")
+        assert header == "a,b,c"
+        assert back.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("text", ["", "\n", "a,b\n"])
+    def test_read_csv_without_rows(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            header, rows = read_csv(path, "test")
+        assert header == text.rstrip("\n") and rows.shape == (0, 1)
+
+    @pytest.mark.parametrize("text", ["h\n1,x\n", "h\n1,2\n3\n"])
+    def test_read_csv_malformed(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="^cannot parse test CSV "):
+            read_csv(path, "test")
+
+    def test_read_csv_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="^cannot parse test CSV "):
+            read_csv(tmp_path / "none.csv", "test")
 
 
 class TestColumnMajorLayout:

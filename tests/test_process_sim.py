@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from funcevt import process_sim
-from funcevt.path_model import TimeGrid, make_grid
+from funcevt.path_model import DataError, TimeGrid, make_grid
 from funcevt.process_sim import (
     DOUBLE_EXP,
     STUDENT_T,
@@ -180,6 +180,13 @@ class TestMovingMax:
             SimConfig(n=5, trunc_tol=2.0)
         with pytest.raises(SimulationError):
             SimConfig(n=5, value_floor=-1.0)
+
+    def test_simulation_errors_are_data_errors(self):
+        # bad input of any kind is a DataError, as the CLI and the harness catch
+        with pytest.raises(DataError, match="^n must be >= 1$"):
+            SimConfig(n=0)
+        with pytest.raises(DataError, match="^kernel rate must be positive and finite$"):
+            KernelSpec(rate=0.0)
 
     @pytest.mark.parametrize(
         "seed",
@@ -384,6 +391,13 @@ class TestMovingMaxPointBlocks:
             got = simulate_moving_max(kernel, grid, cfg).values
             monkeypatch.undo()
             assert got.tobytes() == want.tobytes()
+
+    def test_no_kept_point(self):
+        # at a floor far above every kernel peak no point is kept, so no
+        # path starts and every value is the floor
+        cfg = SimConfig(n=3, seed=1, value_floor=1e9)
+        sample = simulate_moving_max(KernelSpec(), make_grid(m=4), cfg)
+        assert np.all(sample.values == 1e9)
 
     def test_memory_peak_grows_with_kept_points_not_drawn_ones(self):
         # n 6000 x m 11 at the default floor draws ~4.3M points, more than

@@ -20,7 +20,6 @@ from funcevt.process_sim import (
     SimConfig,
     simulate_moving_max,
     simulate_pareto_gbm,
-    SimulationError,
 )
 from funcevt.estimators import (
     estimate_curves,
@@ -47,7 +46,6 @@ from funcevt.limit_theory import (
     LimitFunctionals,
     limit_functionals,
     simulate_limit_functionals,
-    DegenerateCovarianceError,
     Gm0Variances,
     limit_variances_gm0,
     second_order_check,

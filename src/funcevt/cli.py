@@ -24,7 +24,6 @@ from funcevt.harness import (
     run_experiment,
 )
 from funcevt.limit_theory import (
-    DegenerateCovarianceError,
     LimitParams,
     functional_x_grid,
     simulate_limit_functionals,
@@ -39,7 +38,6 @@ from funcevt.path_model import (
     make_grid,
     pareto_transform,
     write_csv,
-    write_json,
 )
 from funcevt.process_sim import (
     DOUBLE_EXP,
@@ -131,20 +129,16 @@ def _cmd_nu(args) -> int:
 
 
 def _write_limit_json(doc, fh):
-    """Write `write_json`'s text of doc to fh, with doc["functionals"]
-    mapping names to 2-d float arrays that are written as nested lists.
+    """Write `path_model.write_json`'s text of doc to fh; doc["functionals"]
+    maps names to the samplers' draws, non-empty 2-d arrays of finite floats.
 
     json's indenting encoder is pure Python and slow on the draws, so
     each array is written by one %-format of its floats with "%r", which
     is what json writes for a finite float, straight after the part of
     the json skeleton that precedes it: only one array's text is held at
-    a time.  An array that is empty or holds a NaN or an infinity (json
-    writes NaN / Infinity there) goes through json.
+    a time.
     """
     arrays = doc["functionals"]
-    if not all(a.size and np.isfinite(a).all() for a in arrays.values()):
-        write_json(fh, {**doc, "functionals": {n: a.tolist() for n, a in arrays.items()}})
-        return
     marks = {name: f"<{name}>" for name in arrays}
     rest = json.dumps({**doc, "functionals": marks}, indent=2, sort_keys=True)
     for name in sorted(arrays):  # the skeleton's key order
@@ -316,7 +310,7 @@ def main(argv=None) -> int:
     try:
         _check_numbers(args)
         return args.func(args)
-    except (DataError, DegenerateCovarianceError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

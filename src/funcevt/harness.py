@@ -27,7 +27,7 @@ Experiment kinds are a closed set, one `KindSpec` entry each in
                gap, mean the empirical covariance, var its squared
                standard error and var_limit the oracle value.
   quantile     per-time variance of the tail quantile statistic against
-               its limit alpha**2.
+               its limit alpha**2, which must be finite.
   oscillation  pooled conditional frequency of leaving the
                small-oscillation set; a single CSV row with t = s,
                mean the estimate and var_limit the pass threshold.
@@ -636,8 +636,8 @@ def _tailcov_summary(cfg, grid, repset):
         a, b = w[:, grid.index_of(t)], w[:, grid.index_of(s)]
         prod = (a - a.mean()) * (b - b.mean())
         gaps.append(abs(t - s))
-        emp.append(float(np.cov(a, b, ddof=1)[0, 1]))
-        se2.append(float(prod.var(ddof=1)) / w.shape[0])
+        emp.append(float(np.cov(a, b, ddof=1)[0, 1]) if a.size > 1 else math.nan)
+        se2.append(float(prod.var(ddof=1)) / a.size if a.size > 1 else math.nan)
         nu.append(oracle.intersection_mass(t, 1.0, s, 1.0))
     return _report(repset, gaps, emp, se2, nu, extra={"pairs": [list(p) for p in cfg.pairs]})
 
@@ -646,7 +646,9 @@ def _tailcov_check(report):
     msgs = []
     for j in range(report.t.size):
         err = abs(report.mean[j] - report.var_limit[j])
-        if err > 0.1:
+        if not math.isfinite(err):
+            msgs.append(f"gap={report.t[j]:g}: |cov - nu| = {err} is not finite")
+        elif err > 0.1:
             msgs.append(f"gap={report.t[j]:g}: |cov - nu| = {err:.4f} > 0.1")
     return msgs
 
@@ -655,6 +657,10 @@ def _quantile_validate(cfg):
     _need_k_below_n(cfg)
     if cfg.alpha == 0.0:
         raise DataError("quantile kind needs a nonzero alpha")
+    try:
+        cfg.alpha ** 2  # the limit variance of `_quantile_summary`
+    except OverflowError:
+        raise DataError(f"quantile alpha**2 must be finite, got alpha {cfg.alpha!r}") from None
 
 
 def _quantile_replicate(cfg, grid, context, seed):

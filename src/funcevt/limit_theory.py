@@ -20,7 +20,8 @@ for the tail beyond the largest level.  moment1, moment2 and location
 are linear in the field, so `simulate_limit_functionals` draws them from
 their own 3 m_t-dimensional Gaussian law without building the field.
 It and `simulate_limit_field` draw through the Cholesky factor of
-their covariance, and take the same level-grid check.
+their covariance (a DataError unless it is finite and positive
+definite), and take the same level-grid check.
 
 This module also carries the second-order machinery: the bias shape
 function H(g, rho, x) = int_1^x y**(g-1) int_1^y u**(rho-1) du dy, the
@@ -50,12 +51,6 @@ from funcevt.exponent_measure import covariance_matrix
 # normals drawn per block of limit-field or limit-functional draws (1 MB
 # of float64), which bounds what the samplers hold beside their draws
 _DRAW_BLOCK_VALUES = 1 << 17
-
-
-class DegenerateCovarianceError(RuntimeError):
-    """A limit covariance fails its Cholesky factorisation: the cell
-    covariance of `simulate_limit_field` or the functionals' law of
-    `simulate_limit_functionals` is not positive definite on its grid."""
 
 
 def _powm1_over(a, logx):
@@ -256,8 +251,8 @@ def _cholesky_draws(cov, draws, seed, t_grid, x_grid) -> np.ndarray:
     the (width x width) covariance of a limit law on a (time x level) grid.
 
     L is unique and continuous in cov, so a tiny change of cov moves the
-    draws by a tiny amount; a cov that Cholesky rejects raises
-    DegenerateCovarianceError naming the grid.  The normals are drawn and
+    draws by a tiny amount; a cov that is not finite or that Cholesky
+    rejects raises DataError naming the grid.  The normals are drawn and
     multiplied in blocks of max(1, _DRAW_BLOCK_VALUES // width) rows, the
     last one drawn full size and cut, so every product has the same shape:
     draw i depends on the seed, i and L only, and the first N draws of a
@@ -265,13 +260,14 @@ def _cholesky_draws(cov, draws, seed, t_grid, x_grid) -> np.ndarray:
     numpy one too), else DataError.
     """
     draws = check_int(draws, "draw count")
+    law = (f"limit covariance on the {t_grid.m} x {x_grid.size} (time x level) "
+           f"grid, x_max {x_grid[-1]:g},")
+    if not np.isfinite(cov).all():
+        raise DataError(f"{law} is not finite")
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        raise DegenerateCovarianceError(
-            f"limit covariance on the {t_grid.m} x {x_grid.size} (time x level) "
-            f"grid, x_max {x_grid[-1]:g}, is not positive definite"
-        ) from None
+        raise DataError(f"{law} is not positive definite") from None
     width = factor.shape[0]
     rows = max(1, _DRAW_BLOCK_VALUES // width)
     rng = np.random.default_rng(seed)
@@ -287,7 +283,7 @@ def simulate_limit_field(oracle, t_grid, x_grid, draws, seed=0) -> LimitField:
 
     The draws are `_cholesky_draws` of the covariance, so the first N
     draws of a larger run are the draws of a run of N; a covariance that
-    Cholesky rejects raises DegenerateCovarianceError.
+    is not finite or that Cholesky rejects raises DataError.
     """
     x_grid = check_levels(x_grid)
     cov = covariance_matrix(oracle, t_grid, x_grid)
@@ -399,11 +395,13 @@ def simulate_limit_functionals(
     covariance of the cells and W the `_functional_weights`; C is only
     3 m_t square.  The draws are `_cholesky_draws` of C, so a tiny change
     of S moves them by a tiny amount, and the first N draws of a larger
-    run are the draws of a run of N.
+    run are the draws of a run of N.  A C that overflows, at x_max 1e308
+    say, is a DataError, with no numpy warning.
     """
     x_grid = check_levels(x_grid)
-    W = _functional_weights(x_grid, np.broadcast_to(params.gamma_minus, (t_grid.m,)))
-    cov = W.T @ (covariance_matrix(oracle, t_grid, x_grid) @ W)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = _functional_weights(x_grid, np.broadcast_to(params.gamma_minus, (t_grid.m,)))
+        cov = W.T @ (covariance_matrix(oracle, t_grid, x_grid) @ W)
     vals = _cholesky_draws(cov, draws, seed, t_grid, x_grid)
     return _functionals_from_moments(t_grid, params, vals)
 

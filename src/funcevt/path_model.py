@@ -48,11 +48,11 @@ class DataError(ValueError):
     """Malformed grid, sample, configuration, CSV or JSON input."""
 
 
-def check_int(value, what, error=DataError) -> int:
-    """value as an int; error unless it is an integer (a numpy one too),
+def check_int(value, what) -> int:
+    """value as an int; DataError unless it is an integer (a numpy one too),
     not a bool or a float, which int() would silently truncate."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{what} must be an integer, got {value!r}")
+        raise DataError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 

@@ -53,10 +53,6 @@ _MAX_POINTS = 1 << 26
 _PREFILTER_MARGIN = 1e-12
 
 
-class SimulationError(DataError):
-    """Invalid simulation configuration (bad trunc_tol, kernel, floor, ...)."""
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Smoothing kernel of the moving-maximum family.
@@ -71,11 +67,11 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.shape not in (DOUBLE_EXP, STUDENT_T):
-            raise SimulationError(f"unknown kernel shape {self.shape!r}")
+            raise DataError(f"unknown kernel shape {self.shape!r}")
         if not 0.0 < self.rate < math.inf:
-            raise SimulationError("kernel rate must be positive and finite")
+            raise DataError("kernel rate must be positive and finite")
         if self.shape == STUDENT_T and not 0.0 < self.df < math.inf:
-            raise SimulationError("kernel df must be positive and finite")
+            raise DataError("kernel df must be positive and finite")
 
     def density(self, u, out=None):
         """f(u) = scale exp(h(u)), one ufunc at a time in out when it is
@@ -118,7 +114,7 @@ class KernelSpec:
         """
         eps = float(trunc_tol)
         if not 0.0 < eps < 1.0:
-            raise SimulationError("trunc_tol must be in (0, 1)")
+            raise DataError("trunc_tol must be in (0, 1)")
         if self.shape == DOUBLE_EXP:
             exact = math.log(1.0 / eps ** 2) / self.rate
             generous = math.log(2.0 / (self.rate * eps ** 2)) / self.rate
@@ -142,7 +138,7 @@ class KernelSpec:
         """
         delta0 = float(delta0)
         if not 0.0 < delta0 < 1.0:
-            raise SimulationError("delta0 must be in (0, 1)")
+            raise DataError("delta0 must be in (0, 1)")
         c = self.log_lipschitz
         deltas = np.exp(np.linspace(math.log(1e-12), math.log(delta0), 4001))
         vals = np.expm1(c * deltas) * np.log(1.0 / deltas) ** 3
@@ -161,9 +157,10 @@ class SimConfig:
         everywhere with probability >= 1 - trunc_tol.  Raising it above
         the default is a speed knob for statistics that only read the
         upper tail.
-    seed : an int, a sequence of ints or a SeedSequence.  A Generator or
-        BitGenerator is refused: the sample would depend on its state,
-        and the moving-max draw steps its own PCG64 back and forth.
+    seed : a non-negative int, a sequence of them or a SeedSequence,
+        checked here, not at the first draw.  A Generator or BitGenerator
+        is refused: the sample would depend on its state, and the
+        moving-max draw steps its own PCG64 back and forth.
 
     `funcevt simulate` takes both defaults; the experiment harness sets
     value_floor from each kind's sizes and flags ties at it.
@@ -175,15 +172,21 @@ class SimConfig:
     value_floor: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n", check_int(self.n, "n", SimulationError))
+        object.__setattr__(self, "n", check_int(self.n, "n"))
         if self.n < 1:
-            raise SimulationError("n must be >= 1")
+            raise DataError("n must be >= 1")
         if isinstance(self.seed, (np.random.Generator, np.random.BitGenerator)):
-            raise SimulationError("seed must be an int or a SeedSequence, not a generator")
+            raise DataError("seed must be an int or a SeedSequence, not a generator")
+        if not isinstance(self.seed, np.random.SeedSequence):
+            try:
+                np.random.SeedSequence(self.seed)
+            except (TypeError, ValueError):
+                raise DataError("seed must be a non-negative integer, a sequence of them "
+                                f"or a SeedSequence, got {self.seed!r}") from None
         if not 0.0 < float(self.trunc_tol) < 1.0:
-            raise SimulationError("trunc_tol must be in (0, 1)")
+            raise DataError("trunc_tol must be in (0, 1)")
         if self.value_floor is not None and not float(self.value_floor) > 0.0:
-            raise SimulationError("value_floor must be positive")
+            raise DataError("value_floor must be positive")
 
 
 def _default_floor(n, m, trunc_tol):
@@ -236,7 +239,7 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     Y in (0, y_max] with y_max = f_max / floor.  Retained points
     reproduce every path value above the floor exactly; values that
     would fall below are reported as the floor.  A draw that expects more
-    than 2**26 points, (2L + 1) y_max n, raises SimulationError before
+    than 2**26 points, (2L + 1) y_max n, raises DataError before
     any of them is drawn.
 
     Only points that can reach the floor are evaluated on the grid.  The
@@ -265,7 +268,7 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     y_max = kernel.peak_height / float(floor)
     intensity = (2.0 * L + 1.0) * y_max
     if intensity * n > _MAX_POINTS:
-        raise SimulationError(
+        raise DataError(
             f"moving-max draw expects {intensity * n:.3g} Poisson points, more than "
             f"2**26, at value floor {floor:.6g} and truncation tolerance {cfg.trunc_tol:g}"
         )

@@ -76,6 +76,17 @@ class TestConfig:
             # k/n must fall
             consistency(((100, 10), (400, 40)))
 
+    def test_quantile_alpha_square_must_be_finite(self):
+        # the limit variance is alpha**2, which would raise OverflowError
+        def quantile(alpha):
+            return ExperimentConfig(kind="quantile", family="pareto-gbm", n=200, k=10,
+                                    alpha=alpha)
+
+        for alpha in (1e200, -1e200, 1.4e154):
+            with pytest.raises(DataError, match=r"alpha\*\*2 must be finite"):
+                quantile(alpha)
+        assert quantile(1.3e154).alpha ** 2 < math.inf
+
     def test_tailcov_needs_pairs(self):
         with pytest.raises(DataError):
             ExperimentConfig(kind="tailcov", family="moving-max", n=100, k=10)

@@ -10,7 +10,6 @@ from funcevt import limit_theory
 from funcevt.exponent_measure import MeasureOracle, covariance_matrix
 from funcevt.harness import ExperimentConfig, grid_for, run_replications, standardize
 from funcevt.limit_theory import (
-    DegenerateCovarianceError,
     LimitField,
     LimitParams,
     TrueFunctions,
@@ -275,7 +274,7 @@ class TestSimulateLimitField:
                 return -5.0
 
         g = make_grid(points=[0.0, 1.0])
-        with pytest.raises(DegenerateCovarianceError, match=r"2 x 1 \(time x level\)"):
+        with pytest.raises(DataError, match=r"2 x 1 \(time x level\)"):
             simulate_limit_field(BrokenOracle(), g, np.array([1.0]), draws=10)
 
 
@@ -479,8 +478,33 @@ class TestSimulateLimitFunctionals:
         monkeypatch.setattr(
             limit_theory, "covariance_matrix", lambda o, t, x: -np.eye(2 * x.size)
         )
-        with pytest.raises(DegenerateCovarianceError, match="2 x 8"):
+        with pytest.raises(DataError, match="2 x 8"):
             simulate_limit_functionals(None, g, x, 10, 0, LimitParams.constant(2))
+
+    @pytest.mark.parametrize("family", [MOVING_MAX, PARETO_GBM])
+    def test_overflowing_levels_rejected_without_a_warning(self, family):
+        # the weights overflow at x_max 1e308, and the suite's filter makes
+        # numpy's RuntimeWarning an error
+        g, x = make_grid(m=2), functional_x_grid(1e308, 8)
+        with pytest.raises(DataError, match=r"2 x 8 \(time x level\) grid, "
+                                            r"x_max 1e\+308, is not finite$"):
+            simulate_limit_functionals(MeasureOracle(family), g, x, 4, 0,
+                                       LimitParams.constant(2, 1.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_covariance_rejected_by_both_samplers(self, bad, monkeypatch):
+        # Cholesky would pass a NaN on to the factor and the draws
+        def covariance(oracle, t, x):
+            cov = np.eye(t.m * x.size)
+            cov[1, 0] = cov[0, 1] = bad
+            return cov
+
+        monkeypatch.setattr(limit_theory, "covariance_matrix", covariance)
+        g, x = make_grid(m=2), functional_x_grid(100.0, 8)
+        with pytest.raises(DataError, match="2 x 8 .* is not finite$"):
+            simulate_limit_field(None, g, x, 4)
+        with pytest.raises(DataError, match="2 x 8 .* is not finite$"):
+            simulate_limit_functionals(None, g, x, 4, 0, LimitParams.constant(2))
 
 
 # each standardized estimator error and the limit functional it tends to
@@ -635,7 +659,8 @@ def test_package_exports_both_samplers_and_their_error():
 
     assert funcevt.simulate_limit_field is simulate_limit_field
     assert funcevt.simulate_limit_functionals is simulate_limit_functionals
-    assert funcevt.DegenerateCovarianceError is DegenerateCovarianceError
+    # a covariance they cannot factor is bad input like any other
+    assert funcevt.DataError is DataError
 
 
 

@@ -15,7 +15,6 @@ from funcevt.process_sim import (
     STUDENT_T,
     KernelSpec,
     SimConfig,
-    SimulationError,
     simulate_moving_max,
     simulate_pareto_gbm,
 )
@@ -79,21 +78,21 @@ class TestKernelSpec:
         assert kernel.density(2.0) == want[np.flatnonzero(u == 2.0)[0]]
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(DataError):
             KernelSpec("box")
 
     def test_bad_rate_rejected(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(DataError):
             KernelSpec("double-exp", rate=0.0)
 
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
     def test_non_finite_rate_rejected(self, rate):
-        with pytest.raises(SimulationError):
+        with pytest.raises(DataError):
             KernelSpec("double-exp", rate=rate)
 
     @pytest.mark.parametrize("df", [0.0, math.inf, math.nan])
     def test_bad_df_rejected(self, df):
-        with pytest.raises(SimulationError):
+        with pytest.raises(DataError):
             KernelSpec("student-t", df=df)
 
     def test_oscillation_constant_dominates_ratio_bound(self):
@@ -174,11 +173,11 @@ class TestMovingMax:
         assert sample.values.min() >= 2.0
 
     def test_config_validation(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(DataError):
             SimConfig(n=0)
-        with pytest.raises(SimulationError):
+        with pytest.raises(DataError):
             SimConfig(n=5, trunc_tol=2.0)
-        with pytest.raises(SimulationError):
+        with pytest.raises(DataError):
             SimConfig(n=5, value_floor=-1.0)
 
     def test_simulation_errors_are_data_errors(self):
@@ -202,10 +201,16 @@ class TestMovingMax:
         # the moving-max ys are drawn by moving a fresh PCG64 past the xs
         # and back; a caller's generator would also make the sample depend
         # on its state
-        with pytest.raises(SimulationError, match="not a generator"):
+        with pytest.raises(DataError, match="not a generator"):
             SimConfig(n=5, seed=seed)
-        for ok in (3, [3, 1], np.random.SeedSequence(3)):
+        for ok in (3, np.int64(3), [3, 1], np.random.SeedSequence(3)):
             SimConfig(n=5, seed=ok)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "abc", [3, -1], [1.5]])
+    def test_seeds_numpy_refuses_are_refused_when_built(self, seed):
+        # not at the first draw, as numpy's ValueError or TypeError
+        with pytest.raises(DataError, match="^seed must be a non-negative integer"):
+            SimConfig(n=5, seed=seed)
 
 
 def _draws(kernel, grid, cfg):
@@ -425,7 +430,7 @@ def test_huge_draw_is_refused_before_drawing(case, monkeypatch):
         raise AssertionError("a point was drawn")
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
-    with pytest.raises(SimulationError) as err:
+    with pytest.raises(DataError) as err:
         simulate_moving_max(KernelSpec(STUDENT_T), make_grid(m=m), SimConfig(n=n))
     msg = str(err.value)
     assert f"expects {expected} Poisson points, more than 2**26" in msg

@@ -310,7 +310,7 @@ def main(argv=None) -> int:
     try:
         _check_numbers(args)
         return args.func(args)
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, MemoryError) as exc:  # MemoryError: a size too big to hold
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,9 @@ evaluate those intersection masses:
 
 `MeasureOracle.intersection_mass` broadcasts over its two levels.  Every
 oracle is homogeneous, nu(r A) = nu(A)/r, and drives the covariance
-matrices of the limit field.
+matrices of the limit field.  The pareto-gbm and student-t oracles
+import scipy.special's ndtr and stdtr when they are first evaluated, not
+with this module, so the double-exponential oracle never loads it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, stdtr
 
 from funcevt.path_model import FAMILIES, MOVING_MAX, PARETO_GBM, DataError
 from funcevt.process_sim import DOUBLE_EXP, KernelSpec
@@ -76,6 +77,8 @@ def _double_exp_mass(rate, h, x, y):
 
 def _gbm_mass(h, x, y):
     """nu(C_{t,x} n C_{t+h,y}) for pareto-gbm via the normal CDF, h > 0."""
+    from scipy.special import ndtr
+
     r = math.sqrt(h)
     zstar = (np.log(x / y) + 0.5 * h) / r
     return ndtr(zstar - r) / x + ndtr(-zstar) / y
@@ -91,6 +94,8 @@ def _student_t_mass(kernel, h, x, y):
     difference is taken in the tail its segment lies in.  Broadcasts
     over x and y.
     """
+    from scipy.special import stdtr
+
     df, b = kernel.df, kernel.rate * h
     roots = _student_t_crossings(df, 0.0, b, np.log(y) - np.log(x))
     cuts = np.sort(np.where(np.isfinite(roots), roots, np.inf), axis=0)

@@ -31,6 +31,9 @@ Experiment kinds are a closed set, one `KindSpec` entry each in
   oscillation  pooled conditional frequency of leaving the
                small-oscillation set; a single CSV row with t = s,
                mean the estimate and var_limit the pass threshold.
+
+scipy.special is imported by `run_replications`, before its first
+replicate, not with this module (see there why).
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from itertools import repeat
 from typing import Callable
 
 import numpy as np
-from scipy.special import kolmogi, ndtr
 
 from funcevt.estimators import estimate_curves
 from funcevt.exponent_measure import MeasureOracle
@@ -241,7 +243,17 @@ def worker_count(workers, reps) -> int:
 
 
 def run_replications(cfg, workers=None) -> ReplicationSet:
-    """Run all replications; identical output for any worker count."""
+    """Run all replications; identical output for any worker count.
+
+    scipy.special is imported first, whether the replicates use it or
+    not.  Forked pool workers then inherit it rather than each spending
+    about 0.2 s to import it.  And the replicates run on the heap its
+    import leaves: a large block it frees raises glibc's dynamic mmap and
+    trim thresholds, without which every moving-max replicate maps and
+    unmaps its arrays afresh, at dozens of page faults each.
+    """
+    import scipy.special  # noqa: F401
+
     spec = _spec(cfg.kind)
     grid = spec.grid(cfg)
     args = (
@@ -342,6 +354,8 @@ def _report(repset, t, mean, var, var_limit, ks=None, extra=None):
 
 def ks_critical(count, alpha=0.01) -> float:
     """Asymptotic two-sided Kolmogorov-Smirnov critical value."""
+    from scipy.special import kolmogi
+
     return float(kolmogi(alpha)) / math.sqrt(count)
 
 
@@ -362,6 +376,8 @@ def summarize(repset, t, errors, var_limit, extra=None):
     ks = np.full(t.size, np.nan)
     cols = vl > 0.0
     if n > 1 and cols.any():
+        from scipy.special import ndtr
+
         # the larger one-sided distance of the empirical cdf from the
         # N(0, var_limit) cdf at the sorted errors
         cdf = ndtr(np.sort(errors[:, cols], axis=0) / np.sqrt(vl[cols]))

@@ -15,6 +15,9 @@ Two families are supported:
   geometric Brownian motion with unit drift correction, B(t) =
   exp(W(t) - t/2).  The marginal tail is E[min(B(t)/x, 1)]; splitting
   the expectation at B = x gives an exact two-term normal-cdf formula.
+  That formula needs scipy.special's ndtr, imported on the first
+  pareto-gbm tail rather than with this module: it takes about 0.2 s,
+  and nothing on the moving-max route uses it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 # Positive floor used when a numerically evaluated tail underflows to 0;
 # keeps zeta = 1/tail finite (about 1e292 at the floor).
@@ -43,6 +45,10 @@ MOVING_MAX = "moving-max"
 PARETO_GBM = "pareto-gbm"
 FAMILIES = (MOVING_MAX, PARETO_GBM)
 
+# the most float64 values one numpy array can hold: its size in bytes
+# must fit in numpy's index type
+MAX_VALUES = np.iinfo(np.intp).max // 8
+
 
 class DataError(ValueError):
     """Malformed grid, sample, configuration, CSV or JSON input."""
@@ -54,6 +60,19 @@ def check_int(value, what) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DataError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def check_size(value, what) -> int:
+    """value as an int; DataError unless it is an integer from 1 to
+    `MAX_VALUES`.  A larger size would fail in numpy with a ValueError;
+    a smaller one that memory cannot hold fails with a MemoryError."""
+    value = check_int(value, what)
+    if value < 1:
+        raise DataError(f"{what} must be >= 1")
+    if value > MAX_VALUES:
+        raise DataError(f"{what} must be at most {MAX_VALUES}, the most float64 values "
+                        f"a numpy array can hold, got {value}")
+    return value
 
 
 def check_k(k, n) -> int:
@@ -210,9 +229,7 @@ def make_grid(m=None, points=None) -> TimeGrid:
         return TimeGrid(np.asarray(points, dtype=float))
     if m is None:
         raise DataError("either m or points is required")
-    if check_int(m, "m") < 1:
-        raise DataError("m must be >= 1")
-    if m == 1:
+    if check_size(m, "m") == 1:
         return TimeGrid(np.array([0.0]))
     return TimeGrid(np.linspace(0.0, 1.0, m))
 
@@ -385,6 +402,8 @@ class MarginalModel:
             raise DataError("t must be >= 0")
         if t == 0.0:
             return np.minimum(1.0, 1.0 / x)
+        from scipy.special import ndtr
+
         s = np.sqrt(t)
         z = (np.log(x) + 0.5 * t) / s
         return ndtr(-z) + ndtr(z - s) / x
@@ -415,9 +434,12 @@ def _pareto_rows(model, points, rows):
     """(zeta, clamps): the Pareto scale of every row of rows (m x width),
     row j's values taken at time points[j], as a new (m x width) array,
     and the number of tail values clamped in each row, without a warning
-    (see `_warn_clamped`).  Blocks of rows are split by `for_row_blocks`."""
+    (see `_warn_clamped`).  Blocks of rows are split by `for_row_blocks`,
+    after scipy.special is imported here, so no block's thread imports it."""
     m, width = rows.shape
     out = np.empty((m, width))
+    if model.family == PARETO_GBM:
+        import scipy.special  # noqa: F401
 
     def block(lo, hi):
         clamps = []

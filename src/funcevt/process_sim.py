@@ -27,12 +27,12 @@ spawning.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from funcevt.path_model import MOVING_MAX, PARETO_GBM, DataError, PathSample, check_int
+from funcevt.path_model import MOVING_MAX, PARETO_GBM, DataError, PathSample, check_size
 
 DOUBLE_EXP = "double-exp"
 STUDENT_T = "student-t"
@@ -84,11 +84,13 @@ class KernelSpec:
             np.abs(u, out=f)
             np.multiply(f, -self.rate, out=f)
         else:
+            from scipy.special import gammaln
+
             scale = self.rate
             d = self.df
             logc = (
-                special.gammaln(0.5 * (d + 1.0))
-                - special.gammaln(0.5 * d)
+                gammaln(0.5 * (d + 1.0))
+                - gammaln(0.5 * d)
                 - 0.5 * math.log(d * math.pi)
             )
             np.multiply(u, self.rate, out=f)
@@ -119,7 +121,9 @@ class KernelSpec:
             exact = math.log(1.0 / eps ** 2) / self.rate
             generous = math.log(2.0 / (self.rate * eps ** 2)) / self.rate
             return max(exact, generous)
-        return -float(special.stdtrit(self.df, 0.5 * eps ** 2)) / self.rate
+        from scipy.special import stdtrit
+
+        return -float(stdtrit(self.df, 0.5 * eps ** 2)) / self.rate
 
     @property
     def log_lipschitz(self) -> float:
@@ -149,9 +153,11 @@ class KernelSpec:
 class SimConfig:
     """Simulation size, seed, and truncation controls.
 
+    n : the number of paths, from 1 to `path_model.MAX_VALUES`.
     trunc_tol : probability budget for any truncation effect; it sets
         the half-width of the moving-max Poisson window
-        (`KernelSpec.half_width`).
+        (`KernelSpec.half_width`).  Like value_floor, a real number (not
+        a bool or a string) and finite.
     value_floor : values at or below this floor may be reported as the
         floor itself; defaults to a level that every path exceeds
         everywhere with probability >= 1 - trunc_tol.  Raising it above
@@ -172,9 +178,7 @@ class SimConfig:
     value_floor: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n", check_int(self.n, "n"))
-        if self.n < 1:
-            raise DataError("n must be >= 1")
+        object.__setattr__(self, "n", check_size(self.n, "n"))
         if isinstance(self.seed, (np.random.Generator, np.random.BitGenerator)):
             raise DataError("seed must be an int or a SeedSequence, not a generator")
         if not isinstance(self.seed, np.random.SeedSequence):
@@ -183,10 +187,19 @@ class SimConfig:
             except (TypeError, ValueError):
                 raise DataError("seed must be a non-negative integer, a sequence of them "
                                 f"or a SeedSequence, got {self.seed!r}") from None
-        if not 0.0 < float(self.trunc_tol) < 1.0:
+        if not 0.0 < _check_real(self.trunc_tol, "trunc_tol") < 1.0:
             raise DataError("trunc_tol must be in (0, 1)")
-        if self.value_floor is not None and not float(self.value_floor) > 0.0:
+        floor = self.value_floor
+        if floor is not None and not _check_real(floor, "value_floor") > 0.0:
             raise DataError("value_floor must be positive")
+
+
+def _check_real(value, what):
+    """value; DataError unless it is a finite real number, not a bool or a
+    string, as `ExperimentConfig` checks its float fields."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise DataError(f"{what} must be a finite real number, got {value!r}")
+    return value
 
 
 def _default_floor(n, m, trunc_tol):
@@ -261,6 +274,7 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
     """
     n = cfg.n
     m = grid.m
+    check_size(n * m, "n * m")
     L = kernel.half_width(cfg.trunc_tol)
     floor = cfg.value_floor if cfg.value_floor is not None else _default_floor(
         n, m, cfg.trunc_tol
@@ -297,6 +311,7 @@ def simulate_moving_max(kernel, grid, cfg) -> PathSample:
 def simulate_pareto_gbm(grid, cfg) -> PathSample:
     """Simulate n paths xi(t) = Y exp(W(t) - t/2), Y standard Pareto."""
     n = cfg.n
+    check_size(n * grid.m, "n * m")
     rng = np.random.default_rng(cfg.seed)
     y = 1.0 / (1.0 - rng.random(n))
     z = rng.standard_normal((n, grid.m))

@@ -3,17 +3,13 @@
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-import funcevt
+from conftest import fresh_python
 from funcevt.cli import _write_limit_json, main
 from funcevt.estimators import EstimatorCurves
 from funcevt.harness import (
@@ -25,6 +21,7 @@ from funcevt.harness import (
     save_config,
 )
 from funcevt.path_model import (
+    MAX_VALUES,
     MarginalModel,
     ParetoPaths,
     PathSample,
@@ -156,6 +153,24 @@ def test_huge_student_t_draw_exits_one(n, grid, expected, tmp_path, capsys, monk
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: moving-max draw expects {expected} Poisson points")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, n, grid, error", [
+    # beyond numpy's index range: refused before anything is drawn
+    ("pareto-gbm", 10 ** 24, 2, f"error: n must be at most {MAX_VALUES}, "),
+    ("moving-max", 10 ** 24, 2, f"error: n must be at most {MAX_VALUES}, "),
+    ("pareto-gbm", 2, 10 ** 24, f"error: m must be at most {MAX_VALUES}, "),
+    ("pareto-gbm", MAX_VALUES // 2 + 1, 2, f"error: n * m must be at most {MAX_VALUES}, "),
+    # in range, but 7.11 PiB of draws: numpy's MemoryError, reported
+    ("pareto-gbm", 10 ** 15, 2, "error: Unable to allocate "),
+])
+def test_size_numpy_cannot_hold_exits_one(family, n, grid, error, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--family", family, "--n", str(n), "--grid", str(grid),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(error)
     assert not out.exists()
 
 
@@ -469,6 +484,9 @@ BAD_CONFIGS = {
     "nan-beta": '{"kind": "normality", "family": "pareto-gbm", "n": 200, "k": 20, "beta": NaN}',
     "infinite-beta": '{"kind": "quantile", "family": "moving-max", "n": 200, "k": 20, "beta": Infinity}',
     "gbm-bad-kernel": '{"kind": "tailcov", "family": "pareto-gbm", "n": 200, "k": 20, "pairs": [[0, 1]], "kernel_rate": -1}',
+    "huge-m": '{"kind": "normality", "family": "pareto-gbm", "n": 200, "k": 20, "m": 1000000000000000000000000}',
+    "huge-n": '{"kind": "normality", "family": "pareto-gbm", "n": 1000000000000000000000000, "k": 20}',
+    "unallocatable-n": '{"kind": "normality", "family": "pareto-gbm", "n": 1000000000000000, "k": 20, "m": 2}',
 }
 
 # what `funcevt experiment` prints and writes to a .csv out for the tailcov
@@ -670,11 +688,28 @@ def test_cli_import_leaves_slow_scipy_modules_unloaded(tmp_path):
         "'--workers', '1', '--check']); "
     )
     code = "import sys, funcevt.cli; " + loaded + limit + loaded + experiment + loaded
-    env = {**os.environ, "PYTHONPATH": str(Path(funcevt.__file__).parents[1])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        check=True, timeout=120, env=env,
-    )
-    lines = [line for line in out.stdout.splitlines() if line.startswith("[")]
+    out = fresh_python(code)
+    lines = [line for line in out.splitlines() if line.startswith("[")]
     assert lines == ["[]", "[]", "[]"]  # after the import, the limit and nu runs, the experiment
-    assert "PASS " in out.stdout or "FAIL " in out.stdout  # --check ran
+    assert "PASS " in out or "FAIL " in out  # --check ran
+
+
+def test_moving_max_double_exp_commands_leave_scipy_special_unloaded(tmp_path):
+    # scipy.special takes about 0.2 s to import; only pareto-gbm, the
+    # student-t kernel and the experiment harness use it
+    mm, zeta, out = (str(tmp_path / name) for name in ("mm.csv", "zeta.csv", "out"))
+    commands = [
+        ["simulate", "--family", "moving-max", "--n", "300", "--grid", "11", "--out", mm],
+        ["transform", "--family", "moving-max", "--in", mm, "--out", zeta],
+        ["estimate", "--in", mm, "--k", "20", "--out", out],
+        ["tailproc", "--in", zeta, "--k", "20", "--xgrid", "16", "--out", out],
+        ["diagnose", "--in", zeta, "--s", "0.2", "--delta", "0.5", "--v", "10", "--K", "1"],
+        ["nu", "--family", "moving-max", "--t", "0", "--x", "1", "--s", "0.5", "--y", "2"],
+        ["limit", "--family", "moving-max", "--tgrid", "2", "--xgrid", "16", "--draws", "8",
+         "--out", out],
+    ]
+    report = "print('scipy.special' in sys.modules); "
+    code = "import sys, funcevt; " + report + "import funcevt.cli; " + report + "".join(
+        f"assert funcevt.cli.main({argv!r}) == 0; " + report for argv in commands)
+    flags = [line for line in fresh_python(code).splitlines() if line in ("True", "False")]
+    assert flags == ["False"] * (2 + len(commands))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import fresh_python
 from funcevt import harness, path_model
 from funcevt.estimators import estimate_curves
 from funcevt.harness import (
@@ -221,6 +222,28 @@ class TestReplications:
         report = run_experiment(small_normality(reps=1))
         assert report.used == 1
         assert math.isnan(report.var[0])
+
+    def test_scipy_special_is_loaded_before_the_first_replicate(self):
+        # moving-max tailcov replicates do not use it, but forked workers
+        # inherit it and the replicates run on the heap its import leaves
+        code = """
+import dataclasses, sys
+from funcevt import harness
+
+def replicate(*args):
+    seen.append("scipy.special" in sys.modules)
+    return spec.replicate(*args)
+
+seen = []
+spec = harness.KIND_SPECS["tailcov"]
+harness.KIND_SPECS["tailcov"] = dataclasses.replace(spec, replicate=replicate)
+cfg = harness.ExperimentConfig(kind="tailcov", family="moving-max", n=200, k=10, reps=3,
+                               pairs=[[0, 0.5]])
+print("scipy.special" in sys.modules)
+harness.run_replications(cfg)
+print(seen)
+"""
+        assert fresh_python(code).splitlines() == ["False", "[True, True, True]"]
 
 
 class TestStandardize:

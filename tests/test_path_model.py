@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate, stats
 
+from conftest import fresh_python
 from funcevt import path_model
 from funcevt.estimators import _log_excess_moments, _negative_part, estimate_curves
 from funcevt.harness import ExperimentConfig, _tail_floor, run_replications
@@ -73,6 +74,16 @@ class TestMakeGrid:
     def test_index_of_missing_time(self):
         with pytest.raises(DataError):
             make_grid(m=2).index_of(0.3)
+
+    @pytest.mark.parametrize("m, error", [
+        (0, "^m must be >= 1$"),
+        (path_model.MAX_VALUES + 1, f"^m must be at most {path_model.MAX_VALUES}, "),
+        (10 ** 24, f"^m must be at most {path_model.MAX_VALUES}, "),
+    ])
+    def test_sizes_numpy_cannot_index_are_refused(self, m, error):
+        # not numpy's ValueError from linspace
+        with pytest.raises(DataError, match=error):
+            make_grid(m=m)
 
 
 class TestMarginalModel:
@@ -298,6 +309,36 @@ class TestRowBlocks:
     @pytest.mark.parametrize("family", ["moving-max", "pareto-gbm"])
     def test_tail_clamps_match_the_strided_loop(self, family, threads):
         _assert_clamp_case_matches_the_loop(family)
+
+    def test_first_pareto_gbm_transform_imports_ndtr_before_the_threads(self, tmp_path):
+        # scipy.special is not loaded with funcevt: the first pareto-gbm
+        # transform imports it on the calling thread, before it splits the
+        # rows, and its four blocks give the serial loop's floats
+        path = tmp_path / "zeta.npy"
+        code = f"""
+import os, sys, threading
+import numpy as np
+from funcevt import path_model
+from funcevt.process_sim import SimConfig, simulate_pareto_gbm
+
+class Watch:  # records, for every import, whether the main thread runs it
+    def find_spec(self, name, path=None, target=None):
+        on_main.append(threading.current_thread() is threading.main_thread())
+
+os.cpu_count = lambda: {FOUR_CORES}
+sample = simulate_pareto_gbm(path_model.make_grid(m=101), SimConfig(n=20000, seed=29))
+print("scipy.special" in sys.modules)
+blocks = path_model.for_row_blocks(lambda lo, hi: None, 101, 20000)
+on_main = []
+sys.meta_path.insert(0, Watch())
+zeta = path_model.pareto_transform(sample, path_model.marginal_model_for(sample))
+np.save({str(path)!r}, zeta.values)
+print(len(blocks), "scipy.special" in sys.modules, len(on_main) > 0, all(on_main))
+"""
+        assert fresh_python(code).split() == ["False", "4", "True", "True", "True"]
+        sample = simulate_pareto_gbm(make_grid(m=101), SimConfig(n=20000, seed=29))
+        want = reference_pareto_transform(sample, marginal_model_for(sample))
+        assert np.load(path).tobytes() == want.tobytes()
 
     def test_blocks_cover_the_rows_in_order(self, threads):
         assert for_row_blocks(lambda lo, hi: (lo, hi), 21, 1) == [(0, 5), (5, 10), (10, 15), (15, 21)]

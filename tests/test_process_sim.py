@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from funcevt import process_sim
-from funcevt.path_model import DataError, TimeGrid, make_grid
+from funcevt.path_model import MAX_VALUES, DataError, TimeGrid, make_grid
 from funcevt.process_sim import (
     DOUBLE_EXP,
     STUDENT_T,
@@ -211,6 +212,39 @@ class TestMovingMax:
         # not at the first draw, as numpy's ValueError or TypeError
         with pytest.raises(DataError, match="^seed must be a non-negative integer"):
             SimConfig(n=5, seed=seed)
+
+    @pytest.mark.parametrize("field, value", [
+        ("trunc_tol", "abc"), ("trunc_tol", None), ("trunc_tol", "0.5"), ("trunc_tol", True),
+        ("trunc_tol", [1]), ("trunc_tol", math.nan), ("trunc_tol", 1j),
+        ("value_floor", [1]), ("value_floor", True), ("value_floor", "2"),
+        ("value_floor", math.inf), ("value_floor", -math.inf),
+    ])
+    def test_tolerance_and_floor_must_be_finite_reals(self, field, value):
+        # not float(value): it parses strings, takes bools and raises
+        # ValueError or TypeError for the rest
+        with pytest.raises(DataError, match=f"^{field} must be a finite real number, got "):
+            SimConfig(n=5, **{field: value})
+
+    def test_tolerance_and_floor_keep_numpy_reals_and_their_ranges(self):
+        cfg = SimConfig(n=5, trunc_tol=np.float32(1e-3), value_floor=np.int64(2))
+        assert (cfg.trunc_tol, cfg.value_floor) == (np.float32(1e-3), 2)
+        with pytest.raises(DataError, match=r"^trunc_tol must be in \(0, 1\)$"):
+            SimConfig(n=5, trunc_tol=1)
+        with pytest.raises(DataError, match="^value_floor must be positive$"):
+            SimConfig(n=5, value_floor=0)
+
+    def test_sizes_beyond_numpy_are_refused_before_a_draw(self, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("a value was drawn")
+
+        assert SimConfig(n=MAX_VALUES).n == MAX_VALUES
+        with pytest.raises(DataError, match=f"^n must be at most {MAX_VALUES}, "):
+            SimConfig(n=MAX_VALUES + 1)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        cfg = SimConfig(n=MAX_VALUES // 2 + 1, value_floor=1e300)
+        for simulate in (simulate_pareto_gbm, partial(simulate_moving_max, KernelSpec())):
+            with pytest.raises(DataError, match=rf"^n \* m must be at most {MAX_VALUES}, "):
+                simulate(make_grid(m=2), cfg)
 
 
 def _draws(kernel, grid, cfg):
